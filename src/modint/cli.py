@@ -120,9 +120,15 @@ def cmd_fringes(args) -> str:
     return buf.getvalue()
 
 
+def _two_particle_state(args):
+    state = states.state_from_descriptor(_state_descriptor(args))
+    if isinstance(state, states.SuperposedState):
+        raise CliError(f"{args.command} expects a two-particle state, not --state {args.state}")
+    return state
+
+
 def cmd_criterion(args) -> str:
-    desc = _state_descriptor(args)
-    state = states.state_from_descriptor(desc)
+    state = _two_particle_state(args)
     scale = ModularScale(args.lam)
     report = crit.evaluate_criterion(state, scale, axis=args.axis)
     return report.to_json() + "\n"
@@ -138,8 +144,7 @@ def cmd_robustness(args) -> str:
 
 
 def cmd_sample(args) -> str:
-    desc = _state_descriptor(args)
-    state = states.state_from_descriptor(desc)
+    state = _two_particle_state(args)
     scale = ModularScale(args.lam)
     pos = sampling.sample_measurements(state, "position", args.n, args.seed)
     mom = sampling.sample_measurements(state, "momentum", args.n, args.seed + 1)

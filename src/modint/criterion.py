@@ -15,6 +15,7 @@ from .states import (
     GaussianEnvelope,
     MixtureState,
     TwoParticleState,
+    admixture_state,
     build_classical_correlated,
     build_mpe,
     default_grid,
@@ -118,27 +119,6 @@ def evaluate_criterion(
 
 # ---------------------------------------------------------------------------
 # robustness against classically correlated admixtures
-
-
-def admixture_state(
-    epsilon: float,
-    N: int,
-    lam: float = 1.0,
-    envelope=None,
-    x0: float = 0.0,
-    N0: int = 1,
-):
-    """(1 - eps) * MPE + eps * classically correlated, as a pure-state ensemble."""
-    if not 0 <= epsilon <= 1:
-        raise ValueError("epsilon must lie in [0, 1]")
-    envelope = envelope or GaussianEnvelope(sigma_x=6.0 * lam)
-    pure = build_mpe(N, x0, N0, lam, envelope)
-    if epsilon == 0:
-        return pure
-    classical = build_classical_correlated(N, x0, N0, lam, envelope)
-    comps = [] if epsilon == 1 else [(1.0 - epsilon, pure)]
-    comps += [(epsilon * w, st) for w, st in classical.components]
-    return MixtureState(comps)
 
 
 def robustness_threshold(

@@ -67,11 +67,9 @@ def free_propagate(state, params: PropagationParams):
     if isinstance(state, GridState):
         return GridState(state.spec, _propagate_array(state.spec, state.psi, params))
     if isinstance(state, TwoParticleGridState):
-        terms = [
-            (c, _propagate_array(state.spec1, a1, params), _propagate_array(state.spec2, a2, params))
-            for c, a1, a2 in state.terms
-        ]
-        return TwoParticleGridState(state.spec1, state.spec2, terms)
+        a1 = np.array([_propagate_array(state.spec1, a, params) for a in state.a1])
+        a2 = np.array([_propagate_array(state.spec2, a, params) for a in state.a2])
+        return TwoParticleGridState(state.spec1, state.spec2, state.coefs, a1, a2)
     raise TypeError(f"cannot propagate {type(state).__name__}")
 
 

@@ -10,13 +10,14 @@ the modular scale ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .modvar import TWO_PI, ModularScale, integer_part, modular_part
 
 DENSE_CAP = 2**11  # per-axis cap when materializing full 2-D arrays
+GRAM_BLOCK = 4096  # grid columns per block in gram()
 
 _POSITION_OBS = {"x", "xbar", "N_x"}
 _MOMENTUM_OBS = {"p", "pbar", "N_p"}
@@ -100,48 +101,68 @@ class GridState:
         return w / (np.sum(w) * dp)
 
 
+def gram(A: np.ndarray, B: np.ndarray, dx: float, weight: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of <a_i|w|b_j> dx over the rows of A (K, n) and B (L, n).
+
+    Summed over blocks of GRAM_BLOCK grid columns, so the conjugated and
+    weighted temporaries stay K x GRAM_BLOCK however long the grid is.
+    """
+    out = np.zeros((A.shape[0], B.shape[0]), dtype=complex)
+    for s in range(0, A.shape[1], GRAM_BLOCK):
+        a = A[:, s : s + GRAM_BLOCK].conj()
+        if weight is not None:
+            a *= weight[s : s + GRAM_BLOCK]
+        out += a @ B[:, s : s + GRAM_BLOCK].T
+    return out * dx
+
+
 @dataclass
 class TwoParticleGridState:
-    """Sum of product terms c_m * psi1_m(x1) psi2_m(x2), globally normalized."""
+    """Sum of product terms coefs[k] * a1[k](x1) a2[k](x2), globally normalized.
+
+    The terms are one (K, n) array per particle.  Each particle's identity
+    Gram <a_i|a_j> dx is computed once, here, and reused by the norm, the
+    marginals and the observable statistics.
+    """
 
     spec1: GridSpec
     spec2: GridSpec
-    terms: list = field(default_factory=list)  # [(coef, psi1, psi2), ...]
+    coefs: np.ndarray  # (K,)
+    a1: np.ndarray  # (K, spec1.points)
+    a2: np.ndarray  # (K, spec2.points)
 
     def __post_init__(self):
-        if not self.terms:
+        self.coefs = np.asarray(self.coefs, dtype=complex)
+        self.a1 = np.asarray(self.a1, dtype=complex)
+        self.a2 = np.asarray(self.a2, dtype=complex)
+        k = self.coefs.size
+        if k == 0:
             raise ValueError("two-particle grid state needs at least one term")
-        terms = []
-        for c, a1, a2 in self.terms:
-            a1 = np.asarray(a1, dtype=complex)
-            a2 = np.asarray(a2, dtype=complex)
-            if a1.shape != (self.spec1.points,) or a2.shape != (self.spec2.points,):
-                raise ValueError("term arrays do not match the grid specs")
-            terms.append([complex(c), a1, a2])
-        self.terms = terms
-        nrm = math.sqrt(self.norm)
-        for t in self.terms:
-            t[0] /= nrm
+        if (
+            self.coefs.shape != (k,)
+            or self.a1.shape != (k, self.spec1.points)
+            or self.a2.shape != (k, self.spec2.points)
+        ):
+            raise ValueError("term arrays do not match the grid specs")
+        self.g1 = gram(self.a1, self.a1, self.spec1.dx)
+        self.g2 = gram(self.a2, self.a2, self.spec2.dx)
+        self.input_norm = self.norm  # norm of the terms as given
+        if not self.input_norm > 0:
+            raise ValueError("product terms have zero norm on this grid")
+        self.coefs = self.coefs / math.sqrt(self.input_norm)
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return self.coefs.size
 
-    def _gram(self, part: int) -> np.ndarray:
-        dx = (self.spec1 if part == 0 else self.spec2).dx
-        arrs = [t[1 + part] for t in self.terms]
-        n = len(arrs)
-        g = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                g[a, b] = np.vdot(arrs[a], arrs[b]) * dx
-        return g
+    @property
+    def terms(self):
+        """(coef, a1_k, a2_k) per product term."""
+        return list(zip(self.coefs, self.a1, self.a2))
 
     @property
     def norm(self) -> float:
-        c = np.array([t[0] for t in self.terms])
-        cc = np.conj(c)[:, None] * c[None, :]
-        return float(np.real(np.sum(cc * self._gram(0) * self._gram(1))))
+        return float(np.real(np.conj(self.coefs) @ (self.g1 * self.g2) @ self.coefs))
 
     def dense(self) -> np.ndarray:
         """Materialize the full 2-D amplitude array (capped)."""
@@ -150,10 +171,7 @@ class TwoParticleGridState:
                 f"dense export capped at {DENSE_CAP} points per axis; "
                 "use the structured term representation instead"
             )
-        out = np.zeros((self.spec1.points, self.spec2.points), dtype=complex)
-        for c, a1, a2 in self.terms:
-            out += c * np.outer(a1, a2)
-        return out
+        return self.a1.T @ (self.coefs[:, None] * self.a2)
 
     def joint_density(self) -> np.ndarray:
         return np.abs(self.dense()) ** 2
@@ -162,15 +180,9 @@ class TwoParticleGridState:
         """Reduced position density of particle 1 or 2 (partner traced out)."""
         if particle not in (1, 2):
             raise ValueError("particle must be 1 or 2")
-        keep, trace = (1, 2) if particle == 1 else (2, 1)
-        g = self._gram(0 if trace == 1 else 1)
-        c = np.array([t[0] for t in self.terms])
-        dens = np.zeros((self.spec1 if keep == 1 else self.spec2).points)
-        for a in range(self.n_terms):
-            for b in range(self.n_terms):
-                w = np.conj(c[a]) * c[b] * g[a, b]
-                dens += np.real(w * np.conj(self.terms[a][keep]) * self.terms[b][keep])
-        return dens
+        keep, g = (self.a1, self.g2) if particle == 1 else (self.a2, self.g1)
+        w = np.conj(self.coefs)[:, None] * self.coefs[None, :] * g
+        return np.real(np.einsum("ax,ax->x", keep.conj(), w @ keep))
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +227,6 @@ def apply_observable_raw(
     return np.fft.ifft(vals * np.fft.fft(psi))
 
 
-def _matrix_elements(
-    spec: GridSpec, arrs: list[np.ndarray], name: str | None, scale: ModularScale, power: int = 1
-) -> np.ndarray:
-    """Gram-like matrix <a|O^power|b> over a list of single-particle arrays."""
-    n = len(arrs)
-    if name is None:
-        ops = arrs
-    else:
-        _require_commensurate(spec, name, scale)
-        domain, vals = observable_values(spec, name, scale)
-        v = vals**power
-        if domain == "position":
-            ops = [v * a for a in arrs]
-        else:
-            ops = [np.fft.ifft(v * np.fft.fft(a)) for a in arrs]
-    out = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = np.vdot(arrs[a], ops[b]) * spec.dx
-    return out
-
-
 def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
     _require_commensurate(state.spec, name, scale)
     domain, vals = observable_values(state.spec, name, scale)
@@ -258,18 +248,24 @@ _REL_TOT = {
 }
 
 
+def _moments(spec: GridSpec, arrs: np.ndarray, name: str, scale: ModularScale):
+    """(<a|O|b>, <a|O^2|b>) over the rows of arrs for a diagonal observable O."""
+    domain, vals = observable_values(spec, name, scale)
+    dx = spec.dx
+    if domain == "momentum":
+        # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
+        arrs = np.fft.fft(arrs, axis=1)
+        dx /= spec.points
+    return gram(arrs, arrs, dx, vals), gram(arrs, arrs, dx, vals**2)
+
+
 def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> tuple[float, float]:
     base, sign = _REL_TOT[name]
-    c = np.array([t[0] for t in state.terms])
+    c = state.coefs
     cc = np.conj(c)[:, None] * c[None, :]
-    a1 = [t[1] for t in state.terms]
-    a2 = [t[2] for t in state.terms]
-    i1 = _matrix_elements(state.spec1, a1, None, scale)
-    i2 = _matrix_elements(state.spec2, a2, None, scale)
-    o1 = _matrix_elements(state.spec1, a1, base, scale)
-    o2 = _matrix_elements(state.spec2, a2, base, scale)
-    o1sq = _matrix_elements(state.spec1, a1, base, scale, power=2)
-    o2sq = _matrix_elements(state.spec2, a2, base, scale, power=2)
+    o1, o1sq = _moments(state.spec1, state.a1, base, scale)
+    o2, o2sq = _moments(state.spec2, state.a2, base, scale)
+    i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):
         return float(np.real(np.sum(cc * e1 * e2)))

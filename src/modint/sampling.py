@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .modvar import ModularScale, integer_part, modular_part
-from .spectral import solve_c
+from .criterion import criterion_bound
 from .states import (
     GaussianEnvelope,
     MixtureState,
@@ -247,9 +247,6 @@ def estimate_criterion(
 
     var_rel = float(np.var(rel, ddof=1))
     var_tot = float(np.var(tot, ddof=1))
-    clamped = False
-    if var_rel < 0 or var_tot < 0:  # cannot happen for ddof=1 with n >= 2, kept as a guard
-        var_rel, var_tot, clamped = max(var_rel, 0.0), max(var_tot, 0.0), True
 
     lhs = var_tot + var_rel / scale.ell**2
     master = np.uint64(position_samples.seed) ^ np.uint64(0x9E3779B97F4A7C15)
@@ -263,7 +260,7 @@ def estimate_criterion(
     infl = np.concatenate([if_rel, if_tot])
     ci_low, ci_high = _bca_interval(boot_lhs, lhs, infl)
 
-    bound = 2.0 * solve_c().c
+    bound = criterion_bound()
     if ci_high < bound:
         verdict = "violated"
     elif ci_low > bound:
@@ -279,7 +276,6 @@ def estimate_criterion(
         n=n,
         bound=bound,
         verdict=verdict,
-        clamped=clamped,
     )
 
 

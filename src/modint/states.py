@@ -8,7 +8,6 @@ corrected for packet overlaps automatically.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import interp1d
 
-from .grids import GridSpec, GridState, TwoParticleGridState
+from .grids import GridSpec, GridState, TwoParticleGridState, gram
 from .modvar import TWO_PI, H_PLANCK, ModularScale, modular_part
 
 
@@ -189,16 +188,18 @@ def _quadrature_grid(packets, pad: float = 10.0, min_points: int = 4096) -> np.n
     return np.linspace(lo, hi, n, endpoint=False)
 
 
+def _amplitude_rows(packets, x) -> np.ndarray:
+    """(K, n) array of the packets' position amplitudes on x, filled row by row."""
+    out = np.empty((len(packets), x.size), dtype=complex)
+    for k, wp in enumerate(packets):
+        out[k] = wp.position_amplitude(x)
+    return out
+
+
 def _overlap_matrix(packets) -> np.ndarray:
     x = _quadrature_grid(packets)
-    dx = x[1] - x[0]
-    amps = [wp.position_amplitude(x) for wp in packets]
-    n = len(packets)
-    g = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            g[a, b] = np.vdot(amps[a], amps[b]) * dx
-    return g
+    amps = _amplitude_rows(packets, x)
+    return gram(amps, amps, x[1] - x[0])
 
 
 class SuperposedState:
@@ -245,8 +246,7 @@ class TwoParticleState:
         amps = np.array([a for a, _, _ in self.terms])
         g1 = _overlap_matrix([wp1 for _, wp1, _ in self.terms])
         g2 = _overlap_matrix([wp2 for _, _, wp2 in self.terms])
-        cc = np.conj(amps)[:, None] * amps[None, :]
-        nrm2 = float(np.real(np.sum(cc * g1 * g2)))
+        nrm2 = float(np.real(np.conj(amps) @ (g1 * g2) @ amps))
         if nrm2 <= 0:
             raise ValueError("state has zero norm")
         self._scale = 1.0 / math.sqrt(nrm2)
@@ -368,6 +368,27 @@ def build_classical_correlated(
     return MixtureState(comps)
 
 
+def admixture_state(
+    epsilon: float,
+    N: int,
+    lam: float = 1.0,
+    envelope=None,
+    x0: float = 0.0,
+    N0: int = 1,
+):
+    """(1 - eps) * MPE + eps * classically correlated, as a pure-state ensemble."""
+    if not 0 <= epsilon <= 1:
+        raise ValueError("epsilon must lie in [0, 1]")
+    envelope = envelope or GaussianEnvelope(sigma_x=6.0 * lam)
+    pure = build_mpe(N, x0, N0, lam, envelope)
+    if epsilon == 0:
+        return pure
+    classical = build_classical_correlated(N, x0, N0, lam, envelope)
+    comps = [] if epsilon == 1 else [(1.0 - epsilon, pure)]
+    comps += [(epsilon * w, st) for w, st in classical.components]
+    return MixtureState(comps)
+
+
 # ---------------------------------------------------------------------------
 # densities
 
@@ -439,30 +460,26 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None, tail_tol: f
         )
     if isinstance(state, SuperposedState):
         psi = state.position_amplitude(grid.x)
-        contained = float(np.sum(np.abs(psi) ** 2)) * grid.dx
-        if contained < 1 - max(tail_tol, 10 * grid.dx**2):
-            raise ValueError(
-                f"grid too small: only {contained:.10f} of the state's mass is covered"
-            )
+        _check_contained(float(np.sum(np.abs(psi) ** 2)) * grid.dx, grid, tail_tol)
         return GridState(grid, psi)
     if isinstance(state, TwoParticleState):
         grid2 = grid2 or grid
-        terms = [
-            (a * state._scale, wp1.position_amplitude(grid.x), wp2.position_amplitude(grid2.x))
-            for a, wp1, wp2 in state.terms
-        ]
+        out = TwoParticleGridState(
+            grid,
+            grid2,
+            np.array([a * state._scale for a, _, _ in state.terms]),
+            _amplitude_rows([wp1 for _, wp1, _ in state.terms], grid.x),
+            _amplitude_rows([wp2 for _, _, wp2 in state.terms], grid2.x),
+        )
         # contained mass of the analytically normalized state, before renormalization
-        c = np.array([t[0] for t in terms])
-        cc = np.conj(c)[:, None] * c[None, :]
-        g1 = np.array([[np.vdot(a1, b1) * grid.dx for _, b1, _ in terms] for _, a1, _ in terms])
-        g2 = np.array([[np.vdot(a2, b2) * grid2.dx for _, _, b2 in terms] for _, _, a2 in terms])
-        contained = float(np.real(np.sum(cc * g1 * g2)))
-        if contained < 1 - max(tail_tol, 10 * grid.dx**2):
-            raise ValueError(
-                f"grid too small: only {contained:.10f} of the state's mass is covered"
-            )
-        return TwoParticleGridState(grid, grid2, terms)
+        _check_contained(out.input_norm, grid, tail_tol)
+        return out
     raise TypeError(f"cannot discretize {type(state).__name__}")
+
+
+def _check_contained(contained: float, grid: GridSpec, tail_tol: float):
+    if contained < 1 - max(tail_tol, 10 * grid.dx**2):
+        raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +542,5 @@ def state_from_descriptor(d: dict):
     if kind == "classical":
         return build_classical_correlated(N, x0, N0, lam, env)
     if kind == "admixture":
-        eps = float(d.get("epsilon", 0.0))
-        pure = build_mpe(N, x0, N0, lam, env)
-        if eps <= 0:
-            return pure
-        classical = build_classical_correlated(N, x0, N0, lam, env)
-        comps = [(1.0 - eps, pure)] if eps < 1 else []
-        comps += [(eps * w, st) for w, st in classical.components]
-        return MixtureState(comps)
+        return admixture_state(float(d.get("epsilon", 0.0)), N, lam, env, x0, N0)
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def state_descriptor_json(d: dict) -> str:
-    return json.dumps(d, sort_keys=True)

@@ -226,3 +226,25 @@ class TestErrors:
         code, _, err = run_cli(["criterion", "--state", "mpe", "--N", "0"])
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("eps", ["1.5", "-0.5"])
+    def test_epsilon_out_of_range_exits_2(self, eps):
+        code, out, err = run_cli(["criterion", "--state", "admixture", "--epsilon", eps])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "epsilon" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["criterion", "--state", "smp"],
+            ["criterion", "--state", "multislit"],
+            ["sample", "--state", "multislit", "--n", "1000"],
+        ],
+    )
+    def test_single_particle_state_exits_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "two-particle" in err
+        assert len(err.strip().splitlines()) == 1

@@ -21,6 +21,7 @@ from modint.states import (
     build_classical_correlated,
     build_mpe,
     mix,
+    state_from_descriptor,
 )
 
 warnings.filterwarnings("ignore", message="envelope width")
@@ -55,6 +56,13 @@ class TestEvaluate:
             rep = evaluate_criterion(st, SCALE)
             assert rep.violated
             assert rep.lhs == pytest.approx((1 - squeezing_s2(N)) / 6.0, rel=1e-3)
+
+    @pytest.mark.parametrize("N, tol", [(10, 1e-4), (100, 5e-4)])
+    def test_grid_s2_at_high_rank(self, N, tol):
+        # 256 points per ell; the grid lhs sits O(dx^2) below (1 - S2)/6
+        rep = evaluate_criterion(build_mpe(N, 0.0, 1, 1.0, WIDE), SCALE, points_per_ell=256)
+        assert rep.lhs == pytest.approx((1 - squeezing_s2(N)) / 6.0, abs=tol)
+        assert rep.violated
 
     def test_single_component_pair_does_not_violate(self):
         st = build_mpe(1, 0.0, 1, 1.0, WIDE)
@@ -154,6 +162,23 @@ class TestAdmixture:
             admixture_state(-0.1, 2)
         with pytest.raises(ValueError):
             admixture_state(1.1, 2)
+
+    @pytest.mark.parametrize("eps", [-0.5, 1.5])
+    def test_descriptor_checks_epsilon(self, eps):
+        d = {"kind": "admixture", "N": 2, "lambda": 1.0, "epsilon": eps,
+             "envelope": {"kind": "gaussian", "sigma_x": 8.0}}
+        with pytest.raises(ValueError, match="epsilon"):
+            state_from_descriptor(d)
+
+    def test_one_builder_for_both_paths(self):
+        from modint import criterion, states
+
+        assert criterion.admixture_state is states.admixture_state
+        d = {"kind": "admixture", "N": 2, "lambda": 1.0, "epsilon": 0.25,
+             "envelope": {"kind": "gaussian", "sigma_x": 8.0}}
+        via_descriptor = state_from_descriptor(d)
+        direct = admixture_state(0.25, 2, envelope=WIDE)
+        assert via_descriptor.weights == pytest.approx(direct.weights)
 
     def test_pure_limits(self):
         assert isinstance(admixture_state(0.0, 2, envelope=WIDE), TwoParticleState)

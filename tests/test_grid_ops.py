@@ -1,7 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
+from modint.dynamics import PropagationParams, free_propagate
 from modint.grids import (
+    DENSE_CAP,
+    GRAM_BLOCK,
     GridSpec,
     GridState,
     IncommensurateGridError,
@@ -9,6 +14,7 @@ from modint.grids import (
     apply_modular_operator,
     apply_observable_raw,
     commutator_expectation,
+    gram,
     mixture_stats,
     observable_stats,
     observable_values,
@@ -21,7 +27,14 @@ from modint.modvar import (
     smp_integer_momentum_variance,
     smp_modular_position_variance,
 )
-from modint.states import GaussianEnvelope, build_mpe, build_smp, default_grid, discretize
+from modint.states import (
+    GaussianEnvelope,
+    build_mpe,
+    build_smp,
+    default_grid,
+    discretize,
+    gridstate_to_csv,
+)
 
 SCALE = ModularScale(1.0)
 WIDE = GaussianEnvelope(sigma_x=8.0)
@@ -198,3 +211,119 @@ class TestPhaseAndMixture:
         single = smp_grid(2)
         with pytest.raises(ValueError):
             observable_stats(single, "xbar_rel", SCALE)
+
+
+# ---------------------------------------------------------------------------
+# the product-term carrier and its Gram routine against per-term loops
+
+_REL_TOT = {
+    "xbar_rel": ("xbar", -1.0),
+    "pbar_rel": ("pbar", -1.0),
+    "N_p_tot": ("N_p", +1.0),
+    "N_x_tot": ("N_x", +1.0),
+}
+
+
+def _loop_elements(spec, arrs, name, power):
+    """<a|O^power|b> term by term: np.vdot against v**k * b or ifft(v**k * fft(b))."""
+    domain, vals = observable_values(spec, name, SCALE)
+    v = vals**power
+    ops = [v * b if domain == "position" else np.fft.ifft(v * np.fft.fft(b)) for b in arrs]
+    return np.array([[np.vdot(a, b) * spec.dx for b in ops] for a in arrs])
+
+
+def _loop_pair_stats(gs, name):
+    base, sign = _REL_TOT[name]
+    c = gs.coefs
+    cc = np.conj(c)[:, None] * c[None, :]
+    e1 = [_loop_elements(gs.spec1, gs.a1, base, k) for k in range(3)]
+    e2 = [_loop_elements(gs.spec2, gs.a2, base, k) for k in range(3)]
+
+    def ev(m1, m2):
+        return float(np.real(np.sum(cc * m1 * m2)))
+
+    mean = ev(e1[1], e2[0]) + sign * ev(e1[0], e2[1])
+    second = ev(e1[2], e2[0]) + ev(e1[0], e2[2]) + 2.0 * sign * ev(e1[1], e2[1])
+    return mean, second - mean**2
+
+
+def mpe_grid(N, envelope=WIDE, grid=None):
+    st = build_mpe(N, x0=0.0, N0=1, lam=1.0, envelope=envelope)
+    return discretize(st, grid or default_grid(st, 1.0))
+
+
+class TestProductTermCore:
+    def test_gram_matches_vdot_loop_across_blocks(self):
+        rng = np.random.default_rng(5)
+        n = GRAM_BLOCK + 1000  # one full block and a partial one
+        A = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        B = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        w = rng.uniform(-1.0, 1.0, size=n)
+        ref = np.array([[np.vdot(a, w * b) * 0.5 for b in B] for a in A])
+        assert np.allclose(gram(A, B, 0.5, w), ref, rtol=1e-13, atol=0)
+        ref = np.array([[np.vdot(a, b) * 0.5 for b in B] for a in A])
+        assert np.allclose(gram(A, B, 0.5), ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(_REL_TOT))
+    def test_observable_stats_match_per_term_loop(self, N, name):
+        # both axes: N_p_tot/xbar_rel (momentum), N_x_tot/pbar_rel (position);
+        # abs covers the moments that vanish up to rounding (Var N_p_tot ~ 1e-14)
+        gs = mpe_grid(N)
+        got = observable_stats(gs, name, SCALE)
+        assert got == pytest.approx(_loop_pair_stats(gs, name), rel=1e-12, abs=1e-12)
+
+    def test_identity_gram_kept_on_the_carrier(self):
+        gs = mpe_grid(3)
+        assert gs.n_terms == 3
+        assert np.allclose(gs.g1, _loop_elements(gs.spec1, gs.a1, "x", 0), rtol=1e-13, atol=1e-15)
+        assert np.allclose(gs.g2, _loop_elements(gs.spec2, gs.a2, "x", 0), rtol=1e-13, atol=1e-15)
+        assert gs.norm == pytest.approx(1.0, abs=1e-13)
+
+    def test_free_propagate_keeps_norm_and_acts_per_term(self):
+        gs = mpe_grid(2)
+        params = PropagationParams(mass=1.0, time=0.5)
+        moved = free_propagate(gs, params)
+        assert isinstance(moved, TwoParticleGridState)
+        assert moved.input_norm == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(moved.coefs, gs.coefs, rtol=1e-12, atol=0)
+        for spec, before, after in ((gs.spec1, gs.a1, moved.a1), (gs.spec2, gs.a2, moved.a2)):
+            for a, b in zip(before, after):
+                single = free_propagate(GridState(spec, a), params)
+                assert np.allclose(single.psi, GridState(spec, b).psi, atol=1e-12)
+
+    def test_dense_is_the_sum_of_outer_products(self):
+        small = GridSpec(points=256, xmin=-16.0, xmax=16.0)
+        with pytest.warns(UserWarning, match="envelope width"):
+            gs = mpe_grid(3, GaussianEnvelope(sigma_x=2.0), small)
+        assert small.points <= DENSE_CAP
+        ref = sum(c * np.outer(a1, a2) for c, a1, a2 in gs.terms)
+        assert np.allclose(gs.dense(), ref, atol=1e-14)
+        assert np.sum(gs.joint_density()) * small.dx**2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_particle_csv_has_one_row_per_point_pair(self, tmp_path):
+        rng = np.random.default_rng(2)
+        s1 = GridSpec(points=16, xmin=-1.0, xmax=1.0)
+        s2 = GridSpec(points=32, xmin=0.0, xmax=4.0)
+        gs = TwoParticleGridState(
+            s1, s2, np.array([1.0, 0.5j]),
+            rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)),
+            rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32)),
+        )
+        path = tmp_path / "pair.csv"
+        gridstate_to_csv(gs, path)
+        rows = list(csv.reader(path.open()))
+        assert rows[0] == ["x1", "x2", "re", "im"]
+        assert len(rows) - 1 == s1.points * s2.points
+        table = np.array([[float(v) for v in r] for r in rows[1:]])
+        assert np.allclose(table[:, 0], np.repeat(s1.x, s2.points))
+        assert np.allclose(table[:, 1], np.tile(s2.x, s1.points))
+        dense = gs.dense().ravel()
+        assert np.allclose(table[:, 2] + 1j * table[:, 3], dense, rtol=1e-15, atol=0)
+
+    def test_rejects_mismatched_term_arrays(self):
+        spec = GridSpec(points=16, xmin=-1.0, xmax=1.0)
+        with pytest.raises(ValueError, match="match"):
+            TwoParticleGridState(spec, spec, np.ones(2), np.ones((2, 16)), np.ones((3, 16)))
+        with pytest.raises(ValueError, match="at least one term"):
+            TwoParticleGridState(spec, spec, np.ones(0), np.ones((0, 16)), np.ones((0, 16)))
