@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .modvar import ModularScale, integer_part, modular_part
 from .criterion import criterion_bound
@@ -27,7 +27,7 @@ from .states import (
 )
 
 BOOTSTRAP_RESAMPLES = 2000
-BOOTSTRAP_BINS = 8192
+BOOTSTRAP_BINS = 512
 MIN_BOOTSTRAP_N = 100
 
 
@@ -36,6 +36,7 @@ class SampleSet:
     records: np.ndarray  # shape (n, 2)
     seed: int
     kind: str  # "position" | "momentum"
+    proposals: int | None = None  # proposals drawn by the sampler, None if unknown
 
     def __post_init__(self):
         self.records = np.asarray(self.records, dtype=float)
@@ -60,6 +61,11 @@ class EstimateReport:
     bound: float
     verdict: str  # violated | not_violated | inconclusive
     clamped: bool = False
+    n_position: int | None = None  # records used for Var(x_rel)
+    n_momentum: int | None = None  # records used for Var(N_tot)
+    bootstrap_resamples: int | None = None
+    bootstrap_bins_rel: int | None = None  # categories resampled; 0 for constant data
+    bootstrap_bins_tot: int | None = None
 
     @property
     def ci_halfwidth(self) -> float:
@@ -78,6 +84,11 @@ class EstimateReport:
                 "bound": self.bound,
                 "verdict": self.verdict,
                 "clamped": self.clamped,
+                "n_position": self.n_position,
+                "n_momentum": self.n_momentum,
+                "bootstrap_resamples": self.bootstrap_resamples,
+                "bootstrap_bins_rel": self.bootstrap_bins_rel,
+                "bootstrap_bins_tot": self.bootstrap_bins_tot,
             },
             sort_keys=True,
         )
@@ -129,19 +140,43 @@ def _packet_samples(wp, kind: str, rng, n: int) -> np.ndarray:
     return center + _centered_packet_samples(wp.envelope, kind, rng, n)
 
 
-def _packet_density(wp, kind: str, v: np.ndarray) -> np.ndarray:
-    if kind == "position":
-        return np.abs(wp.position_amplitude(v)) ** 2
-    return np.abs(wp.momentum_amplitude(v)) ** 2
+def _packet_moduli(packets, kind: str, v: np.ndarray) -> list:
+    """|psi_k(v)|^2 of each packet, one envelope evaluation per distinct modulus.
+
+    The plane-wave phase of a packet has modulus 1, so its density is the
+    envelope's alone: |phi(x - x0)|^2 in position, |phi_hat(p - p0)|^2 in
+    momentum. Packets sharing (envelope, x0) or (envelope, p0) share it.
+    """
+    cache = {}
+    out = []
+    for wp in packets:
+        center = wp.x0 if kind == "position" else wp.p0
+        key = (wp.envelope, center)
+        if key not in cache:
+            env = wp.envelope if kind == "position" else wp.envelope.fourier
+            cache[key] = np.abs(env(v - center)) ** 2
+        out.append(cache[key])
+    return out
 
 
-def _sample_pure(state: TwoParticleState, kind: str, rng, n: int) -> np.ndarray:
+def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """g = sum_k q_k |psi_1k(v1)|^2 |psi_2k(v2)|^2 for (c, wp1, wp2) terms."""
+    d1 = _packet_moduli([wp1 for _, wp1, _ in terms], kind, v1)
+    d2 = _packet_moduli([wp2 for _, _, wp2 in terms], kind, v2)
+    g = np.zeros(len(v1))
+    for qk, a, b in zip(q, d1, d2):
+        g += qk * a * b
+    return g
+
+
+def _sample_pure(state: TwoParticleState, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
     """Rejection sampling with the incoherent product mixture as the proposal.
 
     With c_k the normalized term amplitudes, Cauchy-Schwarz bounds the joint
     density by K * S * g, where S = sum |c_k|^2, K is the number of terms, and
     g = sum_k (|c_k|^2 / S) |psi_1k|^2 |psi_2k|^2 is the proposal density, so
-    accepting with probability rho / (K S g) reproduces rho exactly.
+    accepting with probability rho / (K S g) reproduces rho exactly. Returns
+    the n records and the number of proposals drawn.
     """
     terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
     weights = np.array([abs(c) ** 2 for c, _, _ in terms])
@@ -151,8 +186,10 @@ def _sample_pure(state: TwoParticleState, kind: str, rng, n: int) -> np.ndarray:
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((0, 2))
+    proposals = 0
     while len(out) < n:
         batch = max(2 * (n - len(out)), 1024)
+        proposals += batch
         ks = rng.choice(len(terms), size=batch, p=q)
         v1 = np.empty(batch)
         v2 = np.empty(batch)
@@ -162,13 +199,11 @@ def _sample_pure(state: TwoParticleState, kind: str, rng, n: int) -> np.ndarray:
             if m:
                 v1[sel] = _packet_samples(wp1, kind, rng, m)
                 v2[sel] = _packet_samples(wp2, kind, rng, m)
-        g = np.zeros(batch)
-        for (c, wp1, wp2), qk in zip(terms, q):
-            g += qk * _packet_density(wp1, kind, v1) * _packet_density(wp2, kind, v2)
+        g = _proposal_density(terms, q, kind, v1, v2)
         rho = dens_fn(state, v1, v2)
         keep = rng.random(batch) * bound * g < rho
         out = np.concatenate([out, np.column_stack([v1[keep], v2[keep]])])
-    return out[:n]
+    return out[:n], proposals
 
 
 def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
@@ -179,7 +214,7 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if isinstance(state, TwoParticleState):
-        records = _sample_pure(state, kind, rng, n)
+        records, proposals = _sample_pure(state, kind, rng, n)
     elif isinstance(state, MixtureState):
         counts = rng.multinomial(n, state.weights)
         parts = [
@@ -187,10 +222,11 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
             for m, (_, st) in zip(counts, state.components)
             if m
         ]
-        records = rng.permutation(np.concatenate(parts))
+        records = rng.permutation(np.concatenate([r for r, _ in parts]))
+        proposals = sum(p for _, p in parts)
     else:
         raise TypeError(f"cannot sample from {type(state).__name__}")
-    return SampleSet(records=records, seed=int(seed), kind=kind)
+    return SampleSet(records=records, seed=int(seed), kind=kind, proposals=proposals)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +234,35 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
 
 
 def _binned_bootstrap_var(values, rng, bins=BOOTSTRAP_BINS, resamples=BOOTSTRAP_RESAMPLES):
-    """Bootstrap distribution of the sample variance via binned multinomials."""
+    """Bootstrap replicates of the sample variance, and the categories resampled.
+
+    Data with at most `bins` distinct values (the integer N_tot) are resampled
+    over those values, which is the exact nonparametric bootstrap. Other data
+    fall into `bins` equal-width bins that keep their count, sum and sum of
+    squares, so each bin resamples at its own mean and mean square: at the
+    data's own counts a replicate is the sample variance itself, and binning
+    only coarsens the resampling. Constant data need no draws (0 categories).
+    """
     n = len(values)
     lo, hi = float(np.min(values)), float(np.max(values))
     if hi == lo:
-        return np.zeros(resamples)
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    probs = counts / n
-    draws = rng.multinomial(n, probs, size=resamples).astype(float)
-    w = draws / n
-    means = w @ centers
-    seconds = w @ centers**2
-    return (seconds - means**2) * n / (n - 1)
+        return np.zeros(resamples), 0
+    distinct = np.unique(values)
+    if distinct.size <= bins:
+        counts = np.bincount(np.searchsorted(distinct, values))
+        m1, m2 = distinct, distinct**2
+    else:
+        idx = np.minimum(np.floor((values - lo) * (bins / (hi - lo))).astype(np.intp), bins - 1)
+        counts = np.bincount(idx, minlength=bins)
+        s1 = np.bincount(idx, weights=values, minlength=bins)
+        s2 = np.bincount(idx, weights=values * values, minlength=bins)
+        full = counts > 0
+        counts = counts[full]
+        m1, m2 = s1[full] / counts, s2[full] / counts
+    draws = rng.multinomial(n, counts / n, size=resamples)
+    means = draws @ m1 / n
+    seconds = draws @ m2 / n
+    return (seconds - means**2) * n / (n - 1), len(counts)
 
 
 def _bca_interval(boot: np.ndarray, stat: float, infl: np.ndarray, level: float = 0.95):
@@ -220,12 +271,12 @@ def _bca_interval(boot: np.ndarray, stat: float, infl: np.ndarray, level: float 
         return float(boot[0]), float(boot[0])
     b = len(boot)
     prop = np.clip(np.mean(boot < stat), 1.0 / b, 1.0 - 1.0 / b)
-    z0 = stats.norm.ppf(prop)
+    z0 = ndtri(prop)
     denom = float(infl @ infl) ** 1.5
     accel = float((infl**3).sum()) / (6.0 * denom) if denom > 0 else 0.0
     alpha = 0.5 * (1.0 - level)
-    z = stats.norm.ppf([alpha, 1.0 - alpha])
-    adj = stats.norm.cdf(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
+    z = ndtri(np.array([alpha, 1.0 - alpha]))
+    adj = ndtr(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
     lo, hi = np.percentile(boot, 100.0 * adj)
     return float(lo), float(hi)
 
@@ -251,8 +302,8 @@ def estimate_criterion(
     lhs = var_tot + var_rel / scale.ell**2
     master = np.uint64(position_samples.seed) ^ np.uint64(0x9E3779B97F4A7C15)
     rng = np.random.Generator(np.random.Philox(key=master))
-    boot_rel = _binned_bootstrap_var(rel, rng)
-    boot_tot = _binned_bootstrap_var(tot, rng)
+    boot_rel, bins_rel = _binned_bootstrap_var(rel, rng)
+    boot_tot, bins_tot = _binned_bootstrap_var(tot, rng)
     boot_lhs = boot_tot + boot_rel / scale.ell**2
     # acceleration from the influence function of the combined statistic
     if_rel = ((rel - rel.mean()) ** 2 - var_rel) / scale.ell**2
@@ -276,6 +327,11 @@ def estimate_criterion(
         n=n,
         bound=bound,
         verdict=verdict,
+        n_position=position_samples.n,
+        n_momentum=momentum_samples.n,
+        bootstrap_resamples=len(boot_lhs),
+        bootstrap_bins_rel=bins_rel,
+        bootstrap_bins_tot=bins_tot,
     )
 
 
@@ -292,7 +348,12 @@ def sampleset_to_csv(samples: SampleSet, path, descriptor_hash: str = ""):
             w.writerow([i, repr(float(v1)), repr(float(v2))])
     with open(str(path) + ".json", "w") as fh:
         json.dump(
-            {"seed": samples.seed, "kind": samples.kind, "state": descriptor_hash},
+            {
+                "seed": samples.seed,
+                "kind": samples.kind,
+                "state": descriptor_hash,
+                "proposals": samples.proposals,
+            },
             fh,
             sort_keys=True,
         )
@@ -304,4 +365,6 @@ def sampleset_from_csv(path) -> SampleSet:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     rec = np.array([[float(r[1]), float(r[2])] for r in rows])
-    return SampleSet(records=rec, seed=int(meta["seed"]), kind=meta["kind"])
+    return SampleSet(
+        records=rec, seed=int(meta["seed"]), kind=meta["kind"], proposals=meta.get("proposals")
+    )

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import interp1d
 
 from .grids import GridSpec, GridState, TwoParticleGridState, gram
 from .modvar import TWO_PI, H_PLANCK, ModularScale, modular_part
@@ -102,6 +102,8 @@ class TabulatedEnvelope(Envelope):
     kind = "tabulated"
 
     def __init__(self, x, values):
+        from scipy.interpolate import interp1d  # slow to import; only this envelope needs it
+
         x = np.asarray(x, dtype=float)
         values = np.asarray(values, dtype=complex)
         if x.ndim != 1 or x.shape != values.shape or x.size < 8:
@@ -301,6 +303,14 @@ def mix(components) -> MixtureState:
 # builders
 
 
+def _warn_at_caller(message: str):
+    """Warn at the first frame outside this module: the line that called the builder."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def build_multislit(N: int, L: float, envelope: Envelope) -> SuperposedState:
     """Rank-N position comb: equal-amplitude packets displaced by L."""
     N = int(N)
@@ -309,27 +319,29 @@ def build_multislit(N: int, L: float, envelope: Envelope) -> SuperposedState:
     if not L > 0:
         raise ValueError("slit separation L must be positive")
     if envelope.width / L > 0.2:
-        warnings.warn(
+        _warn_at_caller(
             f"envelope width {envelope.width} is not small against L={L}; "
-            "components overlap appreciably",
-            stacklevel=2,
+            "components overlap appreciably"
         )
     amp = 1.0 / math.sqrt(N)
     terms = [(amp, WavePacket(envelope, x0=-n * L)) for n in range(N)]
     return SuperposedState(terms, fringe_period=H_PLANCK / L)
 
 
-def _momentum_comb_packets(N, x0, N0, lam, envelope, sign=+1.0):
+def _check_comb(N, lam, envelope):
+    """Validate a momentum comb; warn once per public builder call on overlap."""
     if int(N) < 1:
         raise ValueError("N must be >= 1")
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if envelope.width / lam < 5:
-        warnings.warn(
+        _warn_at_caller(
             f"envelope width {envelope.width} is not large against lambda={lam}; "
-            "momentum components overlap appreciably",
-            stacklevel=3,
+            "momentum components overlap appreciably"
         )
+
+
+def _momentum_comb_packets(N, x0, N0, lam, envelope, sign=+1.0):
     xref = float(modular_part(x0, lam)) * (1 if sign > 0 else -1)
     per = H_PLANCK / lam
     return [
@@ -338,8 +350,32 @@ def _momentum_comb_packets(N, x0, N0, lam, envelope, sign=+1.0):
     ]
 
 
+def _pair_packets(N, x0, N0, lam, envelope):
+    """The N counterpropagating packet pairs shared by the MPE and classical states."""
+    return list(
+        zip(
+            _momentum_comb_packets(N, x0, N0, lam, envelope, sign=+1.0),
+            _momentum_comb_packets(N, x0, N0, lam, envelope, sign=-1.0),
+        )
+    )
+
+
+def _mpe(pairs, lam) -> TwoParticleState:
+    amp = 1.0 / math.sqrt(len(pairs))
+    return TwoParticleState([(amp, w1, w2) for w1, w2 in pairs], fringe_period=lam)
+
+
+def _classical(pairs, lam) -> MixtureState:
+    comps = [
+        (1.0 / len(pairs), TwoParticleState([(1.0, w1, w2)], fringe_period=lam))
+        for w1, w2 in pairs
+    ]
+    return MixtureState(comps)
+
+
 def build_smp(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> SuperposedState:
     """Rank-N momentum comb: position-space fringes of period lambda."""
+    _check_comb(N, lam, envelope)
     packets = _momentum_comb_packets(N, x0, N0, lam, envelope)
     amp = 1.0 / math.sqrt(int(N))
     return SuperposedState([(amp, wp) for wp in packets], fringe_period=lam)
@@ -347,25 +383,16 @@ def build_smp(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> Sup
 
 def build_mpe(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> TwoParticleState:
     """Rank-N entangled pair state: counterpropagating correlated packets."""
-    p1 = _momentum_comb_packets(N, x0, N0, lam, envelope, sign=+1.0)
-    p2 = _momentum_comb_packets(N, x0, N0, lam, envelope, sign=-1.0)
-    amp = 1.0 / math.sqrt(int(N))
-    return TwoParticleState(
-        [(amp, w1, w2) for w1, w2 in zip(p1, p2)], fringe_period=lam
-    )
+    _check_comb(N, lam, envelope)
+    return _mpe(_pair_packets(N, x0, N0, lam, envelope), lam)
 
 
 def build_classical_correlated(
     N: int, x0: float, N0: int, lam: float, envelope: Envelope
 ) -> MixtureState:
     """Incoherent mixture of the N product components: correlated, fringe-free."""
-    p1 = _momentum_comb_packets(N, x0, N0, lam, envelope, sign=+1.0)
-    p2 = _momentum_comb_packets(N, x0, N0, lam, envelope, sign=-1.0)
-    comps = [
-        (1.0 / int(N), TwoParticleState([(1.0, w1, w2)], fringe_period=lam))
-        for w1, w2 in zip(p1, p2)
-    ]
-    return MixtureState(comps)
+    _check_comb(N, lam, envelope)
+    return _classical(_pair_packets(N, x0, N0, lam, envelope), lam)
 
 
 def admixture_state(
@@ -380,10 +407,12 @@ def admixture_state(
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
     envelope = envelope or GaussianEnvelope(sigma_x=6.0 * lam)
-    pure = build_mpe(N, x0, N0, lam, envelope)
+    _check_comb(N, lam, envelope)
+    pairs = _pair_packets(N, x0, N0, lam, envelope)
+    pure = _mpe(pairs, lam)
     if epsilon == 0:
         return pure
-    classical = build_classical_correlated(N, x0, N0, lam, envelope)
+    classical = _classical(pairs, lam)
     comps = [] if epsilon == 1 else [(1.0 - epsilon, pure)]
     comps += [(epsilon * w, st) for w, st in classical.components]
     return MixtureState(comps)

@@ -13,6 +13,7 @@ from modint.states import (
     TabulatedEnvelope,
     TwoParticleState,
     WavePacket,
+    admixture_state,
     build_classical_correlated,
     build_mpe,
     build_multislit,
@@ -143,6 +144,24 @@ class TestBuilders:
         r = np.linspace(-1.0, 1.0, 401)
         dens = joint_position_density(st, r / 2, -r / 2)
         assert np.max(dens) / np.min(dens) < 1.01  # flat: no interference
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda env: build_mpe(2, 0.0, 1, 1.0, env),
+            lambda env: build_smp(2, 0.0, 1, 1.0, env),
+            lambda env: admixture_state(0.5, 2, 1.0, env),
+            lambda env: state_from_descriptor(
+                {"kind": "mpe", "N": 2, "envelope": env.descriptor()}
+            ),
+        ],
+        ids=["build_mpe", "build_smp", "admixture_state", "state_from_descriptor"],
+    )
+    def test_overlap_warning_once_at_the_callers_line(self, build):
+        with pytest.warns(UserWarning, match="envelope width") as record:
+            build(GaussianEnvelope(3.0))
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
     def test_invalid_builders(self):
         with pytest.raises(ValueError):
