@@ -3,13 +3,12 @@ visibility study for dissociation-style pair generation."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridSpec, GridState, TwoParticleGridState
-from .modvar import TWO_PI, H_PLANCK
+from .modvar import H_PLANCK
 from .states import Envelope, GaussianEnvelope
 from .modvar import fringe_function
 
@@ -129,6 +128,8 @@ class ProtocolSpec:
     def __post_init__(self):
         times = tuple(float(t) for t in self.emission_times)
         object.__setattr__(self, "emission_times", times)
+        if self.N < 2:
+            raise ValueError("the protocol requires N >= 2 (a single component has no fringes)")
         if len(times) != self.N:
             raise ValueError("emission_times length must equal N")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
@@ -164,69 +165,39 @@ class ProtocolSpec:
         )
 
 
-def _dispersed_gaussian(x, sigma: float, dwell: float, mass: float, hbar: float):
-    """Freely evolved unit-norm gaussian envelope (complex width)."""
-    tau = hbar * dwell / (2 * mass * sigma**2)
-    s = 1.0 + 1j * tau
-    return (2 * math.pi * sigma**2) ** -0.25 / np.sqrt(s) * np.exp(-(x**2) / (4 * sigma**2 * s))
-
-
-def _component_amplitude(x, p0, dwell, sigma, mass, hbar):
-    """Packet with momentum p0 centered at x = 0 after dispersing for dwell.
-
-    Phases are referenced to the meeting point: the constant kinetic offsets
-    p0^2 dwell / 2m are dropped, so only the dispersion-induced shape mismatch
-    (width growth and chirp) distinguishes components with different dwells.
-    """
-    return np.exp(1j * p0 * x) * _dispersed_gaussian(x, sigma, dwell, mass, hbar)
-
-
 def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
     """Relative-coordinate fringe visibility of the assembled pair state.
 
     Each component n has dispersed for meeting_time - emission_times[n]; all
     components are arranged to meet at the origin on both sides at the meeting
-    time, so only their dispersion stages differ.
+    time, so only their dispersion stages differ.  Phases are referenced to the
+    meeting point: the constant kinetic offsets p0^2 dwell / 2m are dropped.
+
+    Component n is exp(i p_n x1 - i p_n x2) g_n(x1) g_n(x2), with the freely
+    evolved gaussian g_n(x) ∝ exp(-x^2 / (4 sigma^2 s_n)), s_n = 1 + i hbar
+    dwell_n / (2 m sigma^2).  In rho_rel(r) = sum_mn int A_m conj(A_n)(x)
+    B_m conj(B_n)(x - r) dx the plane waves cancel in x, leaving a gaussian
+    integral: rho_rel(r) = Re sum_mn exp(i (p_m - p_n) r) C_mn exp(-beta_mn r^2 / 2).
     """
     if meeting_time <= spec.emission_times[-1]:
         raise ValueError("meeting_time must lie after the last emission")
     sigma = spec.envelope.sigma_x
     per = H_PLANCK / spec.lam
-    dwells = [meeting_time - t for t in spec.emission_times]
-    momenta = [(spec.base_integer + n) * per for n in range(spec.N)]
+    dwells = meeting_time - np.asarray(spec.emission_times)
+    momenta = (spec.base_integer + np.arange(spec.N)) * per
+    s = 1.0 + 1j * spec.hbar * dwells / (2 * spec.mass * sigma**2)
 
-    # quadrature grid for the relative-coordinate density
-    smax = max(
-        sigma * math.sqrt(1 + (spec.hbar * d / (2 * spec.mass * sigma**2)) ** 2) for d in dwells
-    )
-    x = np.linspace(-8 * smax, 8 * smax, 4096)
+    # beta_mn = (1/s_m + 1/conj(s_n)) / (4 sigma^2) has Re > 0, so the
+    # principal root is the gaussian integral's
+    beta = (1 / s[:, None] + 1 / s.conj()[None, :]) / (4 * sigma**2)
+    coef = np.sqrt(np.pi / (2 * beta)) / (2 * np.pi * sigma**2 * s[:, None] * s.conj()[None, :])
+    dp = momenta[:, None] - momenta[None, :]
+
     r = np.linspace(-1.5 * spec.lam, 1.5 * spec.lam, 601)
-
-    amps1 = [
-        _component_amplitude(x, p, d, sigma, spec.mass, spec.hbar)
-        for p, d in zip(momenta, dwells)
-    ]
-    # particle 2 mirrors particle 1: momentum -p, meeting at the origin; its
-    # factor is needed on the shifted grid x - r, which the analytic gaussian
-    # form gives exactly (no lattice interpolation across the fringes)
-    xs = x[None, :] - r[:, None]
-    amps2 = [
-        _component_amplitude(xs, -p, d, sigma, spec.mass, spec.hbar)
-        for p, d in zip(momenta, dwells)
-    ]
-
-    # rho_rel(r) = sum_mn int A_m(x) conj(A_n(x)) B_m(x-r) conj(B_n(x-r)) dx
-    dx = x[1] - x[0]
-    rho = np.zeros_like(r)
-    env = np.zeros_like(r)
-    for m in range(spec.N):
-        for n in range(spec.N):
-            a = amps1[m] * np.conj(amps1[n])
-            b = amps2[m] * np.conj(amps2[n])
-            term = (b @ a).real * dx
-            rho += term
-            if m == n:
-                env += term
+    rr = r[:, None, None]
+    terms = coef * np.exp(1j * dp * rr - beta * rr**2 / 2)
+    rho = terms.sum(axis=(1, 2)).real
+    env = np.einsum("rnn->r", terms).real
     # divide out the incoherent envelope so identical component shapes yield
     # the ideal fringe profile exactly
     pattern = spec.N * rho / env

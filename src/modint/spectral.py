@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.special import hyp1f1
 
 from .grids import GridSpec, GridState
-from .modvar import TWO_PI, ModularScale, integer_part, modular_part
+from .modvar import ModularScale, integer_part, modular_part
 
 
 @dataclass
@@ -28,25 +27,18 @@ class EigenSolveReport:
     ground_state: GridState | None = field(default=None, repr=False)
 
 
-def kummer_M(a: float, b: float, x: float, max_terms: int = 1000) -> float:
-    """Confluent hypergeometric series M(a, b; x) = sum (a)_k x^k / ((b)_k k!)."""
+def kummer_M(a: float, b: float, x: float) -> float:
+    """Confluent hypergeometric function M(a, b; x) = sum (a)_k x^k / ((b)_k k!)."""
     if b <= 0 and b == int(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")
-    term = 1.0
-    total = 1.0
-    for k in range(max_terms):
-        term *= (a + k) * x / ((b + k) * (k + 1))
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            break
-    return total
+    return float(hyp1f1(a, b, x))
 
 
 def boundary_mismatch(mu: float, scale: ModularScale = ModularScale(1.0)) -> float:
     """Derivative of the even fiber eigenfunction at xbar = ell/2.
 
     The candidate eigenfunction is exp(-pi u^2) M(1/4 - pi mu/2, 1/2, 2 pi u^2)
-    in the dimensionless variable u = xbar/ell; the derivative of the series is
+    in the dimensionless variable u = xbar/ell; the derivative of M is
     taken analytically via M'(a,b,z) = (a/b) M(a+1, b+1, z). Roots in mu are
     the even-parity eigenvalues.
     """
@@ -62,6 +54,8 @@ def boundary_mismatch(mu: float, scale: ModularScale = ModularScale(1.0)) -> flo
 
 @lru_cache(maxsize=16)
 def _solve_c_cached(tolerance: float) -> tuple[float, tuple[float, ...], float]:
+    from scipy.optimize import brentq  # slow to import; only the shooting solve needs it
+
     seed = perturbative_c()
     lo, hi = seed - 0.02, seed + 0.02
     if boundary_mismatch(lo) * boundary_mismatch(hi) >= 0:
@@ -111,6 +105,8 @@ def brute_force_c(
     """
     if periods < 8 or points_per_period < 32:
         raise ValueError("need periods >= 8 and points_per_period >= 32")
+    from scipy.sparse.linalg import LinearOperator, cg  # slow to import; only the oracle needs it
+
     scale = ModularScale(ell)
     n = periods * points_per_period
     n = 1 << (n - 1).bit_length()

@@ -248,3 +248,11 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and "two-particle" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_protocol_rank_below_two_exits_2(self, n):
+        code, out, err = run_cli(["protocol", "--N", n])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "N >= 2" in err
+        assert len(err.strip().splitlines()) == 1

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from modint.dynamics import (
     protocol_visibility,
 )
 from modint.grids import GridSpec, GridState
-from modint.modvar import fringe_function
+from modint.modvar import H_PLANCK, fringe_function
 from modint.states import GaussianEnvelope, build_multislit, default_grid, discretize
 
 
@@ -188,3 +189,70 @@ class TestProtocol:
         spec = self.make(stagger=2.5)
         back = ProtocolSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert back == spec
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_rank_below_two_rejected(self, N):
+        with pytest.raises(ValueError, match="N >= 2"):
+            ProtocolSpec(N=N, emission_times=(0.0,) * N, lam=1.0, envelope=self.ENV, mass=1.0)
+
+
+def _quadrature_protocol_visibility(spec, meeting_time):
+    """Reference: the relative-coordinate density by brute-force quadrature.
+
+    Every packet is sampled on a 4096-point x grid and particle 2's packets on
+    the shifted grid x - r for each of the 601 r values.
+    """
+    sigma = spec.envelope.sigma_x
+    per = H_PLANCK / spec.lam
+    dwells = [meeting_time - t for t in spec.emission_times]
+    momenta = [(spec.base_integer + n) * per for n in range(spec.N)]
+
+    def amplitude(x, p0, dwell):
+        s = 1.0 + 1j * spec.hbar * dwell / (2 * spec.mass * sigma**2)
+        env = (2 * math.pi * sigma**2) ** -0.25 / np.sqrt(s) * np.exp(-(x**2) / (4 * sigma**2 * s))
+        return np.exp(1j * p0 * x) * env
+
+    smax = max(
+        sigma * math.sqrt(1 + (spec.hbar * d / (2 * spec.mass * sigma**2)) ** 2) for d in dwells
+    )
+    x = np.linspace(-8 * smax, 8 * smax, 4096)
+    r = np.linspace(-1.5 * spec.lam, 1.5 * spec.lam, 601)
+    amps1 = [amplitude(x, p, d) for p, d in zip(momenta, dwells)]
+    xs = x[None, :] - r[:, None]
+    amps2 = [amplitude(xs, -p, d) for p, d in zip(momenta, dwells)]
+    dx = x[1] - x[0]
+    rho = np.zeros_like(r)
+    env = np.zeros_like(r)
+    for m in range(spec.N):
+        for n in range(spec.N):
+            term = ((amps2[m] * np.conj(amps2[n])) @ (amps1[m] * np.conj(amps1[n]))).real * dx
+            rho += term
+            if m == n:
+                env += term
+    return fit_fringe_visibility(r, spec.N * rho / env, spec.N, spec.lam)
+
+
+@pytest.mark.parametrize(
+    "N, stagger, mass, hbar, base_integer, sigma",
+    [
+        (2, 0.0, 1.0, 1.0, 1, 8.0),
+        (2, 10.0, 3.0, 1.0, 1, 8.0),
+        (2, 40.0, 1.0, 1.0, 3, 4.0),
+        (3, 10.0, 1.0, 0.5, 1, 8.0),
+        (3, 40.0, 3.0, 2.0, 1, 8.0),
+        (3, 40.0, 1.0, 1.0, 2, 16.0),
+    ],
+)
+def test_closed_form_matches_quadrature(N, stagger, mass, hbar, base_integer, sigma):
+    spec = ProtocolSpec(
+        N=N,
+        emission_times=tuple(n * stagger for n in range(N)),
+        lam=1.0,
+        envelope=GaussianEnvelope(sigma),
+        mass=mass,
+        base_integer=base_integer,
+        hbar=hbar,
+    )
+    meeting_time = 60.0 + 2 * stagger
+    reference = _quadrature_protocol_visibility(spec, meeting_time)
+    assert abs(protocol_visibility(spec, meeting_time) - reference) <= 1e-9

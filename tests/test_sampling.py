@@ -293,7 +293,8 @@ def test_import_leaves_slow_scipy_submodules_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, modint; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', "
+        "'scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
