@@ -22,6 +22,7 @@ from .states import (
     MixtureState,
     SincEnvelope,
     TwoParticleState,
+    envelope_values,
     joint_momentum_density,
     joint_position_density,
 )
@@ -140,32 +141,16 @@ def _packet_samples(wp, kind: str, rng, n: int) -> np.ndarray:
     return center + _centered_packet_samples(wp.envelope, kind, rng, n)
 
 
-def _packet_moduli(packets, kind: str, v: np.ndarray) -> list:
-    """|psi_k(v)|^2 of each packet, one envelope evaluation per distinct modulus.
-
-    The plane-wave phase of a packet has modulus 1, so its density is the
-    envelope's alone: |phi(x - x0)|^2 in position, |phi_hat(p - p0)|^2 in
-    momentum. Packets sharing (envelope, x0) or (envelope, p0) share it.
-    """
-    cache = {}
-    out = []
-    for wp in packets:
-        center = wp.x0 if kind == "position" else wp.p0
-        key = (wp.envelope, center)
-        if key not in cache:
-            env = wp.envelope if kind == "position" else wp.envelope.fourier
-            cache[key] = np.abs(env(v - center)) ** 2
-        out.append(cache[key])
-    return out
-
-
 def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """g = sum_k q_k |psi_1k(v1)|^2 |psi_2k(v2)|^2 for (c, wp1, wp2) terms."""
-    d1 = _packet_moduli([wp1 for _, wp1, _ in terms], kind, v1)
-    d2 = _packet_moduli([wp2 for _, _, wp2 in terms], kind, v2)
+    f1, i1 = envelope_values([wp1 for _, wp1, _ in terms], kind, v1)
+    f2, i2 = envelope_values([wp2 for _, _, wp2 in terms], kind, v2)
+    # the plane-wave factors have modulus 1, so a packet's density is its envelope's
+    d1 = [np.abs(f) ** 2 for f in f1]
+    d2 = [np.abs(f) ** 2 for f in f2]
     g = np.zeros(len(v1))
-    for qk, a, b in zip(q, d1, d2):
-        g += qk * a * b
+    for qk, k1, k2 in zip(q, i1, i2):
+        g += qk * d1[k1] * d2[k2]
     return g
 
 
@@ -212,6 +197,8 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
         raise ValueError("need n >= 1 samples")
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if isinstance(state, TwoParticleState):
         records, proposals = _sample_pure(state, kind, rng, n)

@@ -52,22 +52,37 @@ def boundary_mismatch(mu: float, scale: ModularScale = ModularScale(1.0)) -> flo
     return value / scale.ell
 
 
+def _bisect(f, lo: float, hi: float, tolerance: float) -> float:
+    """Root of f between lo and hi, where f changes sign.
+
+    Bisection narrows the bracket to at most `tolerance`; a final secant step
+    through its ends lands within it.
+    """
+    flo, fhi = f(lo), f(hi)
+    while hi - lo > tolerance and flo != 0.0:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo if flo == 0.0 else lo - flo * (hi - lo) / (fhi - flo)
+
+
 @lru_cache(maxsize=16)
 def _solve_c_cached(tolerance: float) -> tuple[float, tuple[float, ...], float]:
-    from scipy.optimize import brentq  # slow to import; only the shooting solve needs it
-
     seed = perturbative_c()
     lo, hi = seed - 0.02, seed + 0.02
     if boundary_mismatch(lo) * boundary_mismatch(hi) >= 0:
         raise RuntimeError("root bracket failed near the perturbative seed")
-    c = brentq(boundary_mismatch, lo, hi, xtol=tolerance)
+    c = _bisect(boundary_mismatch, lo, hi, tolerance)
     # enumerate the first few even-parity eigenvalues by scanning for sign changes
     head = [c]
-    mu_grid = np.linspace(hi, 8.0, 1600)
+    mu_grid = np.linspace(hi, 8.0, 1600).tolist()
     vals = [boundary_mismatch(m) for m in mu_grid]
     for i in range(len(mu_grid) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            head.append(brentq(boundary_mismatch, mu_grid[i], mu_grid[i + 1], xtol=tolerance))
+            head.append(_bisect(boundary_mismatch, mu_grid[i], mu_grid[i + 1], tolerance))
             if len(head) >= 4:
                 break
     return c, tuple(head), abs(boundary_mismatch(c))

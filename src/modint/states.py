@@ -7,6 +7,7 @@ corrected for packet overlaps automatically.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 import sys
@@ -181,6 +182,31 @@ class WavePacket:
         return self.envelope.fourier(p - self.p0) * phase
 
 
+def _plane_wave(wp: WavePacket, kind: str) -> tuple[float, float]:
+    """(s, t) with the packet's amplitude = envelope factor * e^{i(s v + t)}."""
+    if kind == "position":
+        return wp.p0, -wp.p0 * wp.phase_ref
+    return -wp.x0, wp.p0 * (wp.x0 - wp.phase_ref)
+
+
+def envelope_values(packets, kind: str, v) -> tuple[list, list[int]]:
+    """Distinct envelope factors of the packets at v, and each packet's index into them.
+
+    The factor is phi(x - x0) in position and phi_hat(p - p0) in momentum; the
+    rest of a packet's amplitude is a plane wave of modulus 1. Packets sharing
+    (envelope, x0) or (envelope, p0) share one evaluation.
+    """
+    values, index, seen = [], [], {}
+    for wp in packets:
+        key = (wp.envelope, wp.x0 if kind == "position" else wp.p0)
+        if key not in seen:
+            seen[key] = len(values)
+            env = wp.envelope if kind == "position" else wp.envelope.fourier
+            values.append(env(v - key[1]))
+        index.append(seen[key])
+    return values, index
+
+
 def _quadrature_grid(packets, pad: float = 10.0, min_points: int = 4096) -> np.ndarray:
     lo = min(wp.x0 - pad * wp.envelope.width for wp in packets)
     hi = max(wp.x0 + pad * wp.envelope.width for wp in packets)
@@ -255,19 +281,33 @@ class TwoParticleState:
         self.fringe_period = fringe_period
 
     def joint_position_amplitude(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        out = 0.0j
-        for a, wp1, wp2 in self.terms:
-            out = out + a * wp1.position_amplitude(x1) * wp2.position_amplitude(x2)
-        return self._scale * out
+        return self._joint_amplitude("position", x1, x2)
 
     def joint_momentum_amplitude(self, p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
+        return self._joint_amplitude("momentum", p1, p2)
+
+    def _joint_amplitude(self, kind, v1, v2):
+        """Sum of the terms as envelope factors times one plane wave per (s1, s2).
+
+        Each distinct envelope factor is evaluated once, each distinct pair of
+        wave numbers gets one complex exponential (none when both are 0), and
+        the constant phases t1 + t2 fold into the term's coefficient.
+        """
+        v1 = np.asarray(v1, dtype=float)
+        v2 = np.asarray(v2, dtype=float)
+        f1, i1 = envelope_values([wp1 for _, wp1, _ in self.terms], kind, v1)
+        f2, i2 = envelope_values([wp2 for _, _, wp2 in self.terms], kind, v2)
+        waves = {}
         out = 0.0j
-        for a, wp1, wp2 in self.terms:
-            out = out + a * wp1.momentum_amplitude(p1) * wp2.momentum_amplitude(p2)
+        for (a, wp1, wp2), k1, k2 in zip(self.terms, i1, i2):
+            s1, t1 = _plane_wave(wp1, kind)
+            s2, t2 = _plane_wave(wp2, kind)
+            term = f1[k1] * f2[k2]
+            if s1 or s2:
+                if (s1, s2) not in waves:
+                    waves[s1, s2] = np.exp(1j * (s1 * v1 + s2 * v2))
+                term = term * waves[s1, s2]
+            out = out + a * cmath.exp(1j * (t1 + t2)) * term
         return self._scale * out
 
 

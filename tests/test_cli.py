@@ -256,3 +256,12 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and "N >= 2" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
+    def test_seed_outside_64_bits_exits_2(self, seed):
+        # the momentum records use seed + 1, so the largest 64-bit seed overflows too
+        code, out, err = run_cli(["sample", "--state", "mpe", "--n", "1000", "--seed", seed])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+        assert len(err.strip().splitlines()) == 1

@@ -23,6 +23,7 @@ from modint.states import (
     envelope_from_descriptor,
     gridstate_from_csv,
     gridstate_to_csv,
+    joint_momentum_density,
     joint_position_density,
     mix,
     momentum_density,
@@ -194,6 +195,78 @@ class TestMixtures:
             mix([(-0.5, a), (1.5, a)])
         with pytest.raises(ValueError):
             mix([])
+
+
+def _complex_tabulated():
+    xs = np.linspace(-60.0, 60.0, 1201)
+    return TabulatedEnvelope(xs, WIDE(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
+
+
+def _hand_built():
+    e1, e2 = GaussianEnvelope(1.5), GaussianEnvelope(2.0)
+    return TwoParticleState(
+        [
+            (1.0, WavePacket(e1, x0=0.3, p0=2.0, phase_ref=0.7),
+             WavePacket(e2, x0=-1.1, p0=-1.5, phase_ref=-0.2)),
+            (0.5 - 0.8j, WavePacket(e2, x0=4.0, p0=-3.0, phase_ref=0.25),
+             WavePacket(e2, x0=2.0, phase_ref=1.3)),
+            (0.3j, WavePacket(e1), WavePacket(e1, x0=1.0)),
+            (0.2, WavePacket(e2, x0=-2.0), WavePacket(e1, x0=0.5, p0=1.0)),
+        ]
+    )
+
+
+DENSITY_CASES = {
+    "mpe N=2": lambda: build_mpe(2, 0.0, 1, 1.0, WIDE),
+    "mpe N=5": lambda: build_mpe(5, 0.0, 1, 1.0, WIDE),
+    "mpe N=10": lambda: build_mpe(10, 0.0, 1, 1.0, WIDE),
+    "mpe x0=0.37 N0=2": lambda: build_mpe(3, 0.37, 2, 1.0, WIDE),
+    "mpe sinc": lambda: build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0)),
+    "mpe complex tabulated": lambda: build_mpe(2, 0.2, 1, 1.0, _complex_tabulated()),
+    "hand-built": _hand_built,
+    "admixture": lambda: admixture_state(0.4, 3, 1.0, WIDE),
+}
+
+
+def _per_packet_density(state, kind, v1, v2):
+    """|scale * sum_k a_k psi_1k(v1) psi_2k(v2)|^2, every packet amplitude on its own."""
+    if isinstance(state, MixtureState):
+        return sum(w * _per_packet_density(st, kind, v1, v2) for w, st in state.components)
+
+    def amp(wp, v):
+        return wp.position_amplitude(v) if kind == "position" else wp.momentum_amplitude(v)
+
+    total = sum(a * amp(wp1, v1) * amp(wp2, v2) for a, wp1, wp2 in state.terms)
+    return np.abs(state._scale * total) ** 2
+
+
+def _near_packets(state, kind, n, seed):
+    """n points (v1, v2), each near the packet centres of a randomly chosen term."""
+    rng = np.random.default_rng(seed)
+    pure = [st for _, st in state.components] if isinstance(state, MixtureState) else [state]
+    pairs = [(wp1, wp2) for st in pure for _, wp1, wp2 in st.terms]
+    v1, v2 = np.empty(n), np.empty(n)
+    for j, k in enumerate(rng.integers(len(pairs), size=n)):
+        for v, wp in zip((v1, v2), pairs[k]):
+            if kind == "position":
+                center, width = wp.x0, wp.envelope.width
+            else:
+                center, width = wp.p0, 1.0 / wp.envelope.width
+            v[j] = center + 2.0 * width * rng.standard_normal()
+    return v1, v2
+
+
+class TestJointDensities:
+    @pytest.mark.parametrize("label", list(DENSITY_CASES))
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_density_matches_the_per_packet_sum(self, label, kind):
+        state = DENSITY_CASES[label]()
+        v1, v2 = _near_packets(state, kind, 400, seed=len(label))
+        density = joint_position_density if kind == "position" else joint_momentum_density
+        got = density(state, v1, v2)
+        want = _per_packet_density(state, kind, v1, v2)
+        assert want.max() > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
 class TestDiscretize:
