@@ -31,10 +31,6 @@ def _write_output(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _envelope(args) -> states.Envelope:
-    return states.GaussianEnvelope(sigma_x=args.sigma)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -144,6 +140,9 @@ def cmd_robustness(args) -> str:
 
 
 def cmd_sample(args) -> str:
+    # the momentum records use seed + 1, so both seeds must fit in 64 bits
+    if not 0 <= args.seed < (1 << 64) - 1:
+        raise CliError(f"--seed must lie in [0, 2**64 - 1), got {args.seed}")
     state = _two_particle_state(args)
     scale = ModularScale(args.lam)
     pos = sampling.sample_measurements(state, "position", args.n, args.seed)

@@ -13,7 +13,6 @@ from .modvar import ModularScale, squeezing_s2
 from .spectral import solve_c
 from .states import (
     GaussianEnvelope,
-    MixtureState,
     TwoParticleState,
     admixture_state,
     build_classical_correlated,
@@ -80,20 +79,18 @@ def _component_stats(
 
 
 def criterion_stats(state, scale: ModularScale, axis: str, points_per_ell: int = 256):
-    """(var_N_tot, var_mod_rel) for a pure state or a mixture (total-variance law)."""
+    """(var_N_tot, var_mod_rel) of an ensemble by the law of total variance.
+
+    A pure pair state is the one-component ensemble of itself.
+    """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
-    if isinstance(state, TwoParticleState):
-        (_, vn), (_, vr) = _component_stats(state, scale, axis, points_per_ell)
-        return vn, vr
-    if isinstance(state, MixtureState):
-        per_comp = [
-            _component_stats(st, scale, axis, points_per_ell) for _, st in state.components
-        ]
-        _, var_n = mixture_stats(state.weights, [s[0] for s in per_comp])
-        _, var_r = mixture_stats(state.weights, [s[1] for s in per_comp])
-        return var_n, var_r
-    raise TypeError(f"cannot evaluate the criterion on {type(state).__name__}")
+    if not hasattr(state, "components"):
+        raise TypeError(f"cannot evaluate the criterion on {type(state).__name__}")
+    per_comp = [_component_stats(st, scale, axis, points_per_ell) for _, st in state.components]
+    _, var_n = mixture_stats(state.weights, [s[0] for s in per_comp])
+    _, var_r = mixture_stats(state.weights, [s[1] for s in per_comp])
+    return var_n, var_r
 
 
 def evaluate_criterion(

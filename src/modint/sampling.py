@@ -11,9 +11,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .modvar import ModularScale, integer_part, modular_part
 from .criterion import criterion_bound
@@ -258,12 +258,13 @@ def _bca_interval(boot: np.ndarray, stat: float, infl: np.ndarray, level: float 
         return float(boot[0]), float(boot[0])
     b = len(boot)
     prop = np.clip(np.mean(boot < stat), 1.0 / b, 1.0 - 1.0 / b)
-    z0 = ndtri(prop)
+    normal = NormalDist()
+    z0 = normal.inv_cdf(float(prop))
     denom = float(infl @ infl) ** 1.5
     accel = float((infl**3).sum()) / (6.0 * denom) if denom > 0 else 0.0
     alpha = 0.5 * (1.0 - level)
-    z = ndtri(np.array([alpha, 1.0 - alpha]))
-    adj = ndtr(z0 + (z0 + z) / (1.0 - accel * (z0 + z)))
+    z = np.array([normal.inv_cdf(alpha), normal.inv_cdf(1.0 - alpha)])
+    adj = np.array([normal.cdf(u) for u in z0 + (z0 + z) / (1.0 - accel * (z0 + z))])
     lo, hi = np.percentile(boot, 100.0 * adj)
     return float(lo), float(hi)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .grids import GridSpec, GridState
 from .modvar import ModularScale, integer_part, modular_part
@@ -31,6 +30,8 @@ def kummer_M(a: float, b: float, x: float) -> float:
     """Confluent hypergeometric function M(a, b; x) = sum (a)_k x^k / ((b)_k k!)."""
     if b <= 0 and b == int(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")
+    from scipy.special import hyp1f1  # slow to import; only processes that need c pay it
+
     return float(hyp1f1(a, b, x))
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, GridState, TwoParticleGridState, gram
-from .modvar import TWO_PI, H_PLANCK, ModularScale, modular_part
+from .modvar import TWO_PI, H_PLANCK, modular_part
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +232,27 @@ def _overlap_matrix(packets) -> np.ndarray:
     return gram(amps, amps, x[1] - x[0])
 
 
-class SuperposedState:
-    """Normalized superposition of single-particle wave packets."""
+class _PacketSum:
+    """Normalized sum of coefficients times products of wave packets, one per particle.
+
+    `terms` holds (a, wp_1, ..., wp_P) tuples and `particles` the P tuples of
+    each particle's packets. The norm is the coefficients' quadratic form with
+    the elementwise product of the particles' overlap Grams.
+    """
+
+    _packets_per_term = 1
 
     def __init__(self, terms, fringe_period: float | None = None):
         if not terms:
-            raise ValueError("superposition needs at least one term")
-        self.terms = [(complex(a), wp) for a, wp in terms]
-        amps = np.array([a for a, _ in self.terms])
-        g = _overlap_matrix([wp for _, wp in self.terms])
+            raise ValueError("need at least one term")
+        self.terms = [(complex(a), *packets) for a, *packets in terms]
+        n = self._packets_per_term
+        if any(len(t) != 1 + n for t in self.terms):
+            raise ValueError(f"each term needs a coefficient and {n} packet(s)")
+        coefs, *particles = zip(*self.terms)
+        self.particles = tuple(particles)
+        amps = np.array(coefs)
+        g = functools.reduce(operator.mul, (_overlap_matrix(p) for p in self.particles))
         nrm2 = float(np.real(np.conj(amps) @ g @ amps))
         if nrm2 <= 0:
             raise ValueError("state has zero norm")
@@ -247,68 +261,59 @@ class SuperposedState:
 
     @property
     def packets(self):
-        return [wp for _, wp in self.terms]
+        return [wp for packets in self.particles for wp in packets]
 
-    def position_amplitude(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for a, wp in self.terms:
-            out += a * wp.position_amplitude(x)
-        return self._scale * out
+    def _amplitude(self, kind, *vs):
+        """Sum of the terms as envelope factors times one plane wave per wave-number tuple.
 
-    def momentum_amplitude(self, p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape, dtype=complex)
-        for a, wp in self.terms:
-            out += a * wp.momentum_amplitude(p)
-        return self._scale * out
-
-
-class TwoParticleState:
-    """Normalized sum of product packet pairs."""
-
-    def __init__(self, terms, fringe_period: float | None = None):
-        if not terms:
-            raise ValueError("need at least one product term")
-        self.terms = [(complex(a), wp1, wp2) for a, wp1, wp2 in terms]
-        amps = np.array([a for a, _, _ in self.terms])
-        g1 = _overlap_matrix([wp1 for _, wp1, _ in self.terms])
-        g2 = _overlap_matrix([wp2 for _, _, wp2 in self.terms])
-        nrm2 = float(np.real(np.conj(amps) @ (g1 * g2) @ amps))
-        if nrm2 <= 0:
-            raise ValueError("state has zero norm")
-        self._scale = 1.0 / math.sqrt(nrm2)
-        self.fringe_period = fringe_period
-
-    def joint_position_amplitude(self, x1, x2):
-        return self._joint_amplitude("position", x1, x2)
-
-    def joint_momentum_amplitude(self, p1, p2):
-        return self._joint_amplitude("momentum", p1, p2)
-
-    def _joint_amplitude(self, kind, v1, v2):
-        """Sum of the terms as envelope factors times one plane wave per (s1, s2).
-
-        Each distinct envelope factor is evaluated once, each distinct pair of
-        wave numbers gets one complex exponential (none when both are 0), and
-        the constant phases t1 + t2 fold into the term's coefficient.
+        Each distinct envelope factor is evaluated once, each distinct tuple of
+        wave numbers gets one complex exponential (none when all are 0), and the
+        constant phases t fold into the term's coefficient.
         """
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        f1, i1 = envelope_values([wp1 for _, wp1, _ in self.terms], kind, v1)
-        f2, i2 = envelope_values([wp2 for _, _, wp2 in self.terms], kind, v2)
+        vs = [np.asarray(v, dtype=float) for v in vs]
+        factors = [envelope_values(p, kind, v) for p, v in zip(self.particles, vs)]
         waves = {}
         out = 0.0j
-        for (a, wp1, wp2), k1, k2 in zip(self.terms, i1, i2):
-            s1, t1 = _plane_wave(wp1, kind)
-            s2, t2 = _plane_wave(wp2, kind)
-            term = f1[k1] * f2[k2]
-            if s1 or s2:
-                if (s1, s2) not in waves:
-                    waves[s1, s2] = np.exp(1j * (s1 * v1 + s2 * v2))
-                term = term * waves[s1, s2]
-            out = out + a * cmath.exp(1j * (t1 + t2)) * term
+        for k, (a, *packets) in enumerate(self.terms):
+            s, t = zip(*(_plane_wave(wp, kind) for wp in packets))
+            term = functools.reduce(operator.mul, (f[index[k]] for f, index in factors))
+            if any(s):
+                if s not in waves:
+                    phase = sum((sj * vj for sj, vj in zip(s[1:], vs[1:])), s[0] * vs[0])
+                    waves[s] = np.exp(1j * phase)
+                term = term * waves[s]
+            out = out + a * cmath.exp(1j * sum(t[1:], t[0])) * term
         return self._scale * out
+
+
+class SuperposedState(_PacketSum):
+    """Normalized superposition of single-particle wave packets."""
+
+    def position_amplitude(self, x):
+        return self._amplitude("position", x)
+
+    def momentum_amplitude(self, p):
+        return self._amplitude("momentum", p)
+
+
+class TwoParticleState(_PacketSum):
+    """Normalized sum of product packet pairs: a one-component ensemble of itself."""
+
+    _packets_per_term = 2
+
+    @property
+    def components(self):
+        return [(1.0, self)]
+
+    @property
+    def weights(self):
+        return [1.0]
+
+    def joint_position_amplitude(self, x1, x2):
+        return self._amplitude("position", x1, x2)
+
+    def joint_momentum_amplitude(self, p1, p2):
+        return self._amplitude("momentum", p1, p2)
 
 
 class MixtureState:
@@ -317,10 +322,9 @@ class MixtureState:
     def __init__(self, components):
         flat = []
         for w, st in components:
-            if isinstance(st, MixtureState):
-                flat.extend((float(w) * sw, sub) for sw, sub in st.components)
-            else:
-                flat.append((float(w), st))
+            if not hasattr(st, "components"):
+                raise TypeError(f"cannot mix a {type(st).__name__}; expected a two-particle state")
+            flat += [(float(w) * sw, sub) for sw, sub in st.components]
         components = flat
         if not components:
             raise ValueError("mixture needs at least one component")
@@ -332,6 +336,10 @@ class MixtureState:
     @property
     def weights(self):
         return [w for w, _ in self.components]
+
+    @property
+    def packets(self):
+        return [wp for _, st in self.components for wp in st.packets]
 
 
 def mix(components) -> MixtureState:
@@ -474,26 +482,22 @@ def momentum_density(state, p):
     raise TypeError("momentum_density expects a single-particle state")
 
 
+def _joint_density(state, kind, v1, v2):
+    """Weighted sum of |amplitude|^2 over the ensemble; a pure state is one component."""
+    if not hasattr(state, "components"):
+        raise TypeError("joint densities expect a two-particle state or mixture")
+    out = 0.0
+    for w, st in state.components:
+        out = out + w * np.abs(st._amplitude(kind, v1, v2)) ** 2
+    return out
+
+
 def joint_position_density(state, x1, x2):
-    if isinstance(state, TwoParticleState):
-        return np.abs(state.joint_position_amplitude(x1, x2)) ** 2
-    if isinstance(state, MixtureState):
-        out = 0.0
-        for w, st in state.components:
-            out = out + w * joint_position_density(st, x1, x2)
-        return out
-    raise TypeError("joint_position_density expects a two-particle state or mixture")
+    return _joint_density(state, "position", x1, x2)
 
 
 def joint_momentum_density(state, p1, p2):
-    if isinstance(state, TwoParticleState):
-        return np.abs(state.joint_momentum_amplitude(p1, p2)) ** 2
-    if isinstance(state, MixtureState):
-        out = 0.0
-        for w, st in state.components:
-            out = out + w * joint_momentum_density(st, p1, p2)
-        return out
-    raise TypeError("joint_momentum_density expects a two-particle state or mixture")
+    return _joint_density(state, "momentum", p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +506,9 @@ def joint_momentum_density(state, p1, p2):
 
 def default_grid(state, ell: float, points_per_ell: int = 256, pad: float = 8.0) -> GridSpec:
     """Commensurate power-of-two grid covering the state's packets."""
-    if isinstance(state, SuperposedState):
-        packets = state.packets
-    elif isinstance(state, TwoParticleState):
-        packets = [wp for _, wp1, wp2 in state.terms for wp in (wp1, wp2)]
-    elif isinstance(state, MixtureState):
-        packets = [
-            wp for _, st in state.components for _, wp1, wp2 in st.terms for wp in (wp1, wp2)
-        ]
-    else:
+    if not hasattr(state, "packets"):
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    packets = state.packets
     lo = min(wp.x0 - pad * wp.envelope.width for wp in packets)
     hi = max(wp.x0 + pad * wp.envelope.width for wp in packets)
     periods = max(2, math.ceil((hi - lo) / ell))
@@ -536,9 +533,9 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None, tail_tol: f
         out = TwoParticleGridState(
             grid,
             grid2,
-            np.array([a * state._scale for a, _, _ in state.terms]),
-            _amplitude_rows([wp1 for _, wp1, _ in state.terms], grid.x),
-            _amplitude_rows([wp2 for _, _, wp2 in state.terms], grid2.x),
+            np.array([t[0] * state._scale for t in state.terms]),
+            _amplitude_rows(state.particles[0], grid.x),
+            _amplitude_rows(state.particles[1], grid2.x),
         )
         # contained mass of the analytically normalized state, before renormalization
         _check_contained(out.input_norm, grid, tail_tol)

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from modint import sampling
 from modint.cli import main
 
 
@@ -265,3 +266,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and "seed" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
+    def test_seed_checked_before_any_draw(self, seed, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before both seeds were checked")
+
+        monkeypatch.setattr(sampling, "sample_measurements", no_draws)
+        code, out, err = run_cli(["sample", "--state", "mpe", "--seed", seed])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err

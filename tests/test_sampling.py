@@ -119,6 +119,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_measurements(mpe2, "position", 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, mpe2, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sample_measurements(mpe2, "position", 10, seed)
+
     def test_invalid_kind(self, mpe2):
         with pytest.raises(ValueError):
             SampleSet(records=np.zeros((5, 2)), seed=0, kind="energy")
@@ -297,9 +302,8 @@ def test_import_leaves_slow_scipy_submodules_unloaded():
     src = str(Path(modint.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, modint; "
-        "slow = ('scipy.stats', 'scipy.interpolate', 'scipy.optimize', 'scipy.sparse.linalg'); "
-        "print(sorted(m for m in slow if m in sys.modules)); "
+        "import sys, modint, modint.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
         "modint.solve_c(); "
         "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))"
     )

@@ -269,6 +269,39 @@ class TestJointDensities:
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
+SINGLE_CASES = {
+    "multislit N=3": lambda: build_multislit(3, 1.0, GaussianEnvelope(0.1)),
+    "smp x0=0.37 N0=2": lambda: build_smp(3, 0.37, 2, 1.0, WIDE),
+    "smp sinc": lambda: build_smp(2, 0.0, 1, 1.0, SincEnvelope(8.0)),
+    "smp complex tabulated": lambda: build_smp(2, 0.2, 1, 1.0, _complex_tabulated()),
+}
+
+
+class TestSingleParticleAmplitudes:
+    @pytest.mark.parametrize("label", list(SINGLE_CASES))
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_amplitude_matches_the_per_packet_sum(self, label, kind):
+        state = SINGLE_CASES[label]()
+        rng = np.random.default_rng(len(label))
+        packets = [wp for _, wp in state.terms]
+        v = np.empty(400)
+        for j, k in enumerate(rng.integers(len(packets), size=v.size)):
+            wp = packets[k]
+            if kind == "position":
+                center, width = wp.x0, wp.envelope.width
+            else:
+                center, width = wp.p0, 1.0 / wp.envelope.width
+            v[j] = center + 2.0 * width * rng.standard_normal()
+        if kind == "position":
+            got = state.position_amplitude(v)
+            want = state._scale * sum(a * wp.position_amplitude(v) for a, wp in state.terms)
+        else:
+            got = state.momentum_amplitude(v)
+            want = state._scale * sum(a * wp.momentum_amplitude(v) for a, wp in state.terms)
+        assert np.abs(want).max() > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
 class TestDiscretize:
     def test_grid_state_norm(self):
         st = build_smp(3, x0=0.0, N0=1, lam=1.0, envelope=WIDE)
@@ -357,6 +390,20 @@ class TestWavePacket:
             for pv in p
         ]
         assert np.allclose(numeric, wp.momentum_amplitude(p), atol=1e-8)
+
+    def test_terms_need_one_packet_per_particle(self):
+        wp = WavePacket(WIDE)
+        with pytest.raises(ValueError):
+            SuperposedState([(1.0, wp, wp)])
+        with pytest.raises(ValueError):
+            TwoParticleState([(1.0, wp)])
+
+    def test_unsupported_states_raise_type_error(self):
+        single = SuperposedState([(1.0, WavePacket(WIDE))])
+        with pytest.raises(TypeError, match="SuperposedState"):
+            mix([(1.0, single)])
+        with pytest.raises(TypeError, match="object"):
+            default_grid(object(), 1.0)
 
     def test_superposition_norm_with_overlap(self):
         # two packets with nonzero overlap: Gram renormalization keeps norm 1
