@@ -72,8 +72,15 @@ def cmd_constant(args) -> str:
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
+def _sigma(args) -> float:
+    """--sigma, or the family default: 8 lambda for momentum combs, L / 10 for slits."""
+    if args.sigma is not None:
+        return args.sigma
+    return 0.1 * args.L if args.state == "multislit" else 8.0 * args.lam
+
+
 def _state_descriptor(args) -> dict:
-    d = {"kind": args.state, "N": args.N, "envelope": {"kind": "gaussian", "sigma_x": args.sigma}}
+    d = {"kind": args.state, "N": args.N, "envelope": {"kind": "gaussian", "sigma_x": _sigma(args)}}
     if args.state == "multislit":
         d["L"] = args.L
     else:
@@ -197,7 +204,8 @@ def _add_state_options(p, two_particle_default="mpe"):
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--L", type=float, default=1.0, help="slit separation (multislit)")
     p.add_argument("--lam", type=float, default=1.0, help="fringe period lambda")
-    p.add_argument("--sigma", type=float, default=3.0, help="gaussian envelope width")
+    p.add_argument("--sigma", type=float, default=None,
+                   help="gaussian envelope width (default: 8*lam, or 0.1*L for multislit)")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--N0", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=0.0, help="classical admixture fraction")

@@ -42,6 +42,8 @@ class CriterionReport:
     axis: str
     c_value: float
     c_method: str
+    grid_points: int  # largest grid over the ensemble's components
+    contained_mass: float  # smallest share of a component's mass on its grid
 
     def to_json(self) -> str:
         return json.dumps(
@@ -54,6 +56,8 @@ class CriterionReport:
                 "marginal": self.marginal,
                 "axis": self.axis,
                 "c": {"value": self.c_value, "method": self.c_method},
+                "grid_points": self.grid_points,
+                "contained_mass": self.contained_mass,
             },
             sort_keys=True,
         )
@@ -72,17 +76,19 @@ def _normalizer(scale: ModularScale, axis: str) -> float:
 def _component_stats(
     state: TwoParticleState, scale: ModularScale, axis: str, points_per_ell: int
 ):
+    """Both observables' (mean, var) on the state's grid, and (grid points, contained mass)."""
     n_obs, rel_obs = _AXES[axis]
     grid = default_grid(state, scale.ell, points_per_ell=points_per_ell)
     gs = discretize(state, grid)
-    return observable_stats(gs, n_obs, scale), observable_stats(gs, rel_obs, scale)
+    return (
+        observable_stats(gs, n_obs, scale),
+        observable_stats(gs, rel_obs, scale),
+        (grid.points, gs.input_norm),
+    )
 
 
-def criterion_stats(state, scale: ModularScale, axis: str, points_per_ell: int = 256):
-    """(var_N_tot, var_mod_rel) of an ensemble by the law of total variance.
-
-    A pure pair state is the one-component ensemble of itself.
-    """
+def _ensemble_stats(state, scale: ModularScale, axis: str, points_per_ell: int):
+    """(var_N_tot, var_mod_rel, largest grid, smallest contained mass) over the components."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     if not hasattr(state, "components"):
@@ -90,14 +96,23 @@ def criterion_stats(state, scale: ModularScale, axis: str, points_per_ell: int =
     per_comp = [_component_stats(st, scale, axis, points_per_ell) for _, st in state.components]
     _, var_n = mixture_stats(state.weights, [s[0] for s in per_comp])
     _, var_r = mixture_stats(state.weights, [s[1] for s in per_comp])
-    return var_n, var_r
+    points, mass = zip(*(s[2] for s in per_comp))
+    return var_n, var_r, max(points), min(mass)
+
+
+def criterion_stats(state, scale: ModularScale, axis: str, points_per_ell: int = 256):
+    """(var_N_tot, var_mod_rel) of an ensemble by the law of total variance.
+
+    A pure pair state is the one-component ensemble of itself.
+    """
+    return _ensemble_stats(state, scale, axis, points_per_ell)[:2]
 
 
 def evaluate_criterion(
     state, scale: ModularScale, axis: str = "momentum", points_per_ell: int = 256
 ) -> CriterionReport:
     """Variance-sum test: separable states satisfy lhs >= 2c."""
-    var_n, var_r = criterion_stats(state, scale, axis, points_per_ell)
+    var_n, var_r, grid_points, contained_mass = _ensemble_stats(state, scale, axis, points_per_ell)
     lhs = var_n + var_r / _normalizer(scale, axis)
     report = solve_c()
     bound = 2.0 * report.c
@@ -111,6 +126,8 @@ def evaluate_criterion(
         axis=axis,
         c_value=report.c,
         c_method=report.method,
+        grid_points=grid_points,
+        contained_mass=contained_mass,
     )
 
 

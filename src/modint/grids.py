@@ -104,16 +104,18 @@ class GridState:
 def gram(A: np.ndarray, B: np.ndarray, dx: float, weight: np.ndarray | None = None) -> np.ndarray:
     """Matrix of <a_i|w|b_j> dx over the rows of A (K, n) and B (L, n).
 
-    Summed over blocks of GRAM_BLOCK grid columns, so the conjugated and
-    weighted temporaries stay K x GRAM_BLOCK however long the grid is.
+    A stack of weights (W, n) gives the (W, K, L) matrices of all of them from
+    one sweep. Summed over blocks of GRAM_BLOCK grid columns, each conjugated
+    once, so the temporaries stay K x GRAM_BLOCK however long the grid is.
     """
-    out = np.zeros((A.shape[0], B.shape[0]), dtype=complex)
+    weights = [None] if weight is None else np.atleast_2d(weight)
+    out = np.zeros((len(weights), A.shape[0], B.shape[0]), dtype=complex)
     for s in range(0, A.shape[1], GRAM_BLOCK):
-        a = A[:, s : s + GRAM_BLOCK].conj()
-        if weight is not None:
-            a *= weight[s : s + GRAM_BLOCK]
-        out += a @ B[:, s : s + GRAM_BLOCK].T
-    return out * dx
+        a, b = A[:, s : s + GRAM_BLOCK].conj(), B[:, s : s + GRAM_BLOCK].T
+        for acc, w in zip(out, weights):
+            acc += (a if w is None else a * w[s : s + GRAM_BLOCK]) @ b
+    out *= dx
+    return out if np.ndim(weight) == 2 else out[0]
 
 
 @dataclass
@@ -248,23 +250,24 @@ _REL_TOT = {
 }
 
 
-def _moments(spec: GridSpec, arrs: np.ndarray, name: str, scale: ModularScale):
-    """(<a|O|b>, <a|O^2|b>) over the rows of arrs for a diagonal observable O."""
-    domain, vals = observable_values(spec, name, scale)
+def _moments(spec: GridSpec, arrs: np.ndarray, domain: str, vals: np.ndarray):
+    """(<a|O|b>, <a|O^2|b>) over the rows of arrs for O diagonal in domain with vals."""
     dx = spec.dx
     if domain == "momentum":
         # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
         arrs = np.fft.fft(arrs, axis=1)
         dx /= spec.points
-    return gram(arrs, arrs, dx, vals), gram(arrs, arrs, dx, vals**2)
+    return gram(arrs, arrs, dx, np.stack([vals, vals**2]))
 
 
 def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> tuple[float, float]:
     base, sign = _REL_TOT[name]
     c = state.coefs
     cc = np.conj(c)[:, None] * c[None, :]
-    o1, o1sq = _moments(state.spec1, state.a1, base, scale)
-    o2, o2sq = _moments(state.spec2, state.a2, base, scale)
+    domain, v1 = observable_values(state.spec1, base, scale)
+    v2 = v1 if state.spec2 == state.spec1 else observable_values(state.spec2, base, scale)[1]
+    o1, o1sq = _moments(state.spec1, state.a1, domain, v1)
+    o2, o2sq = _moments(state.spec2, state.a2, domain, v2)
     i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):

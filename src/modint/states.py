@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, GridState, TwoParticleGridState, gram
+from .grids import GRAM_BLOCK, GridSpec, GridState, TwoParticleGridState, gram
 from .modvar import TWO_PI, H_PLANCK, modular_part
 
 
@@ -209,27 +209,49 @@ def envelope_values(packets, kind: str, v) -> tuple[list, list[int]]:
     return values, index
 
 
-def _quadrature_grid(packets, pad: float = 10.0, min_points: int = 4096) -> np.ndarray:
+def _quadrature_grid(packets, pad: float = 10.0, min_points: int = 4096) -> GridSpec:
     lo = min(wp.x0 - pad * wp.envelope.width for wp in packets)
     hi = max(wp.x0 + pad * wp.envelope.width for wp in packets)
     pmax = max(abs(wp.p0) for wp in packets) + max(1.0 / wp.envelope.width for wp in packets)
     n = max(min_points, int(8 * pmax * (hi - lo) / TWO_PI))
-    n = 1 << (n - 1).bit_length()
-    return np.linspace(lo, hi, n, endpoint=False)
+    return GridSpec(points=1 << (n - 1).bit_length(), xmin=lo, xmax=hi)
 
 
-def _amplitude_rows(packets, x) -> np.ndarray:
-    """(K, n) array of the packets' position amplitudes on x, filled row by row."""
-    out = np.empty((len(packets), x.size), dtype=complex)
-    for k, wp in enumerate(packets):
-        out[k] = wp.position_amplitude(x)
+WAVE_BLOCK = 256  # grid points per fine plane-wave factor in _amplitude_rows
+
+
+def _amplitude_rows(packets, grid: GridSpec) -> np.ndarray:
+    """(K, n) array of the packets' position amplitudes on the grid.
+
+    Each row is a shared envelope factor times the packet's plane wave
+    e^{i(s x + t)}; the wave on x = xmin + dx (j B + i) is the outer product of
+    a coarse exponential over the blocks j and a fine one over i < B, so no
+    packet pays a full-grid exponential.
+    """
+    factors, index = envelope_values(packets, "position", grid.x)
+    b = min(WAVE_BLOCK, grid.points)
+    fine = grid.dx * np.arange(b)
+    starts = grid.xmin + grid.dx * b * np.arange(grid.points // b)
+    out = np.empty((len(packets), grid.points), dtype=complex)
+    for row, wp, k in zip(out, packets, index):
+        s, t = _plane_wave(wp, "position")
+        coarse = np.exp(1j * (s * starts + t))
+        np.multiply(coarse[:, None], np.exp(1j * s * fine), out=row.reshape(-1, b))
+        row *= factors[k]
     return out
 
 
 def _overlap_matrix(packets) -> np.ndarray:
-    x = _quadrature_grid(packets)
-    amps = _amplitude_rows(packets, x)
-    return gram(amps, amps, x[1] - x[0])
+    """Quadrature Gram of the packets, accumulated over sub-grids of GRAM_BLOCK points."""
+    grid = _quadrature_grid(packets)
+    block = min(GRAM_BLOCK, grid.points)
+    width = grid.dx * block
+    out = 0.0
+    for j in range(grid.points // block):
+        sub = GridSpec(block, grid.xmin + j * width, grid.xmin + (j + 1) * width)
+        amps = _amplitude_rows(packets, sub)
+        out = out + gram(amps, amps, grid.dx)
+    return out
 
 
 class _PacketSum:
@@ -534,8 +556,8 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None, tail_tol: f
             grid,
             grid2,
             np.array([t[0] * state._scale for t in state.terms]),
-            _amplitude_rows(state.particles[0], grid.x),
-            _amplitude_rows(state.particles[1], grid2.x),
+            _amplitude_rows(state.particles[0], grid),
+            _amplitude_rows(state.particles[1], grid2),
         )
         # contained mass of the analytically normalized state, before renormalization
         _check_contained(out.input_norm, grid, tail_tol)

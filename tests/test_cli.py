@@ -3,13 +3,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modint import sampling
-from modint.cli import main
+from modint.cli import _state_descriptor, build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(argv):
@@ -220,6 +226,52 @@ class TestConfig:
         code, _, err = run_cli(["--config", "/no/such/file", "table1"])
         assert code == 2
         assert "error:" in err
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so warnings reach stderr unfiltered."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modint.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestDefaultWidth:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "criterion --state mpe --N 2",
+            "fringes --state mpe --N 2",
+            "sample --state mpe --n 100000 --seed 7",
+        ],
+    )
+    def test_readme_commands_do_not_warn(self, line):
+        code, out, err = run_cli_process(line.split())
+        assert code == 0 and out
+        assert "Warning" not in err
+
+    def test_explicit_narrow_width_still_warns(self):
+        code, _, err = run_cli_process(["criterion", "--state", "mpe", "--N", "2", "--sigma", "3"])
+        assert code == 0
+        assert "Warning" in err and "envelope width 3.0" in err
+
+    @pytest.mark.parametrize(
+        "argv, sigma",
+        [
+            (["criterion", "--state", "mpe"], 8.0),
+            (["criterion", "--state", "classical", "--lam", "0.5"], 4.0),
+            (["sample", "--state", "admixture"], 8.0),
+            (["fringes", "--state", "smp", "--lam", "2"], 16.0),
+            (["propagate", "--state", "multislit", "--L", "2"], 0.2),
+            (["propagate"], 0.1),
+            (["criterion", "--state", "mpe", "--sigma", "3"], 3.0),
+            (["propagate", "--sigma", "0.5"], 0.5),
+        ],
+    )
+    def test_width_resolves_per_state_family(self, argv, sigma):
+        args = build_parser().parse_args(argv)
+        assert _state_descriptor(args)["envelope"]["sigma_x"] == pytest.approx(sigma, rel=1e-15)
 
 
 class TestErrors:

@@ -104,6 +104,23 @@ class TestEvaluate:
         assert d["lhs"] == pytest.approx(rep.lhs)
         assert d["c"]["method"] == "kummer_shoot"
 
+    def test_report_carries_grid_diagnostics(self):
+        rep = evaluate_criterion(build_mpe(2, 0.0, 1, 1.0, WIDE), SCALE)
+        assert rep.grid_points == 32768
+        assert abs(1.0 - rep.contained_mass) < 1e-8
+        d = json.loads(rep.to_json())
+        assert d["grid_points"] == rep.grid_points
+        assert d["contained_mass"] == rep.contained_mass
+
+    def test_mixture_reports_largest_grid_and_smallest_mass(self):
+        # the displaced pair needs the larger grid; the masses differ only in their last digits
+        shifted = build_mpe(2, 0.3, 1, 1.0, WIDE)
+        rank5 = build_mpe(5, 0.0, 1, 1.0, WIDE)
+        parts = [evaluate_criterion(st, SCALE) for st in (shifted, rank5)]
+        rep = evaluate_criterion(mix([(0.5, shifted), (0.5, rank5)]), SCALE)
+        assert rep.grid_points == max(p.grid_points for p in parts) == 65536
+        assert rep.contained_mass == min(p.contained_mass for p in parts)
+
     def test_separable_states_never_violate(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -27,8 +27,15 @@ from modint.modvar import (
     smp_integer_momentum_variance,
     smp_modular_position_variance,
 )
+from modint.criterion import evaluate_criterion
 from modint.states import (
     GaussianEnvelope,
+    SincEnvelope,
+    TabulatedEnvelope,
+    WavePacket,
+    _amplitude_rows,
+    _overlap_matrix,
+    _quadrature_grid,
     build_mpe,
     build_smp,
     default_grid,
@@ -327,3 +334,112 @@ class TestProductTermCore:
             TwoParticleGridState(spec, spec, np.ones(2), np.ones((2, 16)), np.ones((3, 16)))
         with pytest.raises(ValueError, match="at least one term"):
             TwoParticleGridState(spec, spec, np.ones(0), np.ones((0, 16)), np.ones((0, 16)))
+
+
+# ---------------------------------------------------------------------------
+# grid rows as shared envelope factors times outer-product plane waves
+
+
+def _complex_tabulated():
+    xs = np.linspace(-30.0, 30.0, 601)
+    return TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
+
+
+_ROW_CASES = {
+    # fewer grid points than one fine block, negative xmin, incommensurate p0, phase_ref
+    "16 points": (GridSpec(16, -3.0, 5.0), [WavePacket(GaussianEnvelope(1.0), 0.5, 2.7, 0.3)]),
+    "64 points": (
+        GridSpec(64, -20.0, -4.0),
+        [WavePacket(GaussianEnvelope(3.0), -12.0, -1.9, -0.8), WavePacket(GaussianEnvelope(3.0), -12.0)],
+    ),
+    "blocks": (
+        GridSpec(4096, -97.3, 101.1),
+        [WavePacket(WIDE, 0.37, (1 + n) * 2 * np.pi + 0.123, 0.37) for n in range(3)]
+        + [WavePacket(WIDE, -0.37, -(1 + n) * 2 * np.pi, -0.37) for n in range(3)],
+    ),
+    "sinc": (
+        GridSpec(1024, -60.0, 40.0),
+        [WavePacket(SincEnvelope(4.0), 1.5, 3.3, 0.4), WavePacket(SincEnvelope(4.0), -2.0, -5.1)],
+    ),
+    "complex tabulated": (
+        GridSpec(512, -35.0, 35.0),
+        [WavePacket(_complex_tabulated(), 0.0, 6.2, -1.1), WavePacket(_complex_tabulated(), 2.0, 0.0)],
+    ),
+}
+
+
+class TestAmplitudeRows:
+    @pytest.mark.parametrize("case", sorted(_ROW_CASES))
+    def test_rows_match_packet_amplitudes(self, case):
+        grid, packets = _ROW_CASES[case]
+        want = np.array([wp.position_amplitude(grid.x) for wp in packets])
+        got = _amplitude_rows(packets, grid)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_overlap_matrix_matches_the_full_quadrature(self):
+        packets = [WavePacket(GaussianEnvelope(2.0), 0.3 * n, 20 * np.pi * n + 0.4, 0.1) for n in range(4)]
+        grid = _quadrature_grid(packets)
+        assert grid.points > GRAM_BLOCK  # more than one sub-grid
+        amps = np.array([wp.position_amplitude(grid.x) for wp in packets])
+        want = gram(amps, amps, grid.dx)
+        assert np.allclose(_overlap_matrix(packets), want, rtol=0, atol=1e-12)
+
+    def test_grid_verdict_needs_no_packet_amplitudes(self, monkeypatch):
+        def fail(self, x):
+            raise AssertionError("full-grid packet amplitude evaluated")
+
+        monkeypatch.setattr(WavePacket, "position_amplitude", fail)
+        state = build_mpe(2, x0=0.0, N0=1, lam=1.0, envelope=WIDE)
+        assert evaluate_criterion(state, SCALE).violated
+
+    def test_gram_weight_stack_matches_single_weights(self):
+        rng = np.random.default_rng(7)
+        n = GRAM_BLOCK + 300
+        A = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        w = rng.uniform(-1.0, 1.0, size=(2, n))
+        both = gram(A, A, 0.25, w)
+        assert both.shape == (2, 3, 3)
+        for got, wk in zip(both, w):
+            assert np.array_equal(got, gram(A, A, 0.25, wk))
+
+
+def _reference_moments(spec, arrs, name):
+    """The per-particle moments as computed before the shared sweep: two Gram passes."""
+    domain, vals = observable_values(spec, name, SCALE)
+    dx = spec.dx
+    if domain == "momentum":
+        arrs = np.fft.fft(arrs, axis=1)
+        dx /= spec.points
+    return gram(arrs, arrs, dx, vals), gram(arrs, arrs, dx, vals**2)
+
+
+def _reference_pair_stats(gs, name):
+    base, sign = _REL_TOT[name]
+    c = gs.coefs
+    cc = np.conj(c)[:, None] * c[None, :]
+    o1, o1sq = _reference_moments(gs.spec1, gs.a1, base)
+    o2, o2sq = _reference_moments(gs.spec2, gs.a2, base)
+
+    def ev(e1, e2):
+        return float(np.real(np.sum(cc * e1 * e2)))
+
+    mean = ev(o1, gs.g2) + sign * ev(gs.g1, o2)
+    second = ev(o1sq, gs.g2) + ev(gs.g1, o2sq) + 2.0 * sign * ev(o1, o2)
+    return mean, second - mean**2
+
+
+class TestSecondGrid:
+    @pytest.mark.parametrize("name", sorted(_REL_TOT))
+    def test_stats_on_a_different_second_grid(self, name):
+        st = build_mpe(3, x0=0.37, N0=1, lam=1.0, envelope=WIDE)
+        grid = default_grid(st, 1.0)
+        grid2 = GridSpec(2 * grid.points, grid.xmin - 3.0, grid.xmax + 5.0)
+        gs = discretize(st, grid, grid2)
+        assert (gs.spec1, gs.spec2) == (grid, grid2)
+        assert gs.a2.shape == (3, grid2.points)
+        got = observable_stats(gs, name, SCALE)
+        assert got == pytest.approx(_reference_pair_stats(gs, name), rel=1e-12, abs=1e-12)
+        # the same physics as on one grid, up to the second-order grid error
+        same = discretize(st, grid)
+        assert got == pytest.approx(observable_stats(same, name, SCALE), rel=1e-4, abs=1e-4)
