@@ -26,48 +26,46 @@ class PropagationParams:
             raise ValueError("time must be nonnegative")
 
 
-def _momentum_support(spec: GridSpec, psi: np.ndarray, tail: float = 1e-9) -> float:
-    w = np.abs(np.fft.fft(psi)) ** 2
-    w /= w.sum()
+SUPPORT_TAIL = 1e-9  # weight a row may leave outside its momentum and position supports
+
+
+def _weights(amps: np.ndarray) -> np.ndarray:
+    w = np.abs(amps) ** 2
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _propagate_rows(spec: GridSpec, rows: np.ndarray, params: PropagationParams) -> np.ndarray:
+    """Free evolution of each row of a (K, n) stack by one batched FFT, checked row by row."""
+    ft = np.fft.fft(rows, axis=1)
+    last = spec.points - 1
     order = np.argsort(np.abs(spec.p))
-    cum = np.cumsum(w[order])
-    idx = np.searchsorted(cum, 1 - tail)
-    return float(np.abs(spec.p[order[min(idx, len(order) - 1)]]))
-
-
-def _position_support(spec: GridSpec, psi: np.ndarray, tail: float = 1e-9) -> tuple[float, float]:
-    w = np.abs(psi) ** 2
-    w /= w.sum()
-    cum = np.cumsum(w)
-    lo = spec.x[np.searchsorted(cum, tail / 2)]
-    hi = spec.x[min(np.searchsorted(cum, 1 - tail / 2), spec.points - 1)]
-    return float(lo), float(hi)
-
-
-def _propagate_array(spec: GridSpec, psi: np.ndarray, params: PropagationParams) -> np.ndarray:
-    pmax = _momentum_support(spec, psi)
-    if pmax > 0 and spec.dx >= H_PLANCK / (4 * pmax):
+    cum = np.cumsum(_weights(ft)[:, order], axis=1)
+    pmax = np.abs(spec.p[order[np.minimum(np.sum(cum < 1 - SUPPORT_TAIL, axis=1), last)]])
+    if np.any(4 * pmax * spec.dx >= H_PLANCK):
         raise ValueError(
-            f"aliasing check failed: grid spacing {spec.dx} does not resolve momenta up to {pmax}"
+            f"aliasing check failed: grid spacing {spec.dx} does not resolve momenta "
+            f"up to {pmax.max()}"
         )
-    lo, hi = _position_support(spec, psi)
+    cum = np.cumsum(_weights(rows), axis=1)
+    lo = spec.x[np.sum(cum < SUPPORT_TAIL / 2, axis=1)]
+    hi = spec.x[np.minimum(np.sum(cum < 1 - SUPPORT_TAIL / 2, axis=1), last)]
     # p is a wavenumber: the fastest packet travels hbar * pmax / m per unit time
     shift = pmax / params.mass * params.time * params.hbar
-    if hi + shift > spec.xmax or lo - shift < spec.xmin:
+    if np.any((hi + shift > spec.xmax) | (lo - shift < spec.xmin)):
         raise ValueError(
             "aliasing check failed: propagated state would wrap around the periodic box"
         )
     phase = np.exp(-1j * params.hbar * spec.p**2 * params.time / (2 * params.mass))
-    return np.fft.ifft(phase * np.fft.fft(psi))
+    return np.fft.ifft(phase * ft, axis=1)
 
 
 def free_propagate(state, params: PropagationParams):
     """Exact free evolution by the quadratic momentum-space phase."""
     if isinstance(state, GridState):
-        return GridState(state.spec, _propagate_array(state.spec, state.psi, params))
+        return GridState(state.spec, _propagate_rows(state.spec, state.psi[None], params)[0])
     if isinstance(state, TwoParticleGridState):
-        a1 = np.array([_propagate_array(state.spec1, a, params) for a in state.a1])
-        a2 = np.array([_propagate_array(state.spec2, a, params) for a in state.a2])
+        a1 = _propagate_rows(state.spec1, state.a1, params)
+        a2 = _propagate_rows(state.spec2, state.a2, params)
         return TwoParticleGridState(state.spec1, state.spec2, state.coefs, a1, a2)
     raise TypeError(f"cannot propagate {type(state).__name__}")
 

@@ -66,13 +66,6 @@ class GridSpec:
         return int(round(ratio))
 
 
-def _normalized(psi: np.ndarray, dx: float) -> np.ndarray:
-    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
-    if nrm == 0:
-        raise ValueError("cannot normalize a zero state")
-    return psi / nrm
-
-
 @dataclass
 class GridState:
     """Normalized single-particle amplitudes on a periodic grid."""
@@ -84,7 +77,10 @@ class GridState:
         self.psi = np.asarray(self.psi, dtype=complex)
         if self.psi.shape != (self.spec.points,):
             raise ValueError("amplitude array does not match the grid spec")
-        self.psi = _normalized(self.psi, self.spec.dx)
+        self.input_norm = self.norm  # norm of the amplitudes as given
+        if self.input_norm == 0:
+            raise ValueError("cannot normalize a zero state")
+        self.psi = self.psi / math.sqrt(self.input_norm)
 
     @property
     def norm(self) -> float:
@@ -229,19 +225,6 @@ def apply_observable_raw(
     return np.fft.ifft(vals * np.fft.fft(psi))
 
 
-def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
-    _require_commensurate(state.spec, name, scale)
-    domain, vals = observable_values(state.spec, name, scale)
-    if domain == "position":
-        w = np.abs(state.psi) ** 2
-    else:
-        w = np.abs(np.fft.fft(state.psi)) ** 2
-    w = w / np.sum(w)
-    mean = float(np.sum(vals * w))
-    var = float(np.sum((vals - mean) ** 2 * w))
-    return mean, var
-
-
 _REL_TOT = {
     "xbar_rel": ("xbar", -1.0),
     "pbar_rel": ("pbar", -1.0),
@@ -258,6 +241,13 @@ def _moments(spec: GridSpec, arrs: np.ndarray, domain: str, vals: np.ndarray):
         arrs = np.fft.fft(arrs, axis=1)
         dx /= spec.points
     return gram(arrs, arrs, dx, np.stack([vals, vals**2]))
+
+
+def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
+    _require_commensurate(state.spec, name, scale)
+    domain, vals = observable_values(state.spec, name, scale)
+    mean, second = _moments(state.spec, state.psi[None], domain, vals)[:, 0, 0].real
+    return float(mean), float(second - mean**2)
 
 
 def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> tuple[float, float]:

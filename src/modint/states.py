@@ -127,10 +127,13 @@ class TabulatedEnvelope(Envelope):
         return self._interp_re(x) + 1j * self._interp_im(x)
 
     def fourier(self, p):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        # direct quadrature on the tabulated support
-        ph = np.exp(-1j * np.outer(p, self._x))
-        out = np.trapezoid(ph * self._v[None, :], self._x, axis=1) / math.sqrt(TWO_PI)
+        p = np.asarray(p, dtype=float).ravel()
+        # direct quadrature on the tabulated support, GRAM_BLOCK momenta at a time
+        out = np.empty(p.size, dtype=complex)
+        for s in range(0, p.size, GRAM_BLOCK):
+            ph = np.exp(-1j * np.outer(p[s : s + GRAM_BLOCK], self._x))
+            out[s : s + GRAM_BLOCK] = np.trapezoid(ph * self._v, self._x, axis=1)
+        out /= math.sqrt(TWO_PI)
         return out if out.size > 1 else out[0]
 
     @property
@@ -209,11 +212,22 @@ def envelope_values(packets, kind: str, v) -> tuple[list, list[int]]:
     return values, index
 
 
-def _quadrature_grid(packets, pad: float = 10.0, min_points: int = 4096) -> GridSpec:
+GRID_PAD = 8.0  # envelope widths default_grid covers beyond the outermost packets
+QUADRATURE_PAD = 10.0  # the same for the overlap quadrature
+QUADRATURE_MIN_POINTS = 4096
+
+
+def _reach(packets, pad: float) -> tuple[float, float]:
+    """Lowest x0 - pad * width and highest x0 + pad * width over the packets."""
     lo = min(wp.x0 - pad * wp.envelope.width for wp in packets)
     hi = max(wp.x0 + pad * wp.envelope.width for wp in packets)
+    return lo, hi
+
+
+def _quadrature_grid(packets) -> GridSpec:
+    lo, hi = _reach(packets, QUADRATURE_PAD)
     pmax = max(abs(wp.p0) for wp in packets) + max(1.0 / wp.envelope.width for wp in packets)
-    n = max(min_points, int(8 * pmax * (hi - lo) / TWO_PI))
+    n = max(QUADRATURE_MIN_POINTS, int(8 * pmax * (hi - lo) / TWO_PI))
     return GridSpec(points=1 << (n - 1).bit_length(), xmin=lo, xmax=hi)
 
 
@@ -526,13 +540,11 @@ def joint_momentum_density(state, p1, p2):
 # discretization
 
 
-def default_grid(state, ell: float, points_per_ell: int = 256, pad: float = 8.0) -> GridSpec:
+def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
     """Commensurate power-of-two grid covering the state's packets."""
     if not hasattr(state, "packets"):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    packets = state.packets
-    lo = min(wp.x0 - pad * wp.envelope.width for wp in packets)
-    hi = max(wp.x0 + pad * wp.envelope.width for wp in packets)
+    lo, hi = _reach(state.packets, GRID_PAD)
     periods = max(2, math.ceil((hi - lo) / ell))
     center = 0.5 * (lo + hi)
     n = 1 << (periods * points_per_ell - 1).bit_length()
@@ -540,34 +552,29 @@ def default_grid(state, ell: float, points_per_ell: int = 256, pad: float = 8.0)
     return GridSpec(points=n, xmin=center - half, xmax=center + half)
 
 
-def discretize(state, grid: GridSpec, grid2: GridSpec | None = None, tail_tol: float = 1e-8):
-    """Sample a state onto grids; raises if the grid misses mass or is coarse."""
-    if state.fringe_period is not None and grid.dx > state.fringe_period / 8:
-        raise ValueError(
-            f"grid spacing {grid.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
-        )
-    if isinstance(state, SuperposedState):
-        psi = state.position_amplitude(grid.x)
-        _check_contained(float(np.sum(np.abs(psi) ** 2)) * grid.dx, grid, tail_tol)
-        return GridState(grid, psi)
-    if isinstance(state, TwoParticleState):
-        grid2 = grid2 or grid
-        out = TwoParticleGridState(
-            grid,
-            grid2,
-            np.array([t[0] * state._scale for t in state.terms]),
-            _amplitude_rows(state.particles[0], grid),
-            _amplitude_rows(state.particles[1], grid2),
-        )
-        # contained mass of the analytically normalized state, before renormalization
-        _check_contained(out.input_norm, grid, tail_tol)
-        return out
-    raise TypeError(f"cannot discretize {type(state).__name__}")
+TAIL_TOL = 1e-8  # mass a grid may miss where its second-order error 10 dx^2 is smaller
 
 
-def _check_contained(contained: float, grid: GridSpec, tail_tol: float):
-    if contained < 1 - max(tail_tol, 10 * grid.dx**2):
+def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
+    """Sample a state onto one grid per particle; raises if a grid misses mass or is coarse."""
+    if not isinstance(state, _PacketSum):
+        raise TypeError(f"cannot discretize {type(state).__name__}")
+    grids = (grid, grid2 or grid)[: len(state.particles)]
+    for g in grids:
+        if state.fringe_period is not None and g.dx > state.fringe_period / 8:
+            raise ValueError(
+                f"grid spacing {g.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
+            )
+    rows = [_amplitude_rows(packets, g) for packets, g in zip(state.particles, grids)]
+    coefs = np.array([t[0] * state._scale for t in state.terms])
+    if len(rows) == 1:
+        out = GridState(grid, coefs @ rows[0])
+    else:
+        out = TwoParticleGridState(*grids, coefs, *rows)
+    contained = out.input_norm  # the analytically normalized state's mass on the grids
+    if any(contained < 1 - max(TAIL_TOL, 10 * g.dx**2) for g in grids):
         raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,27 +127,28 @@ class TestSample:
 class TestPropagate:
     def test_csv_output(self, tmp_path):
         path = tmp_path / "prop.csv"
-        code, out, _ = run_cli(
-            [
-                "propagate",
-                "--state",
-                "multislit",
-                "--N",
-                "2",
-                "--sigma",
-                "0.5",
-                "--time",
-                "0.5",
-                "--grid-points",
-                "4096",
-                "--xmin",
-                "-32",
-                "--xmax",
-                "32",
-                "--output",
-                str(path),
-            ]
-        )
+        with pytest.warns(UserWarning, match="envelope width 0.5 is not small"):
+            code, out, _ = run_cli(
+                [
+                    "propagate",
+                    "--state",
+                    "multislit",
+                    "--N",
+                    "2",
+                    "--sigma",
+                    "0.5",
+                    "--time",
+                    "0.5",
+                    "--grid-points",
+                    "4096",
+                    "--xmin",
+                    "-32",
+                    "--xmax",
+                    "32",
+                    "--output",
+                    str(path),
+                ]
+            )
         assert code == 0
         assert out == ""
         rows = list(csv.reader(path.open()))

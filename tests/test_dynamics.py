@@ -13,9 +13,9 @@ from modint.dynamics import (
     free_propagate,
     protocol_visibility,
 )
-from modint.grids import GridSpec, GridState
+from modint.grids import GridSpec, GridState, TwoParticleGridState
 from modint.modvar import H_PLANCK, fringe_function
-from modint.states import GaussianEnvelope, build_multislit, default_grid, discretize
+from modint.states import GaussianEnvelope, build_mpe, build_multislit, default_grid, discretize
 
 
 def gaussian_grid(sigma=1.0, points=4096, half=64.0, p0=0.0):
@@ -76,6 +76,46 @@ class TestFreePropagation:
             PropagationParams(mass=0.0, time=1.0)
         with pytest.raises(ValueError):
             PropagationParams(mass=1.0, time=-1.0)
+
+
+def _reference_propagate(spec, psi, params, tail=1e-9):
+    """One row as propagated before the batched routine: its own supports, two FFTs."""
+    w = np.abs(np.fft.fft(psi)) ** 2
+    w /= w.sum()
+    order = np.argsort(np.abs(spec.p))
+    cum = np.cumsum(w[order])
+    pmax = float(np.abs(spec.p[order[min(np.searchsorted(cum, 1 - tail), spec.points - 1)]]))
+    assert not (pmax > 0 and spec.dx >= H_PLANCK / (4 * pmax))
+    cum = np.cumsum(np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2))
+    lo = spec.x[np.searchsorted(cum, tail / 2)]
+    hi = spec.x[min(np.searchsorted(cum, 1 - tail / 2), spec.points - 1)]
+    shift = pmax / params.mass * params.time * params.hbar
+    assert spec.xmin <= lo - shift and hi + shift <= spec.xmax
+    phase = np.exp(-1j * params.hbar * spec.p**2 * params.time / (2 * params.mass))
+    return np.fft.ifft(phase * np.fft.fft(psi))
+
+
+class TestPairPropagation:
+    def test_matches_the_per_row_reference(self):
+        st = build_mpe(3, x0=0.37, N0=1, lam=1.0, envelope=GaussianEnvelope(5.0))
+        gs = discretize(st, GridSpec(points=4096, xmin=-64.0, xmax=64.0))
+        params = PropagationParams(mass=1.0, time=0.5)
+        moved = free_propagate(gs, params)
+        for spec, before, after in ((gs.spec1, gs.a1, moved.a1), (gs.spec2, gs.a2, moved.a2)):
+            want = np.array([_reference_propagate(spec, a, params) for a in before])
+            assert np.max(np.abs(after - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_wraparound_checked_per_row(self):
+        # the second row alone would wrap; summed with the first, it would sit far
+        # below the support tail
+        spec = GridSpec(points=1024, xmin=-16.0, xmax=16.0)
+        rest = np.exp(-spec.x**2 / 4)
+        rows = np.array([rest, 1e-6 * rest * np.exp(3j * spec.x)])
+        gs = TwoParticleGridState(spec, spec, np.ones(2), rows, np.array([rest, rest]))
+        params = PropagationParams(mass=1.0, time=2.0)
+        free_propagate(TwoParticleGridState(spec, spec, [1.0], rows[:1], rows[:1]), params)
+        with pytest.raises(ValueError, match="wrap"):
+            free_propagate(gs, params)
 
 
 class TestFarField:

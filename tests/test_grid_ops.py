@@ -37,6 +37,7 @@ from modint.states import (
     _overlap_matrix,
     _quadrature_grid,
     build_mpe,
+    build_multislit,
     build_smp,
     default_grid,
     discretize,
@@ -443,3 +444,63 @@ class TestSecondGrid:
         # the same physics as on one grid, up to the second-order grid error
         same = discretize(st, grid)
         assert got == pytest.approx(observable_stats(same, name, SCALE), rel=1e-4, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# one grid path for one- and two-particle states
+
+
+_SINGLE_CASES = {
+    "multislit": (lambda: build_multislit(3, 1.0, GaussianEnvelope(0.1)), GridSpec(8192, -32.0, 32.0)),
+    "smp x0=0.37 N0=2": (lambda: build_smp(3, 0.37, 2, 1.0, WIDE), None),
+    "sinc": (lambda: build_multislit(3, 1.0, SincEnvelope(0.1)), GridSpec(8192, -32.0, 32.0)),
+    "complex tabulated": (lambda: build_smp(2, 0.0, 1, 1.0, _wide_complex_tabulated()), None),
+}
+
+
+def _wide_complex_tabulated():
+    xs = np.linspace(-60.0, 60.0, 1201)  # sigma_x = 8: a comb of lambda = 1 does not overlap
+    return TabulatedEnvelope(xs, WIDE(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
+
+
+def _single_grid_state(case):
+    make, grid = _SINGLE_CASES[case]
+    st = make()
+    grid = grid or default_grid(st, 1.0)
+    return st, grid, discretize(st, grid)
+
+
+def _two_pass_single_stats(state, name):
+    """Single-particle (mean, variance) as computed before the shared Gram sweep."""
+    domain, vals = observable_values(state.spec, name, SCALE)
+    w = np.abs(state.psi if domain == "position" else np.fft.fft(state.psi)) ** 2
+    w = w / np.sum(w)
+    mean = float(np.sum(vals * w))
+    return mean, float(np.sum((vals - mean) ** 2 * w))
+
+
+class TestOneGridPath:
+    @pytest.mark.parametrize("case", sorted(_SINGLE_CASES))
+    def test_single_particle_discretize_matches_packet_sum(self, case):
+        st, grid, gs = _single_grid_state(case)
+        want = st._scale * sum(a * wp.position_amplitude(grid.x) for a, wp in st.terms)
+        assert gs.input_norm == pytest.approx(np.sum(np.abs(want) ** 2) * grid.dx, rel=1e-12)
+        want = GridState(grid, want).psi
+        assert np.max(np.abs(gs.psi - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", sorted(_SINGLE_CASES))
+    @pytest.mark.parametrize("name", ["x", "xbar", "N_x", "p", "pbar", "N_p"])
+    def test_single_stats_match_the_two_pass_sums(self, case, name):
+        _, _, gs = _single_grid_state(case)
+        mean, var = observable_stats(gs, name, SCALE)
+        ref_mean, ref_var = _two_pass_single_stats(gs, name)
+        # a mean that vanishes by symmetry is compared on the observable's rms
+        assert mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12 * np.sqrt(ref_var + ref_mean**2))
+        assert var == pytest.approx(ref_var, rel=1e-12)
+
+    def test_coarse_second_grid_rejected(self):
+        # at 256 points dx = 0.5 > lambda / 8: the fringes of particle 2 would alias
+        st = build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        grid = default_grid(st, 1.0)
+        with pytest.raises(ValueError, match="fringe"):
+            discretize(st, grid, GridSpec(256, grid.xmin, grid.xmax))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,14 @@ from modint import (
     sampleset_to_csv,
     solve_c,
 )
-from modint.sampling import BOOTSTRAP_BINS, SampleSet, _binned_bootstrap_var, _packet_samples
+from modint.sampling import (
+    BOOTSTRAP_BINS,
+    SampleSet,
+    _binned_bootstrap_var,
+    _envelope_cdf_table,
+    _packet_samples,
+)
+from modint.states import TabulatedEnvelope
 
 
 def _reference_sample_pure(state, kind, rng, n):
@@ -182,6 +190,19 @@ class TestSampling:
             s = sample_measurements(st, kind, 20_000, seed=N)
             assert s.proposals >= s.n
             assert s.n / s.proposals == pytest.approx(1.0 / N, rel=0.2)
+
+    def test_tabulated_momentum_table_memory(self):
+        # the table evaluates the envelope's quadrature transform at 2**17 momenta;
+        # a (2**17, 64) complex phase matrix alone would be 128 MiB
+        xs = np.linspace(-30.0, 30.0, 64)
+        env = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
+        tracemalloc.start()
+        try:
+            _envelope_cdf_table(env, "momentum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_mixture_proposals_sum_over_components(self):
         cls = build_classical_correlated(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))

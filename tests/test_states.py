@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from modint.grids import GridSpec, TwoParticleGridState
+from modint.grids import GRAM_BLOCK, GridSpec, TwoParticleGridState
 from modint.modvar import H_PLANCK, fringe_function
 from modint.states import (
     GaussianEnvelope,
@@ -70,6 +70,16 @@ class TestEnvelopes:
         assert np.allclose(tab(x), g(x), atol=1e-8)
         p = np.linspace(-2, 2, 11)
         assert np.allclose(tab.fourier(p), g.fourier(p), atol=1e-6)
+
+    def test_tabulated_fourier_blocks_equal_the_unblocked_quadrature(self):
+        xs = np.linspace(-30.0, 30.0, 64)
+        tab = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs))
+        p = np.linspace(-3.0, 3.0, 2 * GRAM_BLOCK + 7)
+        idx = [0, GRAM_BLOCK - 1, GRAM_BLOCK, 2 * GRAM_BLOCK, p.size - 1]
+        ph = np.exp(-1j * np.outer(p[idx], tab._x))
+        want = np.trapezoid(ph * tab._v[None, :], tab._x, axis=1) / np.sqrt(2 * np.pi)
+        assert np.array_equal(tab.fourier(p)[idx], want)
+        assert tab.fourier(p[1]) == tab.fourier(p)[1]
 
     def test_descriptor_round_trip(self):
         for env in (GaussianEnvelope(2.5), SincEnvelope(1.25)):
