@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -91,6 +92,10 @@ def _state_descriptor(args) -> dict:
 
 
 def cmd_fringes(args) -> str:
+    if args.grid_points < 2:
+        raise CliError(f"--grid-points must be >= 2, got {args.grid_points}")
+    if not 0 < args.periods < math.inf:
+        raise CliError(f"--periods must be positive and finite, got {args.periods}")
     desc = _state_descriptor(args)
     state = states.state_from_descriptor(desc)
     buf = io.StringIO()
@@ -176,6 +181,8 @@ def cmd_propagate(args) -> str:
 
 
 def cmd_protocol(args) -> str:
+    if args.steps < 1:
+        raise CliError(f"--steps must be >= 1, got {args.steps}")
     env = states.GaussianEnvelope(sigma_x=args.sigma)
     staggers = np.linspace(0.0, args.max_stagger, args.steps)
     buf = io.StringIO()

@@ -30,6 +30,9 @@ from .states import (
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_BINS = 512
 MIN_BOOTSTRAP_N = 100
+# Largest expected proposal count of one draw: about a minute at the
+# ~1.7e6 proposals/s the sampler reaches on MPE states.
+MAX_PROPOSALS = 1e8
 
 
 @dataclass
@@ -154,20 +157,28 @@ def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np
     return g
 
 
-def _sample_pure(state: TwoParticleState, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
-    """Rejection sampling with the incoherent product mixture as the proposal.
+def _proposal_mixture(state: TwoParticleState) -> tuple[list, np.ndarray, float]:
+    """The nonzero (c, wp1, wp2) terms, their proposal weights q and the bound K * S.
 
     With c_k the normalized term amplitudes, Cauchy-Schwarz bounds the joint
     density by K * S * g, where S = sum |c_k|^2, K is the number of terms, and
-    g = sum_k (|c_k|^2 / S) |psi_1k|^2 |psi_2k|^2 is the proposal density, so
-    accepting with probability rho / (K S g) reproduces rho exactly. Returns
-    the n records and the number of proposals drawn.
+    g = sum_k q_k |psi_1k|^2 |psi_2k|^2 with q_k = |c_k|^2 / S is the proposal
+    density.
     """
     terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
     weights = np.array([abs(c) ** 2 for c, _, _ in terms])
     s_tot = float(weights.sum())
-    q = weights / s_tot
-    bound = len(terms) * s_tot
+    return terms, weights / s_tot, len(terms) * s_tot
+
+
+def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
+    """Rejection sampling with the incoherent product mixture as the proposal.
+
+    `mix` is the state's `_proposal_mixture`; accepting with probability
+    rho / (K S g) reproduces rho exactly. Returns the n records and the number
+    of proposals drawn.
+    """
+    terms, q, bound = mix
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((0, 2))
@@ -192,27 +203,35 @@ def _sample_pure(state: TwoParticleState, kind: str, rng, n: int) -> tuple[np.nd
 
 
 def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
-    """Seeded draws of joint position or momentum measurement pairs."""
+    """Seeded draws of joint position or momentum measurement pairs.
+
+    Raises ValueError before the first draw if any pure component would need
+    more than MAX_PROPOSALS proposals.
+    """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     if kind not in ("position", "momentum"):
         raise ValueError(f"kind must be 'position' or 'momentum', got {kind!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    if isinstance(state, TwoParticleState):
-        records, proposals = _sample_pure(state, kind, rng, n)
-    elif isinstance(state, MixtureState):
-        counts = rng.multinomial(n, state.weights)
-        parts = [
-            _sample_pure(st, kind, rng, m)
-            for m, (_, st) in zip(counts, state.components)
-            if m
-        ]
-        records = rng.permutation(np.concatenate([r for r, _ in parts]))
-        proposals = sum(p for _, p in parts)
-    else:
+    if not isinstance(state, (TwoParticleState, MixtureState)):
         raise TypeError(f"cannot sample from {type(state).__name__}")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    # a pure state is a one-component ensemble; it draws no component counts
+    pure = isinstance(state, TwoParticleState)
+    counts = [n] if pure else rng.multinomial(n, state.weights)
+    drawn = [(m, st, _proposal_mixture(st)) for m, (_, st) in zip(counts, state.components) if m]
+    # the sampler accepts exactly 1 / (K S), so m records cost about m K S proposals
+    for m, _, (_, _, bound) in drawn:
+        if m * bound > MAX_PROPOSALS:
+            raise ValueError(
+                f"rejection sampling accepts {1.0 / bound:.3g} of its proposals here, so "
+                f"{m} records need about {m * bound:.3g} proposals, over the budget of "
+                f"{MAX_PROPOSALS:.3g}"
+            )
+    parts = [_sample_pure(st, mix, kind, rng, m) for m, st, mix in drawn]
+    records = parts[0][0] if pure else rng.permutation(np.concatenate([r for r, _ in parts]))
+    proposals = sum(p for _, p in parts)
     return SampleSet(records=records, seed=int(seed), kind=kind, proposals=proposals)
 
 

@@ -26,24 +26,64 @@ class EigenSolveReport:
     ground_state: GridState | None = field(default=None, repr=False)
 
 
-def kummer_M(a: float, b: float, x: float) -> float:
-    """Confluent hypergeometric function M(a, b; x) = sum (a)_k x^k / ((b)_k k!)."""
+KUMMER_MAX_TERMS = 500  # power-series terms kummer_M sums before it gives up
+KUMMER_TOL = 1e-12  # rounding error kummer_M accepts, absolute or relative to |M| > 1
+CG_RTOL = 1e-12  # residual, relative to the right-hand side, that ends a CG solve
+CG_MAX_STEPS = 20000  # CG steps before brute_force_c's inner solve gives up
+
+
+def kummer_M(a, b: float, x: float):
+    """Confluent hypergeometric function M(a, b; x) = sum (a)_k x^k / ((b)_k k!).
+
+    Summed as its power series, elementwise over an array of `a`; a scalar `a`
+    gives a Python float. For x < 0 Kummer's transformation
+    M(a, b; x) = e^x M(b - a, b; -x) sums the series at -x instead. The sum
+    stops once every term is at most 1e-17 of its total, and raises
+    RuntimeError if that takes more than KUMMER_MAX_TERMS terms.
+
+    Rounding leaves an error of about 2^-52 times the largest term. The result
+    is trusted where that is at most KUMMER_TOL * max(1, |M|), i.e. to 1e-12
+    absolute for |M| <= 1 and 1e-12 relative above; elsewhere (a well below 0
+    with a large |a| x, where alternating terms dwarf the sum) it raises
+    RuntimeError. `solve_c`'s range, a in [-12.4, 1.2] at x = pi/2, keeps the
+    error under 1e-13.
+    """
     if b <= 0 and b == int(b):
         raise ValueError(f"b must not be a nonpositive integer, got {b}")
-    from scipy.special import hyp1f1  # slow to import; only processes that need c pay it
+    if x < 0:
+        return math.exp(x) * kummer_M(b - a, b, -x)
+    scalar = np.ndim(a) == 0
+    a = float(a) if scalar else np.asarray(a, dtype=float)
+    term = total = largest = 1.0 if scalar else np.ones_like(a)
+    for k in range(KUMMER_MAX_TERMS):
+        term = term * (a + k) * x / ((b + k) * (k + 1))
+        total = total + term
+        largest = max(largest, abs(term)) if scalar else np.maximum(largest, abs(term))
+        small = abs(term) <= 1e-17 * abs(total)
+        if small if scalar else small.all():  # np.all on a bool would cost µs per term
+            break
+    else:
+        raise RuntimeError(f"Kummer series did not converge in {KUMMER_MAX_TERMS} terms")
+    if not np.isfinite(total).all():
+        raise RuntimeError(f"Kummer series overflowed at x = {x}")
+    size = max(1.0, abs(total)) if scalar else np.maximum(1.0, abs(total))
+    lost = largest * 2.0**-52 > KUMMER_TOL * size
+    if lost if scalar else lost.any():
+        raise RuntimeError(f"Kummer series lost its digits to cancellation at x = {x}")
+    return total
 
-    return float(hyp1f1(a, b, x))
 
-
-def boundary_mismatch(mu: float, scale: ModularScale = ModularScale(1.0)) -> float:
+def boundary_mismatch(mu, scale: ModularScale = ModularScale(1.0)):
     """Derivative of the even fiber eigenfunction at xbar = ell/2.
 
     The candidate eigenfunction is exp(-pi u^2) M(1/4 - pi mu/2, 1/2, 2 pi u^2)
     in the dimensionless variable u = xbar/ell; the derivative of M is
     taken analytically via M'(a,b,z) = (a/b) M(a+1, b+1, z). Roots in mu are
-    the even-parity eigenvalues.
+    the even-parity eigenvalues. Elementwise over an array of mu; a scalar mu
+    gives a Python float.
     """
-    if not math.isfinite(mu):
+    mu = float(mu) if np.ndim(mu) == 0 else np.asarray(mu, dtype=float)
+    if not np.isfinite(mu).all():
         raise ValueError("mu must be finite")
     a = 0.25 - math.pi * mu / 2.0
     z = math.pi / 2.0
@@ -79,13 +119,10 @@ def _solve_c_cached(tolerance: float) -> tuple[float, tuple[float, ...], float]:
     c = _bisect(boundary_mismatch, lo, hi, tolerance)
     # enumerate the first few even-parity eigenvalues by scanning for sign changes
     head = [c]
-    mu_grid = np.linspace(hi, 8.0, 1600).tolist()
-    vals = [boundary_mismatch(m) for m in mu_grid]
-    for i in range(len(mu_grid) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            head.append(_bisect(boundary_mismatch, mu_grid[i], mu_grid[i + 1], tolerance))
-            if len(head) >= 4:
-                break
+    mu_grid = np.linspace(hi, 8.0, 1600)
+    vals = boundary_mismatch(mu_grid)
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))[:3]:
+        head.append(_bisect(boundary_mismatch, float(mu_grid[i]), float(mu_grid[i + 1]), tolerance))
     return c, tuple(head), abs(boundary_mismatch(c))
 
 
@@ -102,6 +139,52 @@ def perturbative_c() -> float:
     return 7.0 / 90.0
 
 
+def _modular_operator(spec: GridSpec, ell: float):
+    """N_p^2 + xbar^2/ell^2 on a periodic grid, applied matrix-free (two FFTs),
+    and its Fourier-diagonal preconditioner: the kinetic term plus the mean
+    potential 1/12."""
+    xbar = modular_part(spec.x, ell)
+    npv = integer_part(spec.p, ModularScale(ell).momentum_period)
+    pot = xbar**2 / ell**2
+    pre_diag = 1.0 / (npv**2 + 1.0 / 12.0)
+
+    def apply_a(psi):
+        return np.fft.ifft(npv**2 * np.fft.fft(psi)) + pot * psi
+
+    def precondition(v):
+        return np.fft.ifft(pre_diag * np.fft.fft(v))
+
+    return apply_a, precondition
+
+
+def _conjugate_gradient(apply_a, precondition, b):
+    """Preconditioned conjugate gradients for A x = b, A Hermitian positive definite.
+
+    Starts from x = 0 and stops once |b - A x| < CG_RTOL |b|; raises
+    RuntimeError if CG_MAX_STEPS steps do not get there.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    atol = CG_RTOL * np.linalg.norm(b)
+    p = rho_prev = None
+    for _ in range(CG_MAX_STEPS):
+        if np.linalg.norm(r) < atol:
+            return x
+        z = precondition(r)
+        rho = np.vdot(r, z)
+        if p is None:
+            p = z
+        else:  # in place, as scipy's cg does, so the iterates agree bit for bit
+            p *= rho / rho_prev
+            p += z
+        q = apply_a(p)
+        alpha = rho / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise RuntimeError(f"conjugate gradients did not reach rtol={CG_RTOL} in {CG_MAX_STEPS} steps")
+
+
 def brute_force_c(
     periods: int = 32,
     points_per_period: int = 128,
@@ -114,39 +197,24 @@ def brute_force_c(
     """Oracle: smallest eigenvalue of N_p^2 + xbar^2/ell^2 on a periodic grid.
 
     The operator is applied matrix-free (two FFTs per application); the ground
-    eigenvalue comes from inverse power iteration with conjugate-gradient inner
-    solves started from a random vector, which scans all modular-momentum
-    fibers.  The spectrum head is computed inside the zero fiber with
-    deflation, where the eigenvalues are nondegenerate.
+    eigenvalue comes from inverse power iteration with preconditioned
+    conjugate-gradient inner solves started from a random vector, which scans
+    all modular-momentum fibers.  The spectrum head comes from a dense
+    eigensolve inside the zero fiber, where the eigenvalues are nondegenerate.
     """
     if periods < 8 or points_per_period < 32:
         raise ValueError("need periods >= 8 and points_per_period >= 32")
-    from scipy.sparse.linalg import LinearOperator, cg  # slow to import; only the oracle needs it
-
-    scale = ModularScale(ell)
     n = periods * points_per_period
     n = 1 << (n - 1).bit_length()
     points_per_period = n // periods
     spec = GridSpec(points=n, xmin=-periods * ell / 2, xmax=periods * ell / 2)
-    xbar = modular_part(spec.x, ell)
-    npv = integer_part(spec.p, scale.momentum_period)
-    pot = xbar**2 / ell**2
-
-    def apply_a(psi):
-        return np.fft.ifft(npv**2 * np.fft.fft(psi)) + pot * psi
-
-    op = LinearOperator((n, n), matvec=apply_a, dtype=complex)
-    # Fourier-diagonal preconditioner: kinetic term plus the mean potential
-    pre_diag = 1.0 / (npv**2 + 1.0 / 12.0)
-    pre = LinearOperator(
-        (n, n), matvec=lambda v: np.fft.ifft(pre_diag * np.fft.fft(v)), dtype=complex
-    )
+    apply_a, precondition = _modular_operator(spec, ell)
 
     def inverse_power(v0):
         v = v0 / np.linalg.norm(v0)
         mu = float(np.real(np.vdot(v, apply_a(v))))
         for _ in range(max_iter):
-            w, _ = cg(op, v, rtol=1e-12, maxiter=20000, M=pre)
+            w = _conjugate_gradient(apply_a, precondition, v)
             w = w / np.linalg.norm(w)
             mu_new = float(np.real(np.vdot(w, apply_a(w))))
             v = w

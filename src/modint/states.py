@@ -99,6 +99,9 @@ class SincEnvelope(Envelope):
         return {"kind": "sinc", "d": self.d}
 
 
+FOURIER_BLOCK = 1 << 18  # momentum x sample entries per block in TabulatedEnvelope.fourier
+
+
 class TabulatedEnvelope(Envelope):
     """Envelope interpolated from samples, renormalized numerically."""
 
@@ -128,11 +131,13 @@ class TabulatedEnvelope(Envelope):
 
     def fourier(self, p):
         p = np.asarray(p, dtype=float).ravel()
-        # direct quadrature on the tabulated support, GRAM_BLOCK momenta at a time
+        # direct quadrature on the tabulated support, in blocks of about
+        # FOURIER_BLOCK momentum x sample entries
+        rows = max(1, FOURIER_BLOCK // self._x.size)
         out = np.empty(p.size, dtype=complex)
-        for s in range(0, p.size, GRAM_BLOCK):
-            ph = np.exp(-1j * np.outer(p[s : s + GRAM_BLOCK], self._x))
-            out[s : s + GRAM_BLOCK] = np.trapezoid(ph * self._v, self._x, axis=1)
+        for s in range(0, p.size, rows):
+            ph = np.exp(-1j * np.outer(p[s : s + rows], self._x))
+            out[s : s + rows] = np.trapezoid(ph * self._v, self._x, axis=1)
         out /= math.sqrt(TWO_PI)
         return out if out.size > 1 else out[0]
 
@@ -412,10 +417,12 @@ def build_multislit(N: int, L: float, envelope: Envelope) -> SuperposedState:
     return SuperposedState(terms, fringe_period=H_PLANCK / L)
 
 
-def _check_comb(N, lam, envelope):
+def _check_comb(N, x0, lam, envelope):
     """Validate a momentum comb; warn once per public builder call on overlap."""
     if int(N) < 1:
         raise ValueError("N must be >= 1")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if envelope.width / lam < 5:
@@ -459,7 +466,7 @@ def _classical(pairs, lam) -> MixtureState:
 
 def build_smp(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> SuperposedState:
     """Rank-N momentum comb: position-space fringes of period lambda."""
-    _check_comb(N, lam, envelope)
+    _check_comb(N, x0, lam, envelope)
     packets = _momentum_comb_packets(N, x0, N0, lam, envelope)
     amp = 1.0 / math.sqrt(int(N))
     return SuperposedState([(amp, wp) for wp in packets], fringe_period=lam)
@@ -467,7 +474,7 @@ def build_smp(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> Sup
 
 def build_mpe(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> TwoParticleState:
     """Rank-N entangled pair state: counterpropagating correlated packets."""
-    _check_comb(N, lam, envelope)
+    _check_comb(N, x0, lam, envelope)
     return _mpe(_pair_packets(N, x0, N0, lam, envelope), lam)
 
 
@@ -475,7 +482,7 @@ def build_classical_correlated(
     N: int, x0: float, N0: int, lam: float, envelope: Envelope
 ) -> MixtureState:
     """Incoherent mixture of the N product components: correlated, fringe-free."""
-    _check_comb(N, lam, envelope)
+    _check_comb(N, x0, lam, envelope)
     return _classical(_pair_packets(N, x0, N0, lam, envelope), lam)
 
 
@@ -491,7 +498,7 @@ def admixture_state(
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
     envelope = envelope or GaussianEnvelope(sigma_x=6.0 * lam)
-    _check_comb(N, lam, envelope)
+    _check_comb(N, x0, lam, envelope)
     pairs = _pair_packets(N, x0, N0, lam, envelope)
     pure = _mpe(pairs, lam)
     if epsilon == 0:

@@ -311,6 +311,23 @@ class TestErrors:
         assert err.startswith("error:") and "N >= 2" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["fringes", "--grid-points", "0"], "--grid-points"),
+            (["fringes", "--periods", "0"], "--periods"),
+            (["protocol", "--steps", "0"], "--steps"),
+            (["criterion", "--x0", "inf"], "x0"),
+        ],
+        ids=["grid-points", "periods", "steps", "x0"],
+    )
+    def test_degenerate_size_or_position_exits_2(self, argv, name):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
     def test_seed_outside_64_bits_exits_2(self, seed):
         # the momentum records use seed + 1, so the largest 64-bit seed overflows too

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import modint
+from modint import sampling
 from modint import (
     EstimateReport,
     GaussianEnvelope,
@@ -18,6 +20,7 @@ from modint import (
     MixtureState,
     SincEnvelope,
     TwoParticleState,
+    WavePacket,
     admixture_state,
     build_classical_correlated,
     build_mpe,
@@ -193,16 +196,44 @@ class TestSampling:
 
     def test_tabulated_momentum_table_memory(self):
         # the table evaluates the envelope's quadrature transform at 2**17 momenta;
-        # a (2**17, 64) complex phase matrix alone would be 128 MiB
+        # a (2**17, 64) complex phase matrix alone would be 128 MiB, and blocks
+        # of a fixed number of momenta would peak at 153 MiB for 601 samples
         xs = np.linspace(-30.0, 30.0, 64)
-        env = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
-        tracemalloc.start()
-        try:
-            _envelope_cdf_table(env, "momentum")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        small = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
+        xs = np.linspace(-30.0, 30.0, 601)  # the complex envelope of test_grid_ops
+        large = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
+        for env in (small, large):
+            tracemalloc.start()
+            try:
+                _envelope_cdf_table(env, "momentum")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, env._x.size
+
+    def test_proposal_budget_raises_before_the_first_draw(self, monkeypatch):
+        # two nearly cancelling terms: K * S = 3.2e5, so 1e4 records would need
+        # 3.2e9 proposals, far over MAX_PROPOSALS
+        env = GaussianEnvelope(1.0)
+        near = TwoParticleState(
+            [
+                (1.0, WavePacket(env, 0.0), WavePacket(env, 0.0)),
+                (-1.0, WavePacket(env, 0.005), WavePacket(env, 0.005)),
+            ],
+            fringe_period=1.0,
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"accepts 3\.12e-06 .* about 3\.2e\+09 proposals"):
+            sample_measurements(near, "position", 10_000, seed=0)
+        assert time.perf_counter() - start < 1.0
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before every component's budget was checked")
+
+        monkeypatch.setattr(sampling, "_sample_pure", no_draws)
+        mixed = mix([(0.5, build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))), (0.5, near)])
+        with pytest.raises(ValueError, match="over the budget"):
+            sample_measurements(mixed, "momentum", 10_000, seed=0)
 
     def test_mixture_proposals_sum_over_components(self):
         cls = build_classical_correlated(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))
@@ -326,7 +357,8 @@ def test_import_leaves_slow_scipy_submodules_unloaded():
         "import sys, modint, modint.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
         "modint.solve_c(); "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))"
+        "modint.brute_force_c(periods=8, points_per_period=32); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from modint.grids import observable_variance
+from modint.grids import GridSpec, observable_variance
 from modint.modvar import ModularScale
+from modint import spectral
 from modint.spectral import (
+    CG_MAX_STEPS,
+    CG_RTOL,
+    KUMMER_MAX_TERMS,
+    _conjugate_gradient,
+    _modular_operator,
     boundary_mismatch,
     brute_force_c,
     kummer_M,
@@ -31,6 +37,50 @@ class TestKummerSeries:
         for a, b, x in [(-0.3, 0.5, 1.57), (0.7, 1.5, 0.3), (1.25, 0.5, 2.0)]:
             assert kummer_M(a, b, x) == pytest.approx(float(hyp1f1(a, b, x)), rel=1e-12)
 
+    def test_array_equals_scalar_calls(self):
+        a = np.linspace(-12.3, 1.25, 37)
+        for b, x in [(0.5, math.pi / 2), (1.5, math.pi / 2), (1.5, -2.0)]:
+            got = kummer_M(a, b, x)
+            assert isinstance(kummer_M(float(a[0]), b, x), float)
+            assert np.array_equal(got, [kummer_M(float(v), b, x) for v in a])
+
+    def test_head_scan_agrees_with_scipy(self):
+        from scipy.special import hyp1f1
+
+        mu = np.linspace(7 / 90 + 0.02, 8.0, 1600)
+        a = 0.25 - math.pi * mu / 2.0
+        z = math.pi / 2.0
+        for aa in (a, a + 1.0):
+            for b in (0.5, 1.5):
+                assert np.max(np.abs(kummer_M(aa, b, z) - hyp1f1(aa, b, z))) < 1e-12
+
+    def test_kummer_transformation_for_negative_argument(self):
+        # M(1, 1; -3) = e^-3 M(0, 1; 3) = e^-3 exactly: the series at +3 stops at 1
+        assert kummer_M(1.0, 1.0, -3.0) == math.exp(-3.0)
+
+    def test_term_budget_raises(self):
+        # e^600 needs about 600 terms before they start to fall
+        with pytest.raises(RuntimeError, match=f"{KUMMER_MAX_TERMS} terms"):
+            kummer_M(1.0, 1.0, 600.0)
+        # e^1000 overflows: the terms reach inf, which is not convergence
+        with pytest.raises(RuntimeError, match="overflowed"):
+            kummer_M(1.0, 1.0, 1000.0)
+
+    def test_cancellation_raises_or_matches_scipy(self):
+        from scipy.special import hyp1f1
+
+        # alternating terms near 2.5e6, 6.7e12 and 3e22 against results of
+        # about 1, 1.6e4 and 2e4: rounding leaves too few digits
+        for a, b, x in [(-50.0, 0.5, math.pi / 2), (-20.0, 0.5, 20.0), (-50.0, 0.5, 20.0)]:
+            with pytest.raises(RuntimeError, match="cancellation"):
+                kummer_M(a, b, x)
+            with pytest.raises(RuntimeError, match="cancellation"):
+                kummer_M(np.array([0.5, a]), b, x)
+        # positive terms and a mild alternating case stay within the contract
+        for a, b, x in [(2.5, 1.5, 30.0), (-3.0, 0.5, 2.0), (-12.3, 0.5, -math.pi / 2)]:
+            want = float(hyp1f1(a, b, x))
+            assert abs(kummer_M(a, b, x) - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_rejects_nonpositive_integer_b(self):
         with pytest.raises(ValueError):
             kummer_M(0.5, 0.0, 1.0)
@@ -41,6 +91,13 @@ class TestKummerSeries:
 class TestShootingSolve:
     def test_bracket_sign_change(self):
         assert boundary_mismatch(7 / 90 - 0.02) * boundary_mismatch(7 / 90 + 0.02) < 0
+
+    def test_mismatch_array_equals_scalar_calls(self):
+        mu = np.linspace(7 / 90 + 0.02, 8.0, 50)
+        assert isinstance(boundary_mismatch(float(mu[0])), float)
+        assert np.array_equal(boundary_mismatch(mu), [boundary_mismatch(float(m)) for m in mu])
+        with pytest.raises(ValueError, match="finite"):
+            boundary_mismatch(np.array([0.1, np.nan]))
 
     def test_root_value_and_residual(self):
         rep = solve_c()
@@ -109,6 +166,33 @@ class TestBruteForce:
         # variance sum equals the grid eigenvalue up to the O(dx) boundary-point
         # artifact in <xbar> (the sawtooth's identification point)
         assert s == pytest.approx(rep.c, abs=2e-5)
+
+    def test_conjugate_gradient_matches_scipy(self):
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        n = 256
+        spec = GridSpec(points=n, xmin=-4.0, xmax=4.0)
+        apply_a, precondition = _modular_operator(spec, 1.0)
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b /= np.linalg.norm(b)
+        want, info = cg(
+            LinearOperator((n, n), matvec=apply_a, dtype=complex),
+            b,
+            rtol=CG_RTOL,
+            maxiter=CG_MAX_STEPS,
+            M=LinearOperator((n, n), matvec=precondition, dtype=complex),
+        )
+        assert info == 0
+        assert np.max(np.abs(_conjugate_gradient(apply_a, precondition, b) - want)) < 1e-12
+
+    def test_conjugate_gradient_budget_raises(self, monkeypatch):
+        spec = GridSpec(points=256, xmin=-4.0, xmax=4.0)
+        apply_a, precondition = _modular_operator(spec, 1.0)
+        b = np.random.default_rng(3).normal(size=256) + 0j
+        monkeypatch.setattr(spectral, "CG_MAX_STEPS", 2)
+        with pytest.raises(RuntimeError, match="in 2 steps"):
+            _conjugate_gradient(apply_a, precondition, b)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

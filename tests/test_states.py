@@ -6,6 +6,7 @@ import pytest
 from modint.grids import GRAM_BLOCK, GridSpec, TwoParticleGridState
 from modint.modvar import H_PLANCK, fringe_function
 from modint.states import (
+    FOURIER_BLOCK,
     GaussianEnvelope,
     MixtureState,
     SincEnvelope,
@@ -80,6 +81,16 @@ class TestEnvelopes:
         want = np.trapezoid(ph * tab._v[None, :], tab._x, axis=1) / np.sqrt(2 * np.pi)
         assert np.array_equal(tab.fourier(p)[idx], want)
         assert tab.fourier(p[1]) == tab.fourier(p)[1]
+
+    def test_tabulated_fourier_blocks_sized_by_samples(self):
+        xs = np.linspace(-30.0, 30.0, 601)
+        tab = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
+        rows = FOURIER_BLOCK // xs.size
+        p = np.linspace(-3.0, 3.0, 2 * rows + 7)
+        idx = [0, rows - 1, rows, 2 * rows, p.size - 1]
+        ph = np.exp(-1j * np.outer(p[idx], tab._x))
+        want = np.trapezoid(ph * tab._v[None, :], tab._x, axis=1) / np.sqrt(2 * np.pi)
+        assert np.array_equal(tab.fourier(p)[idx], want)
 
     def test_descriptor_round_trip(self):
         for env in (GaussianEnvelope(2.5), SincEnvelope(1.25)):
@@ -179,6 +190,21 @@ class TestBuilders:
             build_multislit(0, L=1.0, envelope=WIDE)
         with pytest.raises(ValueError):
             build_smp(2, x0=0.0, N0=1, lam=-1.0, envelope=WIDE)
+
+    @pytest.mark.parametrize("x0", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x0: build_smp(2, x0, 1, 1.0, WIDE),
+            lambda x0: build_mpe(2, x0, 1, 1.0, WIDE),
+            lambda x0: build_classical_correlated(2, x0, 1, 1.0, WIDE),
+            lambda x0: admixture_state(0.5, 2, 1.0, WIDE, x0),
+        ],
+        ids=["smp", "mpe", "classical", "admixture"],
+    )
+    def test_comb_builders_reject_nonfinite_x0(self, build, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            build(x0)
 
 
 class TestMixtures:
