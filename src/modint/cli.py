@@ -24,6 +24,15 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a CliError, so it is one line, not a usage block.
+
+    Subparsers are built with the parser's own class, so they inherit this."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _write_output(text: str, output: str | None):
     if output:
         with open(output, "w") as fh:
@@ -219,7 +228,7 @@ def _add_state_options(p, two_particle_default="mpe"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="modint",
         description="Modular-variable interference and entanglement toolkit (hbar = 1)",
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,21 +46,9 @@ class CriterionReport:
     contained_mass: float  # smallest share of a component's mass on its grid
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "var_N_tot": self.var_N_tot,
-                "var_mod_rel": self.var_mod_rel,
-                "lhs": self.lhs,
-                "bound": self.bound,
-                "violated": self.violated,
-                "marginal": self.marginal,
-                "axis": self.axis,
-                "c": {"value": self.c_value, "method": self.c_method},
-                "grid_points": self.grid_points,
-                "contained_mass": self.contained_mass,
-            },
-            sort_keys=True,
-        )
+        d = asdict(self)
+        d["c"] = {"value": d.pop("c_value"), "method": d.pop("c_method")}
+        return json.dumps(d, sort_keys=True)
 
 
 def criterion_bound() -> float:

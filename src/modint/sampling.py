@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -76,26 +76,7 @@ class EstimateReport:
         return 0.5 * (self.ci_high - self.ci_low)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "var_mod_rel_hat": self.var_mod_rel_hat,
-                "var_N_tot_hat": self.var_N_tot_hat,
-                "lhs_hat": self.lhs_hat,
-                "ci_low": self.ci_low,
-                "ci_high": self.ci_high,
-                "ci_halfwidth": self.ci_halfwidth,
-                "n": self.n,
-                "bound": self.bound,
-                "verdict": self.verdict,
-                "clamped": self.clamped,
-                "n_position": self.n_position,
-                "n_momentum": self.n_momentum,
-                "bootstrap_resamples": self.bootstrap_resamples,
-                "bootstrap_bins_rel": self.bootstrap_bins_rel,
-                "bootstrap_bins_tot": self.bootstrap_bins_tot,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self) | {"ci_halfwidth": self.ci_halfwidth}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Criterion constant c: the smallest eigenvalue of N_p^2 + xbar^2/ell^2.
 
 Three independent routes: a Kummer-function shooting solve of the boundary
-problem, the second-order perturbative value 7/90, and a matrix-free grid
-diagonalization used as a numerical oracle.
+problem, the second-order perturbative value 7/90, and a dense grid
+diagonalization of one period, used as a numerical oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class EigenSolveReport:
 
 KUMMER_MAX_TERMS = 500  # power-series terms kummer_M sums before it gives up
 KUMMER_TOL = 1e-12  # rounding error kummer_M accepts, absolute or relative to |M| > 1
-CG_RTOL = 1e-12  # residual, relative to the right-hand side, that ends a CG solve
-CG_MAX_STEPS = 20000  # CG steps before brute_force_c's inner solve gives up
+BRUTE_MAX_POINTS_PER_PERIOD = 4096  # largest dense block brute_force_c diagonalizes
+BRUTE_MAX_POINTS = 2**22  # largest full grid brute_force_c builds
 
 
 def kummer_M(a, b: float, x: float):
@@ -140,113 +140,63 @@ def perturbative_c() -> float:
 
 
 def _modular_operator(spec: GridSpec, ell: float):
-    """N_p^2 + xbar^2/ell^2 on a periodic grid, applied matrix-free (two FFTs),
-    and its Fourier-diagonal preconditioner: the kinetic term plus the mean
-    potential 1/12."""
-    xbar = modular_part(spec.x, ell)
-    npv = integer_part(spec.p, ModularScale(ell).momentum_period)
-    pot = xbar**2 / ell**2
-    pre_diag = 1.0 / (npv**2 + 1.0 / 12.0)
-
-    def apply_a(psi):
-        return np.fft.ifft(npv**2 * np.fft.fft(psi)) + pot * psi
-
-    def precondition(v):
-        return np.fft.ifft(pre_diag * np.fft.fft(v))
-
-    return apply_a, precondition
-
-
-def _conjugate_gradient(apply_a, precondition, b):
-    """Preconditioned conjugate gradients for A x = b, A Hermitian positive definite.
-
-    Starts from x = 0 and stops once |b - A x| < CG_RTOL |b|; raises
-    RuntimeError if CG_MAX_STEPS steps do not get there.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    atol = CG_RTOL * np.linalg.norm(b)
-    p = rho_prev = None
-    for _ in range(CG_MAX_STEPS):
-        if np.linalg.norm(r) < atol:
-            return x
-        z = precondition(r)
-        rho = np.vdot(r, z)
-        if p is None:
-            p = z
-        else:  # in place, as scipy's cg does, so the iterates agree bit for bit
-            p *= rho / rho_prev
-            p += z
-        q = apply_a(p)
-        alpha = rho / np.vdot(p, q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho
-    raise RuntimeError(f"conjugate gradients did not reach rtol={CG_RTOL} in {CG_MAX_STEPS} steps")
+    """N_p^2 + xbar^2/ell^2 on a periodic grid, applied matrix-free (two FFTs)."""
+    pot = (modular_part(spec.x, ell) / ell) ** 2
+    npv2 = integer_part(spec.p, ModularScale(ell).momentum_period) ** 2
+    return lambda psi: np.fft.ifft(npv2 * np.fft.fft(psi)) + pot * psi
 
 
 def brute_force_c(
     periods: int = 32,
     points_per_period: int = 128,
     ell: float = 1.0,
-    tol: float = 1e-11,
-    max_iter: int = 100,
-    seed: int = 0,
     n_eigenvalues: int = 3,
 ) -> EigenSolveReport:
     """Oracle: smallest eigenvalue of N_p^2 + xbar^2/ell^2 on a periodic grid.
 
-    The operator is applied matrix-free (two FFTs per application); the ground
-    eigenvalue comes from inverse power iteration with preconditioned
-    conjugate-gradient inner solves started from a random vector, which scans
-    all modular-momentum fibers.  The spectrum head comes from a dense
-    eigensolve inside the zero fiber, where the eigenvalues are nondegenerate.
+    The grid spans `periods` periods of `m` points, m being points_per_period
+    rounded up to a power of two. The operator commutes with translation by
+    ell, so it splits into one block per modular momentum, and each block is
+    the one-period problem with its integer momenta relabelled: every block
+    has the spectrum of the first. `c`, the spectrum head and the ground state
+    come from one dense eigensolve of that m x m block, the kinetic term a
+    real circulant and the potential xbar^2/ell^2 on the grid's first period.
+    The ground state is the block's eigenvector repeated over all periods;
+    `residual` is |A psi - c psi| for the full-grid operator A applied
+    matrix-free, which checks the reduction at run time.
+
+    `periods` must be a power of two, so the grid is one too. Raises
+    ValueError, before anything is allocated, when m exceeds
+    BRUTE_MAX_POINTS_PER_PERIOD (the block holds m^2 floats) or the grid
+    exceeds BRUTE_MAX_POINTS.
     """
     if periods < 8 or points_per_period < 32:
         raise ValueError("need periods >= 8 and points_per_period >= 32")
-    n = periods * points_per_period
-    n = 1 << (n - 1).bit_length()
-    points_per_period = n // periods
-    spec = GridSpec(points=n, xmin=-periods * ell / 2, xmax=periods * ell / 2)
-    apply_a, precondition = _modular_operator(spec, ell)
-
-    def inverse_power(v0):
-        v = v0 / np.linalg.norm(v0)
-        mu = float(np.real(np.vdot(v, apply_a(v))))
-        for _ in range(max_iter):
-            w = _conjugate_gradient(apply_a, precondition, v)
-            w = w / np.linalg.norm(w)
-            mu_new = float(np.real(np.vdot(w, apply_a(w))))
-            v = w
-            if abs(mu_new - mu) < tol:
-                mu = mu_new
-                break
-            mu = mu_new
-        else:
-            raise RuntimeError(f"inverse power iteration did not converge in {max_iter} steps")
-        return mu, v
-
-    rng = np.random.default_rng(seed)
-    v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    mu0, ground = inverse_power(v0)
-    residual = float(np.linalg.norm(apply_a(ground) - mu0 * ground))
-
-    # Spectrum head from the zero modular-momentum fiber: the fiber problem
-    # lives on a single period with periodic boundaries, so a dense Hermitian
-    # eigensolve on points_per_period points is cheap and avoids the slow
-    # power-iteration separation of nearly degenerate excited pairs.
-    m = points_per_period
-    k_int = np.rint(np.fft.fftfreq(m, 1.0 / m)).astype(int)
-    f = np.fft.fft(np.eye(m), axis=0)
-    kinetic = np.conj(f.T) @ (k_int[:, None] ** 2 * f) / m
-    u = np.arange(m) / m - 0.5  # same xbar/ell sampling as the full grid
-    fiber = kinetic + np.diag(u**2)
-    mu_fiber = np.linalg.eigvalsh(fiber)
-    head = list(mu_fiber[:n_eigenvalues])
-
+    if periods & (periods - 1):
+        raise ValueError(f"periods must be a power of two, got {periods}")
+    m = 1 << (points_per_period - 1).bit_length()
+    if m > BRUTE_MAX_POINTS_PER_PERIOD:
+        raise ValueError(
+            f"points_per_period rounds up to {m}, above the dense-block limit "
+            f"BRUTE_MAX_POINTS_PER_PERIOD = {BRUTE_MAX_POINTS_PER_PERIOD}"
+        )
+    if periods * m > BRUTE_MAX_POINTS:
+        raise ValueError(
+            f"grid of {periods} x {m} points exceeds BRUTE_MAX_POINTS = {BRUTE_MAX_POINTS}"
+        )
+    spec = GridSpec(points=periods * m, xmin=-periods * ell / 2, xmax=periods * ell / 2)
+    k = np.rint(np.fft.fftfreq(m, 1.0 / m))
+    column = np.fft.ifft(k**2).real
+    offsets = np.arange(m)
+    block = column[(offsets[:, None] - offsets[None, :]) % m]
+    block[offsets, offsets] += (modular_part(spec.x[:m], ell) / ell) ** 2
+    mu, vectors = np.linalg.eigh(block)
+    c = float(mu[0])
+    ground = np.tile(vectors[:, 0], periods) / math.sqrt(periods)
+    residual = float(np.linalg.norm(_modular_operator(spec, ell)(ground) - c * ground))
     return EigenSolveReport(
-        c=mu0,
-        mu_spectrum_head=head,
+        c=c,
+        mu_spectrum_head=[float(v) for v in mu[:n_eigenvalues]],
         method="brute_force",
         residual=residual,
         ground_state=GridState(spec, ground),

@@ -281,6 +281,28 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["criterion", "--N", "abc"], "--N"),
+            (["sample", "--x0", "-inf"], "--x0"),
+            (["constant", "--method", "newton"], "--method"),
+            ([], "command"),
+        ],
+        ids=["type", "missing-value", "choice", "no-subcommand"],
+    )
+    def test_argparse_error_is_one_line(self, argv, name):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_help_still_exits_0(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["criterion", "--help"])
+        assert exc.value.code == 0
+
     @pytest.mark.parametrize("eps", ["1.5", "-0.5"])
     def test_epsilon_out_of_range_exits_2(self, eps):
         code, out, err = run_cli(["criterion", "--state", "admixture", "--epsilon", eps])

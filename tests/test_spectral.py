@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from modint.grids import GridSpec, observable_variance
+from modint.cli import main
+from modint.grids import observable_variance
 from modint.modvar import ModularScale
 from modint import spectral
 from modint.spectral import (
-    CG_MAX_STEPS,
-    CG_RTOL,
+    BRUTE_MAX_POINTS,
+    BRUTE_MAX_POINTS_PER_PERIOD,
     KUMMER_MAX_TERMS,
-    _conjugate_gradient,
     _modular_operator,
     boundary_mismatch,
     brute_force_c,
@@ -167,35 +167,54 @@ class TestBruteForce:
         # artifact in <xbar> (the sawtooth's identification point)
         assert s == pytest.approx(rep.c, abs=2e-5)
 
-    def test_conjugate_gradient_matches_scipy(self):
-        from scipy.sparse.linalg import LinearOperator, cg
-
-        n = 256
-        spec = GridSpec(points=n, xmin=-4.0, xmax=4.0)
-        apply_a, precondition = _modular_operator(spec, 1.0)
-        rng = np.random.default_rng(3)
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        b /= np.linalg.norm(b)
-        want, info = cg(
-            LinearOperator((n, n), matvec=apply_a, dtype=complex),
-            b,
-            rtol=CG_RTOL,
-            maxiter=CG_MAX_STEPS,
-            M=LinearOperator((n, n), matvec=precondition, dtype=complex),
-        )
-        assert info == 0
-        assert np.max(np.abs(_conjugate_gradient(apply_a, precondition, b) - want)) < 1e-12
-
-    def test_conjugate_gradient_budget_raises(self, monkeypatch):
-        spec = GridSpec(points=256, xmin=-4.0, xmax=4.0)
-        apply_a, precondition = _modular_operator(spec, 1.0)
-        b = np.random.default_rng(3).normal(size=256) + 0j
-        monkeypatch.setattr(spectral, "CG_MAX_STEPS", 2)
-        with pytest.raises(RuntimeError, match="in 2 steps"):
-            _conjugate_gradient(apply_a, precondition, b)
+    def test_matches_dense_full_grid_spectrum(self):
+        # independent of the one-period reduction: the whole 8 x 32 grid's
+        # operator as a dense matrix, one column per unit vector
+        rep = brute_force_c(periods=8, points_per_period=32)
+        spec = rep.ground_state.spec
+        assert spec.points == 256
+        full = _modular_operator(spec, 1.0)(np.eye(spec.points)).T
+        mu = np.linalg.eigvalsh(full)
+        # one copy of each level per modular momentum block
+        assert np.max(np.abs(mu[:8] - rep.c)) < 1e-12
+        assert np.max(np.abs(mu[8:16] - rep.mu_spectrum_head[1])) < 1e-12
+        assert rep.residual < 1e-12
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             brute_force_c(periods=4)
         with pytest.raises(ValueError):
             brute_force_c(points_per_period=16)
+        with pytest.raises(ValueError, match="power of two"):
+            brute_force_c(periods=24)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--periods", "24"], "power of two"),
+            (["--points-per-period", str(BRUTE_MAX_POINTS_PER_PERIOD + 1)], "dense-block limit"),
+        ],
+    )
+    def test_bad_grid_exits_2_from_cli(self, flags, message, capsys):
+        assert main(["constant", "--method", "brute", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "periods, points_per_period, limit",
+        [
+            (8, BRUTE_MAX_POINTS_PER_PERIOD + 1, "BRUTE_MAX_POINTS_PER_PERIOD"),
+            (2 * BRUTE_MAX_POINTS // 32, 32, "BRUTE_MAX_POINTS ="),
+        ],
+    )
+    def test_work_budget_raises_before_allocating(self, periods, points_per_period, limit, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built the block past the work budget")
+
+        # the block's momenta come first, the eigensolve last
+        monkeypatch.setattr(np.fft, "fftfreq", no_work)
+        monkeypatch.setattr(np.linalg, "eigh", no_work)
+        with pytest.raises(ValueError, match=limit):
+            brute_force_c(periods=periods, points_per_period=points_per_period)
