@@ -261,7 +261,8 @@ def _bca_interval(boot: np.ndarray, stat: float, infl: np.ndarray, level: float 
     normal = NormalDist()
     z0 = normal.inv_cdf(float(prop))
     denom = float(infl @ infl) ** 1.5
-    accel = float((infl**3).sum()) / (6.0 * denom) if denom > 0 else 0.0
+    # infl * infl * infl, not infl**3: numpy's power takes libm's slow pow here
+    accel = float((infl * infl * infl).sum()) / (6.0 * denom) if denom > 0 else 0.0
     alpha = 0.5 * (1.0 - level)
     z = np.array([normal.inv_cdf(alpha), normal.inv_cdf(1.0 - alpha)])
     adj = np.array([normal.cdf(u) for u in z0 + (z0 + z) / (1.0 - accel * (z0 + z))])

@@ -340,8 +340,17 @@ class TestErrors:
             (["fringes", "--periods", "0"], "--periods"),
             (["protocol", "--steps", "0"], "--steps"),
             (["criterion", "--x0", "inf"], "x0"),
+            (["criterion", "--state", "mpe", "--N", "2", "--sigma", "inf"], "sigma_x"),
+            (["sample", "--state", "mpe", "--N", "2", "--sigma", "inf"], "sigma_x"),
+            (["fringes", "--state", "smp", "--sigma", "inf"], "sigma_x"),
+            (["protocol", "--sigma", "inf", "--steps", "2"], "sigma_x"),
+            (["criterion", "--state", "mpe", "--N", "2", "--sigma", "8", "--lam", "inf"], "lambda"),
+            (["robustness", "--N", "100000"], "overlap quadrature"),
         ],
-        ids=["grid-points", "periods", "steps", "x0"],
+        ids=[
+            "grid-points", "periods", "steps", "x0", "criterion-sigma", "sample-sigma",
+            "fringes-sigma", "protocol-sigma", "lam", "overlap-budget",
+        ],
     )
     def test_degenerate_size_or_position_exits_2(self, argv, name):
         code, out, err = run_cli(argv)

@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modint import states
 from modint.grids import GRAM_BLOCK, GridSpec, TwoParticleGridState
 from modint.modvar import H_PLANCK, fringe_function
 from modint.states import (
@@ -99,10 +103,84 @@ class TestEnvelopes:
             assert np.allclose(clone(x), env(x))
 
     def test_invalid_widths(self):
-        with pytest.raises(ValueError):
-            GaussianEnvelope(0.0)
-        with pytest.raises(ValueError):
-            SincEnvelope(-1.0)
+        for width in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="sigma_x must be positive and finite"):
+                GaussianEnvelope(width)
+            with pytest.raises(ValueError, match="d must be positive and finite"):
+                SincEnvelope(width)
+
+
+GAUSSIAN_WIDTHS = [0.05, 1.0, 8.0, 16.0]
+# exponents in the normal range, the subnormal band (-745.13, -708.4) and below
+# -746, where exp is +0.0; the neighbours of -746 itself are included
+EXPONENTS = np.concatenate(
+    [
+        -np.linspace(0.0, 708.0, 301),
+        -np.linspace(708.4, 745.2, 301),
+        [-745.13, -745.14, np.nextafter(-746.0, 0.0), -746.0, np.nextafter(-746.0, -np.inf)],
+        -np.geomspace(746.0, 1e12, 41),
+    ]
+)
+
+
+def _gaussian_by_formula(sigma, x, p):
+    """The two Gaussian amplitudes written out with one np.exp over every argument."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    position = (2 * math.pi * sigma**2) ** -0.25 * np.exp(-(x**2) / (4 * sigma**2))
+    momentum = (2 * sigma**2 / math.pi) ** 0.25 * np.exp(-(sigma**2) * p**2)
+    return position, momentum
+
+
+def _assert_gaussian_bitwise(sigma, x, p):
+    env = GaussianEnvelope(sigma)
+    with np.errstate(over="ignore"):  # huge arguments square to inf on both sides
+        want_x, want_p = _gaussian_by_formula(sigma, x, p)
+        got_x, got_p = env(x), env.fourier(p)
+    for got, want in ((got_x, want_x), (got_p, want_p)):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestGaussianValuesBitwise:
+    """The envelope skips exps that round to +0.0; every value stays the plain formula's."""
+
+    @pytest.mark.parametrize("sigma", GAUSSIAN_WIDTHS)
+    def test_every_exponent_band(self, sigma):
+        for sign in (1.0, -1.0):
+            x = sign * 2 * sigma * np.sqrt(-EXPONENTS)
+            p = sign * np.sqrt(-EXPONENTS) / sigma
+            _assert_gaussian_bitwise(sigma, x, p)
+            # only live arguments, and each one on its own
+            _assert_gaussian_bitwise(sigma, x[:50], p[:50])
+            for i in (0, 400, 602, 604, 605, 606, 640):
+                _assert_gaussian_bitwise(sigma, x[i], p[i])
+
+    @pytest.mark.parametrize("sigma", GAUSSIAN_WIDTHS)
+    def test_nan_inf_and_shapes(self, sigma):
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300])
+        x = np.concatenate([special, 2 * sigma * np.sqrt(-EXPONENTS[::37])])
+        p = np.concatenate([special, np.sqrt(-EXPONENTS[::37]) / sigma])
+        _assert_gaussian_bitwise(sigma, x, p)
+        # 2-D arrays that hold NaN next to arguments below -746
+        _assert_gaussian_bitwise(sigma, x[: 2 * (x.size // 2)].reshape(2, -1),
+                                 p[: 2 * (p.size // 2)].reshape(-1, 2))
+        for v in special:
+            _assert_gaussian_bitwise(sigma, np.array(v), np.array(v))
+            _assert_gaussian_bitwise(sigma, v, v)
+        _assert_gaussian_bitwise(sigma, np.empty(0), np.empty((0, 3)))
+
+    @given(
+        st.sampled_from(GAUSSIAN_WIDTHS),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_any_float(self, sigma, values):
+        v = np.array(values)
+        _assert_gaussian_bitwise(sigma, v, v)
+        with np.errstate(over="ignore"):
+            _assert_gaussian_bitwise(sigma, 1e3 * v, 1e2 * v)
 
 
 class TestBuilders:
@@ -190,6 +268,21 @@ class TestBuilders:
             build_multislit(0, L=1.0, envelope=WIDE)
         with pytest.raises(ValueError):
             build_smp(2, x0=0.0, N0=1, lam=-1.0, envelope=WIDE)
+
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), 0.0])
+    def test_comb_builders_reject_nonfinite_lambda_before_warning(self, lam):
+        # a UserWarning would fail the test first: pytest turns it into an error
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            build_mpe(2, 0.0, 1, lam, WIDE)
+
+    def test_overlap_quadrature_over_budget_raises_before_any_row(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("built quadrature rows for a state over the budget")
+
+        monkeypatch.setattr(states, "_amplitude_rows", no_rows)
+        # 2000 packets on 2**22 points: 1.7e13 multiply-adds
+        with pytest.raises(ValueError, match=r"2000 packets on 4194304 points.*budget of 1e\+11"):
+            build_mpe(2000, 0.0, 1, 1.0, WIDE)
 
     @pytest.mark.parametrize("x0", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize(
