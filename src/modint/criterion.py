@@ -123,18 +123,12 @@ def evaluate_criterion(
 # robustness against classically correlated admixtures
 
 
-def robustness_threshold(
-    N: int,
-    method: str = "closed_form",
-    lam: float = 1.0,
-    envelope=None,
-    points_per_ell: int = 128,
-    tol: float = 1e-6,
-) -> float:
+def robustness_threshold(N: int, method: str = "closed_form") -> float:
     """Largest classical admixture fraction that still violates the criterion.
 
     Closed form (ideal envelopes): eps* = (12 c - 1 + S2(N)) / S2(N).
-    The bisection route evaluates the exact mixture on grids instead.
+    The bisection route evaluates the exact mixture on grids instead, at
+    lambda = 1 with sigma_x = 6 lambda and 128 grid points per lambda, to 1e-6.
     """
     N = int(N)
     if N < 2:
@@ -147,12 +141,13 @@ def robustness_threshold(
     if method != "bisection":
         raise ValueError(f"unknown method {method!r}")
 
-    scale = ModularScale(lam)
-    envelope = envelope or GaussianEnvelope(sigma_x=6.0 * lam)
-    pure = build_mpe(N, 0.0, 1, lam, envelope)
-    classical = build_classical_correlated(N, 0.0, 1, lam, envelope)
-    stats = [_component_stats(pure, scale, "momentum", points_per_ell)] + [
-        _component_stats(st, scale, "momentum", points_per_ell) for _, st in classical.components
+    scale = ModularScale(1.0)
+    envelope = GaussianEnvelope(sigma_x=6.0)
+    pure = build_mpe(N, 0.0, 1, 1.0, envelope)
+    classical = build_classical_correlated(N, 0.0, 1, 1.0, envelope)
+    stats = [
+        _component_stats(st, scale, "momentum", 128)
+        for st in [pure] + [st for _, st in classical.components]
     ]
     bound = criterion_bound()
 
@@ -167,7 +162,7 @@ def robustness_threshold(
     if lhs(1.0) < bound:
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if lhs(mid) < bound:
             lo = mid
@@ -176,14 +171,14 @@ def robustness_threshold(
     return 0.5 * (lo + hi)
 
 
-def visibility_of_admixture(
-    epsilon: float, N: int, lam: float = 1.0, sigma_over_lambda: float = 50.0
-) -> float:
-    """Relative-coordinate fringe visibility of the admixed joint density."""
+def visibility_of_admixture(epsilon: float, N: int) -> float:
+    """Relative-coordinate fringe visibility of the admixed joint density.
+
+    At lambda = 1 with sigma_x = 50 lambda, over one period of x1 - x2.
+    """
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
-    env = GaussianEnvelope(sigma_x=sigma_over_lambda * lam)
-    state = admixture_state(epsilon, int(N), lam=lam, envelope=env)
-    delta = np.linspace(-lam / 2, lam / 2, 801)
+    state = admixture_state(epsilon, int(N), lam=1.0, envelope=GaussianEnvelope(sigma_x=50.0))
+    delta = np.linspace(-0.5, 0.5, 801)
     dens = joint_position_density(state, delta / 2, -delta / 2)
-    return fit_fringe_visibility(delta, dens, int(N), lam)
+    return fit_fringe_visibility(delta, dens, int(N), 1.0)

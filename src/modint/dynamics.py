@@ -3,6 +3,7 @@ visibility study for dissociation-style pair generation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,10 @@ class PropagationParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"time must be nonnegative and finite, got {self.time}")
 
 
 SUPPORT_TAIL = 1e-9  # weight a row may leave outside its momentum and position supports
@@ -91,15 +92,15 @@ def far_field_momentum_density(state: GridState, params: PropagationParams):
 # fringe visibility
 
 
-def fit_fringe_visibility(r, density, N: int, lam: float, phase: float = 0.0) -> float:
-    """Visibility from a least-squares fit of a*F_N((r - phase)/lam) + b.
+def fit_fringe_visibility(r, density, N: int, lam: float) -> float:
+    """Visibility from a least-squares fit of a*F_N(r/lam) + b.
 
     More robust against envelope curvature than a raw max/min read-off.
     Returns a*N / (a*N + 2*b), the contrast of the fitted pattern, in [0, 1].
     """
     r = np.asarray(r, dtype=float)
     density = np.asarray(density, dtype=float)
-    basis = np.column_stack([fringe_function(N, (r - phase) / lam), np.ones_like(r)])
+    basis = np.column_stack([fringe_function(N, r / lam), np.ones_like(r)])
     (a, b), *_ = np.linalg.lstsq(basis, density, rcond=None)
     if a <= 0:
         return 0.0
@@ -130,6 +131,8 @@ class ProtocolSpec:
             raise ValueError("the protocol requires N >= 2 (a single component has no fringes)")
         if len(times) != self.N:
             raise ValueError("emission_times length must equal N")
+        if not all(map(math.isfinite, times)):
+            raise ValueError(f"emission times must be finite, got {times}")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("emission times must be non-decreasing")
         if not self.lam > 0 or not self.mass > 0:
@@ -177,8 +180,10 @@ def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
     B_m conj(B_n)(x - r) dx the plane waves cancel in x, leaving a gaussian
     integral: rho_rel(r) = Re sum_mn exp(i (p_m - p_n) r) C_mn exp(-beta_mn r^2 / 2).
     """
-    if meeting_time <= spec.emission_times[-1]:
-        raise ValueError("meeting_time must lie after the last emission")
+    if not spec.emission_times[-1] < meeting_time < math.inf:
+        raise ValueError(
+            f"meeting_time must be finite and lie after the last emission, got {meeting_time}"
+        )
     sigma = spec.envelope.sigma_x
     per = H_PLANCK / spec.lam
     dwells = meeting_time - np.asarray(spec.emission_times)

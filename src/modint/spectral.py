@@ -149,10 +149,9 @@ def _modular_operator(spec: GridSpec, ell: float):
 def brute_force_c(
     periods: int = 32,
     points_per_period: int = 128,
-    ell: float = 1.0,
     n_eigenvalues: int = 3,
 ) -> EigenSolveReport:
-    """Oracle: smallest eigenvalue of N_p^2 + xbar^2/ell^2 on a periodic grid.
+    """Oracle: smallest eigenvalue of N_p^2 + xbar^2/ell^2 on a periodic grid, at ell = 1.
 
     The grid spans `periods` periods of `m` points, m being points_per_period
     rounded up to a power of two. The operator commutes with translation by
@@ -184,16 +183,16 @@ def brute_force_c(
         raise ValueError(
             f"grid of {periods} x {m} points exceeds BRUTE_MAX_POINTS = {BRUTE_MAX_POINTS}"
         )
-    spec = GridSpec(points=periods * m, xmin=-periods * ell / 2, xmax=periods * ell / 2)
+    spec = GridSpec(points=periods * m, xmin=-periods / 2, xmax=periods / 2)
     k = np.rint(np.fft.fftfreq(m, 1.0 / m))
     column = np.fft.ifft(k**2).real
     offsets = np.arange(m)
     block = column[(offsets[:, None] - offsets[None, :]) % m]
-    block[offsets, offsets] += (modular_part(spec.x[:m], ell) / ell) ** 2
+    block[offsets, offsets] += modular_part(spec.x[:m], 1.0) ** 2
     mu, vectors = np.linalg.eigh(block)
     c = float(mu[0])
     ground = np.tile(vectors[:, 0], periods) / math.sqrt(periods)
-    residual = float(np.linalg.norm(_modular_operator(spec, ell)(ground) - c * ground))
+    residual = float(np.linalg.norm(_modular_operator(spec, 1.0)(ground) - c * ground))
     return EigenSolveReport(
         c=c,
         mu_spectrum_head=[float(v) for v in mu[:n_eigenvalues]],

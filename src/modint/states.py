@@ -67,8 +67,9 @@ def _exp_skipping_zeros(u: np.ndarray) -> np.ndarray:
 
 
 def _check_width(name: str, value: float):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    # the amplitudes divide by the square, which must neither underflow nor overflow
+    if not (value > 0 and 0 < value * value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, and so must its square: {value}")
 
 
 @dataclass(frozen=True)
@@ -123,47 +124,76 @@ class SincEnvelope(Envelope):
         return {"kind": "sinc", "d": self.d}
 
 
-FOURIER_BLOCK = 1 << 18  # momentum x sample entries per block in TabulatedEnvelope.fourier
+SPLINE_PAD = 32  # zero samples on each side of a table; the prefilter ends are exact to z**32
+SPLINE_POLE = math.sqrt(3.0) - 2.0  # z, the pole of the cubic B-spline interpolation prefilter
+SPLINE_GRAM = np.array([2416.0, 1191.0, 120.0, 1.0]) / 5040  # int beta3(t) beta3(t - j) dt, j < 4
 
 
 class TabulatedEnvelope(Envelope):
-    """Envelope interpolated from samples, renormalized numerically."""
+    """Cubic B-spline through samples on a uniform lattice, with its exact Fourier transform.
+
+    phi(x) = sum_k c_k beta3((x - x_k) / dx) over the lattice extended by
+    SPLINE_PAD zero samples on each side; the coefficients c make phi pass
+    through every sample, and the norm of phi is exact. The transform is
+    dx / sqrt(2 pi) sinc^4(p dx / 2 pi) e^{-i p x_0} sum_k c_k e^{-i p k dx},
+    which vanishes at every nonzero multiple of 2 pi / dx.
+    """
 
     kind = "tabulated"
 
     def __init__(self, x, values):
-        from scipy.interpolate import interp1d  # slow to import; only this envelope needs it
-
         x = np.asarray(x, dtype=float)
         values = np.asarray(values, dtype=complex)
         if x.ndim != 1 or x.shape != values.shape or x.size < 8:
             raise ValueError("need matching 1-D sample arrays of length >= 8")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        nrm = math.sqrt(float(np.trapezoid(np.abs(values) ** 2, x)))
-        if nrm == 0:
-            raise ValueError("cannot normalize zero samples")
+        dx = (x[-1] - x[0]) / (x.size - 1)
+        if not (0 < dx < math.inf and np.allclose(np.diff(x), dx, rtol=1e-9, atol=0)):
+            raise ValueError("sample abscissae must be uniformly spaced and increasing")
+        z = SPLINE_POLE
+        c = np.concatenate([np.zeros(SPLINE_PAD), 6.0 * values, np.zeros(SPLINE_PAD)]).tolist()
+        for k in range(1, len(c)):  # causal pass, started at the zero pad
+            c[k] += z * c[k - 1]
+        c[-1] *= z / (z * z - 1)  # anticausal start for zeros continuing past the pad
+        for k in range(len(c) - 2, -1, -1):
+            c[k] = z * (c[k + 1] - c[k])
+        c = np.array(c)
+        lags = [np.vdot(c[: c.size - j], c[j:]).real for j in range(4)]
+        nrm2 = dx * (SPLINE_GRAM[0] * lags[0] + 2 * np.dot(SPLINE_GRAM[1:], lags[1:]))
+        if not 0 < nrm2 < math.inf:
+            raise ValueError("samples must have a finite, nonzero norm")
+        nrm = math.sqrt(nrm2)
         self._x = x
         self._v = values / nrm
-        self._interp_re = interp1d(x, self._v.real, kind="cubic", bounds_error=False, fill_value=0.0)
-        self._interp_im = interp1d(x, self._v.imag, kind="cubic", bounds_error=False, fill_value=0.0)
+        # four more zero coefficients on each side keep every tap of __call__ in range
+        self._c = np.concatenate([np.zeros(4), c / nrm, np.zeros(4)])
+        self._dx = dx
+        self._x_first = x[0] - (SPLINE_PAD + 4) * dx  # the knot of _c[0]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._interp_re(x) + 1j * self._interp_im(x)
+        # lattice coordinate; below 1 and above size - 3 every tap is a zero coefficient
+        t = (np.asarray(x, dtype=float) - self._x_first) / self._dx
+        t = np.clip(t, 1.0, self._c.size - 3.0)
+        j = np.fmax(np.floor(t), 1.0)  # a NaN takes dead taps, and its weights stay NaN
+        f = t - j
+        f2, f3 = f * f, f * f * f
+        i = j.astype(np.intp)
+        c = self._c
+        return (
+            (1 - f) ** 3 * c[i - 1]
+            + (4 - 6 * f2 + 3 * f3) * c[i]
+            + (1 + 3 * f + 3 * f2 - 3 * f3) * c[i + 1]
+            + f3 * c[i + 2]
+        ) / 6
 
     def fourier(self, p):
-        p = np.asarray(p, dtype=float).ravel()
-        # direct quadrature on the tabulated support, in blocks of about
-        # FOURIER_BLOCK momentum x sample entries
-        rows = max(1, FOURIER_BLOCK // self._x.size)
-        out = np.empty(p.size, dtype=complex)
-        for s in range(0, p.size, rows):
-            ph = np.exp(-1j * np.outer(p[s : s + rows], self._x))
-            out[s : s + rows] = np.trapezoid(ph * self._v, self._x, axis=1)
-        out /= math.sqrt(TWO_PI)
-        return out if out.size > 1 else out[0]
+        p = np.asarray(p, dtype=float)
+        w = np.exp(-1j * self._dx * p)
+        s = np.zeros(p.shape, dtype=complex)
+        for ck in self._c[::-1]:  # Horner's rule in w
+            s *= w
+            s += ck
+        scale = self._dx / math.sqrt(TWO_PI) * np.sinc(self._dx * p / TWO_PI) ** 4
+        return scale * np.exp(-1j * self._x_first * p) * s
 
     @property
     def width(self):
@@ -244,8 +274,9 @@ def envelope_values(packets, kind: str, v) -> tuple[list, list[int]]:
 GRID_PAD = 8.0  # envelope widths default_grid covers beyond the outermost packets
 QUADRATURE_PAD = 10.0  # the same for the overlap quadrature
 QUADRATURE_MIN_POINTS = 4096
-# Largest overlap quadrature, in the Gram's multiply-adds K^2 * points: about a
-# minute at the ~2e9 per second it reaches (MPE N=100 at sigma=8 does 1.3e9).
+# Largest overlap quadrature, in the Gram's multiply-adds K^2 * points before the
+# points are rounded up to a power of two: about a minute at the ~2e9 per second
+# it reaches (MPE N=100 at sigma=8 does 1.3e9).
 MAX_OVERLAP_WORK = 1e11
 
 
@@ -257,10 +288,18 @@ def _reach(packets, pad: float) -> tuple[float, float]:
 
 
 def _quadrature_grid(packets) -> GridSpec:
+    """The packets' overlap quadrature grid; raises when it is over MAX_OVERLAP_WORK."""
     lo, hi = _reach(packets, QUADRATURE_PAD)
     pmax = max(abs(wp.p0) for wp in packets) + max(1.0 / wp.envelope.width for wp in packets)
-    n = max(QUADRATURE_MIN_POINTS, int(8 * pmax * (hi - lo) / TWO_PI))
-    return GridSpec(points=1 << (n - 1).bit_length(), xmin=lo, xmax=hi)
+    # a float, which extreme widths make inf, so the budget is checked before int()
+    size = max(8 * pmax * (hi - lo) / TWO_PI, QUADRATURE_MIN_POINTS)
+    work = len(packets) ** 2 * size
+    if not work <= MAX_OVERLAP_WORK:
+        raise ValueError(
+            f"the overlap quadrature of {len(packets)} packets on {size:.3g} points needs "
+            f"{work:.3g} multiply-adds, over the budget of {MAX_OVERLAP_WORK:.3g}"
+        )
+    return GridSpec(points=1 << (int(size) - 1).bit_length(), xmin=lo, xmax=hi)
 
 
 WAVE_BLOCK = 256  # grid points per fine plane-wave factor in _amplitude_rows
@@ -287,9 +326,8 @@ def _amplitude_rows(packets, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _overlap_matrix(packets) -> np.ndarray:
-    """Quadrature Gram of the packets, accumulated over sub-grids of GRAM_BLOCK points."""
-    grid = _quadrature_grid(packets)
+def _overlap_matrix(packets, grid: GridSpec) -> np.ndarray:
+    """Quadrature Gram of the packets on grid, accumulated over sub-grids of GRAM_BLOCK points."""
     block = min(GRAM_BLOCK, grid.points)
     width = grid.dx * block
     out = 0.0
@@ -319,16 +357,9 @@ class _PacketSum:
             raise ValueError(f"each term needs a coefficient and {n} packet(s)")
         coefs, *particles = zip(*self.terms)
         self.particles = tuple(particles)
-        for packets in self.particles:
-            points = _quadrature_grid(packets).points
-            work = len(packets) ** 2 * points
-            if work > MAX_OVERLAP_WORK:
-                raise ValueError(
-                    f"the overlap quadrature of {len(packets)} packets on {points} points needs "
-                    f"{work:.3g} multiply-adds, over the budget of {MAX_OVERLAP_WORK:.3g}"
-                )
+        grids = [_quadrature_grid(p) for p in self.particles]  # every budget before any row
         amps = np.array(coefs)
-        g = functools.reduce(operator.mul, (_overlap_matrix(p) for p in self.particles))
+        g = functools.reduce(operator.mul, map(_overlap_matrix, self.particles, grids))
         nrm2 = float(np.real(np.conj(amps) @ g @ amps))
         if nrm2 <= 0:
             raise ValueError("state has zero norm")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -358,6 +359,34 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--state", "multislit", "--N", "2", "--sigma", "0.1", "--time", "nan"],
+            ["protocol", "--N", "2", "--meeting-time", "nan", "--steps", "2"],
+            ["protocol", "--N", "2", "--max-stagger", "nan", "--steps", "2"],
+        ],
+        ids=["propagate-time", "meeting-time", "max-stagger"],
+    )
+    def test_nonfinite_time_exits_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--lam"])
+    def test_extreme_widths_exit_0_or_2(self, flag):
+        # widths whose square under- or overflows, or whose quadrature size does
+        for value in [f"1e{sign}{e}" for e in (100, 150, 200, 300) for sign in "+-"] + ["1e307"]:
+            with warnings.catch_warnings():
+                # narrow envelopes warn of overlapping components, which is no error
+                warnings.simplefilter("ignore", UserWarning)
+                code, _, err = run_cli(["criterion", "--state", "mpe", "--N", "2", flag, value])
+            assert code in (0, 2), value
+            if code == 2:
+                assert err.startswith("error:") and len(err.strip().splitlines()) == 1, value
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
     def test_seed_outside_64_bits_exits_2(self, seed):

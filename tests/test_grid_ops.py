@@ -384,7 +384,7 @@ class TestAmplitudeRows:
         assert grid.points > GRAM_BLOCK  # more than one sub-grid
         amps = np.array([wp.position_amplitude(grid.x) for wp in packets])
         want = gram(amps, amps, grid.dx)
-        assert np.allclose(_overlap_matrix(packets), want, rtol=0, atol=1e-12)
+        assert np.allclose(_overlap_matrix(packets, grid), want, rtol=0, atol=1e-12)
 
     def test_grid_verdict_needs_no_packet_amplitudes(self, monkeypatch):
         def fail(self, x):

@@ -211,6 +211,16 @@ class TestSampling:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, env._x.size
 
+    def test_tabulated_momentum_draws_stay_in_the_tables_band(self):
+        # |phi_hat|^2 of a sigma = 4 gaussian table has std 1 / (2 sigma) and
+        # no spectral copies beyond the table's Nyquist momentum pi / dx
+        xs = np.linspace(-30.0, 30.0, 64)
+        env = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
+        product = TwoParticleState([(1.0, WavePacket(env), WavePacket(env))])
+        s = sample_measurements(product, "momentum", 20_000, seed=1)
+        assert abs(np.std(s.records[:, 0]) - 0.125) < 0.005
+        assert np.max(np.abs(s.records)) < np.pi / (xs[1] - xs[0])
+
     def test_proposal_budget_raises_before_the_first_draw(self, monkeypatch):
         # two nearly cancelling terms: K * S = 3.2e5, so 1e4 records would need
         # 3.2e9 proposals, far over MAX_PROPOSALS
@@ -368,3 +378,28 @@ def test_import_leaves_slow_scipy_submodules_unloaded():
         check=True,
     )
     assert out.stdout.split() == ["[]", "[]"]
+
+
+def test_runs_with_scipy_blocked():
+    # scipy is a test dependency only: with its import made to fail, a tabulated
+    # envelope, its sampler and the CLI still run
+    src = str(Path(modint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "import numpy as np, modint; from modint import cli; "
+        "from modint.states import TabulatedEnvelope; "
+        "xs = np.linspace(-30.0, 30.0, 64); "
+        "env = TabulatedEnvelope(xs, modint.GaussianEnvelope(4.0)(xs)); "
+        "env(xs); env.fourier(xs); "
+        "st = modint.TwoParticleState([(1.0, modint.WavePacket(env), modint.WavePacket(env))]); "
+        "assert modint.sample_measurements(st, 'momentum', 1000, seed=0).records.shape == (1000, 2); "
+        "assert cli.main(['constant', '--method', 'all']) == 0; "
+        "assert cli.main(['criterion', '--state', 'mpe', '--N', '2']) == 0"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modint import states
-from modint.grids import GRAM_BLOCK, GridSpec, TwoParticleGridState
+from modint.grids import GridSpec, TwoParticleGridState
 from modint.modvar import H_PLANCK, fringe_function
 from modint.states import (
-    FOURIER_BLOCK,
     GaussianEnvelope,
     MixtureState,
     SincEnvelope,
@@ -76,26 +75,6 @@ class TestEnvelopes:
         p = np.linspace(-2, 2, 11)
         assert np.allclose(tab.fourier(p), g.fourier(p), atol=1e-6)
 
-    def test_tabulated_fourier_blocks_equal_the_unblocked_quadrature(self):
-        xs = np.linspace(-30.0, 30.0, 64)
-        tab = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs))
-        p = np.linspace(-3.0, 3.0, 2 * GRAM_BLOCK + 7)
-        idx = [0, GRAM_BLOCK - 1, GRAM_BLOCK, 2 * GRAM_BLOCK, p.size - 1]
-        ph = np.exp(-1j * np.outer(p[idx], tab._x))
-        want = np.trapezoid(ph * tab._v[None, :], tab._x, axis=1) / np.sqrt(2 * np.pi)
-        assert np.array_equal(tab.fourier(p)[idx], want)
-        assert tab.fourier(p[1]) == tab.fourier(p)[1]
-
-    def test_tabulated_fourier_blocks_sized_by_samples(self):
-        xs = np.linspace(-30.0, 30.0, 601)
-        tab = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
-        rows = FOURIER_BLOCK // xs.size
-        p = np.linspace(-3.0, 3.0, 2 * rows + 7)
-        idx = [0, rows - 1, rows, 2 * rows, p.size - 1]
-        ph = np.exp(-1j * np.outer(p[idx], tab._x))
-        want = np.trapezoid(ph * tab._v[None, :], tab._x, axis=1) / np.sqrt(2 * np.pi)
-        assert np.array_equal(tab.fourier(p)[idx], want)
-
     def test_descriptor_round_trip(self):
         for env in (GaussianEnvelope(2.5), SincEnvelope(1.25)):
             clone = envelope_from_descriptor(env.descriptor())
@@ -108,6 +87,83 @@ class TestEnvelopes:
                 GaussianEnvelope(width)
             with pytest.raises(ValueError, match="d must be positive and finite"):
                 SincEnvelope(width)
+
+
+def _tabulated_64():
+    xs = np.linspace(-30.0, 30.0, 64)
+    return TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
+
+
+def _tabulated_601c():
+    xs = np.linspace(-30.0, 30.0, 601)
+    return TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs) * np.exp(0.3j * xs) * (1 + 0.05j * xs))
+
+
+TABLES = {"64": _tabulated_64, "601c": _tabulated_601c}
+
+
+def _dense_axes(env):
+    """Fine position and momentum lattices covering the spline's support and +-12 pi / dx."""
+    dx = env._x[1] - env._x[0]
+    x = np.linspace(env._x[0] - 40 * dx, env._x[-1] + 40 * dx, 200_001)
+    p = np.linspace(-12 * np.pi / dx, 12 * np.pi / dx, 100_001)
+    return x, p
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+class TestTabulatedFourierPair:
+    def test_parseval_on_both_sides(self, table):
+        env = TABLES[table]()
+        x, p = _dense_axes(env)
+        assert np.trapezoid(np.abs(env(x)) ** 2, x) == pytest.approx(1.0, abs=1e-10)
+        assert np.trapezoid(np.abs(env.fourier(p)) ** 2, p) == pytest.approx(1.0, abs=1e-10)
+
+    def test_no_spectral_copy(self, table):
+        env = TABLES[table]()
+        dx = env._x[1] - env._x[0]
+        assert abs(env.fourier(2 * np.pi / dx)) < 1e-6 * abs(env.fourier(0.0))
+        assert env.fourier(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_overlap_by_position_equals_overlap_by_momentum(self, table):
+        env = TABLES[table]()
+        x, p = _dense_axes(env)
+        a, b = WavePacket(env, 1.3, 0.4, -0.7), WavePacket(env, -2.1, -0.3, 0.5)
+        by_x = np.trapezoid(np.conj(a.position_amplitude(x)) * b.position_amplitude(x), x)
+        by_p = np.trapezoid(np.conj(a.momentum_amplitude(p)) * b.momentum_amplitude(p), p)
+        assert abs(by_x) > 1e-3
+        assert abs(by_x - by_p) < 1e-10
+
+    def test_interpolates_the_normalized_samples(self, table):
+        env = TABLES[table]()
+        assert np.max(np.abs(env(env._x) - env._v)) < 1e-12
+
+    def test_zero_beyond_the_padded_support_and_nan_through(self, table):
+        env = TABLES[table]()
+        dx = env._x[1] - env._x[0]
+        reach = (states.SPLINE_PAD + 3) * dx  # the support ends 2 dx past the outer zero sample
+        far = np.array([env._x[0] - reach, env._x[-1] + reach, -1e300, 1e300, -np.inf, np.inf])
+        assert np.array_equal(env(far), np.zeros(far.size))
+        out = env(np.array([np.nan, 0.0]))
+        assert np.isnan(out[0]) and np.isfinite(out[1])
+
+    def test_descriptor_round_trip(self, table):
+        env = TABLES[table]()
+        clone = envelope_from_descriptor(json.loads(json.dumps(env.descriptor())))
+        x = np.linspace(-35.0, 35.0, 701)
+        assert np.max(np.abs(clone(x) - env(x))) < 1e-14
+        p = np.linspace(-3.0, 3.0, 61)
+        assert np.max(np.abs(clone.fourier(p) - env.fourier(p))) < 1e-14
+
+
+def test_tabulated_rejects_nonuniform_abscissae():
+    xs = np.linspace(-30.0, 30.0, 64)
+    bent = xs + 1e-3 * xs**2
+    for x in (bent, xs[::-1], np.concatenate([xs[:10], xs[11:], [31.0]])):
+        with pytest.raises(ValueError, match="uniformly spaced and increasing"):
+            TabulatedEnvelope(x, GaussianEnvelope(4.0)(x))
+        d = {"kind": "tabulated", "x": x.tolist(), "re": GaussianEnvelope(4.0)(x).tolist()}
+        with pytest.raises(ValueError, match="uniformly spaced and increasing"):
+            envelope_from_descriptor(d)
 
 
 GAUSSIAN_WIDTHS = [0.05, 1.0, 8.0, 16.0]
@@ -280,8 +336,8 @@ class TestBuilders:
             raise AssertionError("built quadrature rows for a state over the budget")
 
         monkeypatch.setattr(states, "_amplitude_rows", no_rows)
-        # 2000 packets on 2**22 points: 1.7e13 multiply-adds
-        with pytest.raises(ValueError, match=r"2000 packets on 4194304 points.*budget of 1e\+11"):
+        # 2000 packets on 2.56e6 points (2**22 once rounded): 1.02e13 multiply-adds
+        with pytest.raises(ValueError, match=r"2000 packets on 2\.56e\+06 points.*budget of 1e\+11"):
             build_mpe(2000, 0.0, 1, 1.0, WIDE)
 
     @pytest.mark.parametrize("x0", [float("inf"), float("-inf"), float("nan")])
