@@ -192,13 +192,20 @@ def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
 
     # beta_mn = (1/s_m + 1/conj(s_n)) / (4 sigma^2) has Re > 0, so the
     # principal root is the gaussian integral's
-    beta = (1 / s[:, None] + 1 / s.conj()[None, :]) / (4 * sigma**2)
-    coef = np.sqrt(np.pi / (2 * beta)) / (2 * np.pi * sigma**2 * s[:, None] * s.conj()[None, :])
-    dp = momenta[:, None] - momenta[None, :]
+    # extreme widths over- or underflow this algebra; refuse them, not a fit to NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        beta = (1 / s[:, None] + 1 / s.conj()[None, :]) / (4 * sigma**2)
+        coef = np.sqrt(np.pi / (2 * beta)) / (2 * np.pi * sigma**2 * s[:, None] * s.conj()[None, :])
+        dp = momenta[:, None] - momenta[None, :]
 
-    r = np.linspace(-1.5 * spec.lam, 1.5 * spec.lam, 601)
-    rr = r[:, None, None]
-    terms = coef * np.exp(1j * dp * rr - beta * rr**2 / 2)
+        r = np.linspace(-1.5 * spec.lam, 1.5 * spec.lam, 601)
+        rr = r[:, None, None]
+        terms = coef * np.exp(1j * dp * rr - beta * rr**2 / 2)
+    if not all(np.isfinite(a).all() for a in (beta, coef, terms)):
+        raise ValueError(
+            f"the fringe algebra is not finite at sigma_x = {sigma:g}, lambda = {spec.lam:g}: "
+            "beta, the coefficients or the terms over- or underflow"
+        )
     rho = terms.sum(axis=(1, 2)).real
     env = np.einsum("rnn->r", terms).real
     # divide out the incoherent envelope so identical component shapes yield

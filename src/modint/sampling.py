@@ -33,6 +33,12 @@ MIN_BOOTSTRAP_N = 100
 # Largest expected proposal count of one draw: about a minute at the
 # ~1.7e6 proposals/s the sampler reaches on MPE states.
 MAX_PROPOSALS = 1e8
+# Proposals whose densities and acceptance draws are evaluated at a time, which
+# bounds the sampler's temporaries however large a batch is.
+PROPOSAL_BLOCK = 1 << 14
+# Bootstrap resamples drawn at a time. OpenBLAS's products `draws @ m` over
+# blocks of a multiple of 8 rows equal those of one call bit for bit.
+BOOTSTRAP_BLOCK = 200
 
 
 @dataclass
@@ -162,10 +168,10 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
     terms, q, bound = mix
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
-    out = np.empty((0, 2))
-    proposals = 0
-    while len(out) < n:
-        batch = max(2 * (n - len(out)), 1024)
+    out = np.empty((n, 2))
+    filled = proposals = 0
+    while filled < n:
+        batch = max(2 * (n - filled), 1024)
         proposals += batch
         ks = rng.choice(len(terms), size=batch, p=q)
         v1 = np.empty(batch)
@@ -176,11 +182,18 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
             if m:
                 v1[sel] = _packet_samples(wp1, kind, rng, m)
                 v2[sel] = _packet_samples(wp2, kind, rng, m)
-        g = _proposal_density(terms, q, kind, v1, v2)
-        rho = dens_fn(state, v1, v2)
-        keep = rng.random(batch) * bound * g < rho
-        out = np.concatenate([out, np.column_stack([v1[keep], v2[keep]])])
-    return out[:n], proposals
+        # the blocks' uniforms are those of one random(batch) call; every block
+        # draws them, also past the n-th record, so the generator handed on to
+        # the next component is the same
+        for lo in range(0, batch, PROPOSAL_BLOCK):
+            b1, b2 = v1[lo : lo + PROPOSAL_BLOCK], v2[lo : lo + PROPOSAL_BLOCK]
+            g = _proposal_density(terms, q, kind, b1, b2)
+            rho = dens_fn(state, b1, b2)
+            keep = np.flatnonzero(rng.random(b1.size) * bound * g < rho)[: n - filled]
+            out[filled : filled + keep.size, 0] = b1[keep]
+            out[filled : filled + keep.size, 1] = b2[keep]
+            filled += keep.size
+    return out, proposals
 
 
 def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
@@ -246,13 +259,15 @@ def _binned_bootstrap_var(values, rng, bins=BOOTSTRAP_BINS, resamples=BOOTSTRAP_
         full = counts > 0
         counts = counts[full]
         m1, m2 = s1[full] / counts, s2[full] / counts
-    draws = rng.multinomial(n, counts / n, size=resamples)
-    means = draws @ m1 / n
-    seconds = draws @ m2 / n
+    means, seconds = np.empty(resamples), np.empty(resamples)
+    for lo in range(0, resamples, BOOTSTRAP_BLOCK):
+        draws = rng.multinomial(n, counts / n, size=min(BOOTSTRAP_BLOCK, resamples - lo))
+        means[lo : lo + len(draws)] = draws @ m1 / n
+        seconds[lo : lo + len(draws)] = draws @ m2 / n
     return (seconds - means**2) * n / (n - 1), len(counts)
 
 
-def _bca_interval(boot: np.ndarray, stat: float, infl: np.ndarray, level: float = 0.95):
+def _bca_interval(boot: np.ndarray, stat: float, accel: float, level: float = 0.95):
     """Bias-corrected and accelerated percentile interval of a bootstrap sample."""
     if np.ptp(boot) == 0:
         return float(boot[0]), float(boot[0])
@@ -260,9 +275,6 @@ def _bca_interval(boot: np.ndarray, stat: float, infl: np.ndarray, level: float 
     prop = np.clip(np.mean(boot < stat), 1.0 / b, 1.0 - 1.0 / b)
     normal = NormalDist()
     z0 = normal.inv_cdf(float(prop))
-    denom = float(infl @ infl) ** 1.5
-    # infl * infl * infl, not infl**3: numpy's power takes libm's slow pow here
-    accel = float((infl * infl * infl).sum()) / (6.0 * denom) if denom > 0 else 0.0
     alpha = 0.5 * (1.0 - level)
     z = np.array([normal.inv_cdf(alpha), normal.inv_cdf(1.0 - alpha)])
     adj = np.array([normal.cdf(u) for u in z0 + (z0 + z) / (1.0 - accel * (z0 + z))])
@@ -285,8 +297,24 @@ def estimate_criterion(
     npart = integer_part(momentum_samples.records, scale.momentum_period)
     tot = npart[:, 0] + npart[:, 1]
 
-    var_rel = float(np.var(rel, ddof=1))
-    var_tot = float(np.var(tot, ddof=1))
+    # the BCa acceleration comes from the influence function of the combined
+    # statistic; records whose squares or cubes overflow get no interval
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_rel = float(np.var(rel, ddof=1))
+        var_tot = float(np.var(tot, ddof=1))
+        if_rel = ((rel - rel.mean()) ** 2 - var_rel) / scale.ell**2
+        if_tot = (tot - tot.mean()) ** 2 - var_tot
+        infl = np.concatenate([if_rel, if_tot])
+        denom = (infl @ infl) ** 1.5  # a numpy float: inf on overflow, not OverflowError
+        # infl * infl * infl, not infl**3: numpy's power takes libm's slow pow here
+        skew = float((infl * infl * infl).sum())
+    del if_rel, if_tot, infl  # 4n floats the bootstrap need not hold
+    if not np.isfinite([var_rel, var_tot, denom, skew]).all():
+        raise ValueError(
+            f"the records' variance or influence values are not finite (Var(x_rel) = "
+            f"{var_rel:.3g}, Var(N_tot) = {var_tot:.3g}): the records are too large to bootstrap"
+        )
+    accel = skew / (6.0 * denom) if denom > 0 else 0.0
 
     lhs = var_tot + var_rel / scale.ell**2
     master = np.uint64(position_samples.seed) ^ np.uint64(0x9E3779B97F4A7C15)
@@ -294,11 +322,7 @@ def estimate_criterion(
     boot_rel, bins_rel = _binned_bootstrap_var(rel, rng)
     boot_tot, bins_tot = _binned_bootstrap_var(tot, rng)
     boot_lhs = boot_tot + boot_rel / scale.ell**2
-    # acceleration from the influence function of the combined statistic
-    if_rel = ((rel - rel.mean()) ** 2 - var_rel) / scale.ell**2
-    if_tot = (tot - tot.mean()) ** 2 - var_tot
-    infl = np.concatenate([if_rel, if_tot])
-    ci_low, ci_high = _bca_interval(boot_lhs, lhs, infl)
+    ci_low, ci_high = _bca_interval(boot_lhs, lhs, accel)
 
     bound = criterion_bound()
     if ci_high < bound:

@@ -645,8 +645,19 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
     else:
         out = TwoParticleGridState(*grids, coefs, *rows)
     contained = out.input_norm  # the analytically normalized state's mass on the grids
-    if any(contained < 1 - max(TAIL_TOL, 10 * g.dx**2) for g in grids):
-        raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
+    for g, r in zip(grids, rows):
+        tol = max(TAIL_TOL, 10 * g.dx**2)
+        if contained < 1 - tol:
+            raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
+        # each packet has unit mass, so more on the grid means the grid points miss
+        # its envelope's shape; the state's mass would not do here, because it also
+        # carries the overlap quadrature's error (1.7 % for sinc envelopes)
+        worst = max(np.vdot(row, row).real for row in r) * g.dx
+        if not worst <= 1 + tol:
+            raise ValueError(
+                f"grid too coarse for the envelope: a packet holds {worst:.10g} of its "
+                f"unit mass on a grid of spacing {g.dx:.3g}"
+            )
     return out
 
 

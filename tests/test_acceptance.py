@@ -209,7 +209,7 @@ def test_10_sampling_pipeline():
             assert rep.verdict == "violated"
             if rep.ci_low <= analytic <= rep.ci_high:
                 covered += 1
-        assert covered >= 0.93 * 200
+        assert covered >= 0.93 * 200, covered
 
         # convergence: |lhs_hat - lhs| scales like n^{-1/2}
         sizes = (1_000, 10_000, 100_000)

@@ -347,14 +347,35 @@ class TestErrors:
             (["protocol", "--sigma", "inf", "--steps", "2"], "sigma_x"),
             (["criterion", "--state", "mpe", "--N", "2", "--sigma", "8", "--lam", "inf"], "lambda"),
             (["robustness", "--N", "100000"], "overlap quadrature"),
+            (["protocol", "--steps", "2", "--sigma", "1e-100"], "not finite"),
+            (["protocol", "--steps", "2", "--lam", "1e200"], "not finite"),
         ],
         ids=[
             "grid-points", "periods", "steps", "x0", "criterion-sigma", "sample-sigma",
-            "fringes-sigma", "protocol-sigma", "lam", "overlap-budget",
+            "fringes-sigma", "protocol-sigma", "lam", "overlap-budget", "protocol-tiny-sigma",
+            "protocol-huge-lam",
         ],
     )
     def test_degenerate_size_or_position_exits_2(self, argv, name):
         code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["criterion", "--state", "mpe", "--N", "2", "--sigma", "1e-100"], "too coarse"),
+            (["sample", "--state", "mpe", "--n", "2000", "--sigma", "1e-100"], "not finite"),
+        ],
+        ids=["criterion-grid", "sample-bootstrap"],
+    )
+    def test_envelope_too_narrow_for_the_numerics_exits_2(self, argv, name):
+        # the builder's overlap warning is expected; no overflow may follow it
+        with pytest.warns(UserWarning, match="overlap") as caught:
+            code, out, err = run_cli(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and name in err

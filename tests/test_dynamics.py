@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ class TestProtocol:
         spec = self.make(stagger=2.5)
         back = ProtocolSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert back == spec
+
+    @pytest.mark.parametrize("sigma, lam", [(1e-100, 1.0), (8.0, 1e200)])
+    def test_nonfinite_algebra_rejected(self, sigma, lam):
+        # sigma^2 |s|^2 overflows in the coefficients; r^2 overflows in the terms
+        spec = ProtocolSpec(
+            N=2, emission_times=(0.0, 40.0), lam=lam, envelope=GaussianEnvelope(sigma), mass=1.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite"):
+                protocol_visibility(spec, meeting_time=140.0)
 
     @pytest.mark.parametrize("N", [0, 1])
     def test_rank_below_two_rejected(self, N):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,58 @@ class TestSampling:
         assert s.proposals == 2 * s.n
 
 
+class TestBlocks:
+    """The sampler and the bootstrap work in fixed blocks, in bounded memory."""
+
+    MPE5 = build_mpe(5, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_sampler_memory(self, kind):
+        # whole 2e5-proposal batches held every envelope factor at once: 35-38 MiB
+        sample_measurements(self.MPE5, kind, 1000, seed=0)  # envelope caches
+        tracemalloc.start()
+        try:
+            sample_measurements(self.MPE5, kind, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+    def test_bootstrap_memory(self):
+        # one (2000, 512) draw matrix and its float copy took 15-16 MiB
+        values = np.random.default_rng(0).normal(size=100_000)
+        tracemalloc.start()
+        try:
+            _binned_bootstrap_var(values, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "state",
+        [MPE5, admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))],
+        ids=["mpe N=5", "admixture eps=0.5"],
+    )
+    def test_block_sizes_leave_records_and_reports_unchanged(self, state, monkeypatch):
+        def run():
+            pos = sample_measurements(state, "position", 20_000, seed=3)
+            mom = sample_measurements(state, "momentum", 20_000, seed=4)
+            return pos, mom, estimate_criterion(pos, mom, ModularScale(ell=1.0))
+
+        default = run()
+        monkeypatch.setattr(sampling, "PROPOSAL_BLOCK", 1000)
+        monkeypatch.setattr(sampling, "BOOTSTRAP_BLOCK", 8)
+        small = run()
+        for a, b in zip(default[:2], small[:2]):
+            assert np.array_equal(a.records, b.records)
+            assert a.proposals == b.proposals
+        # the interval's products go through BLAS, whose sums may split differently
+        want, got = default[2], small[2]
+        assert (got.ci_low, got.ci_high) == pytest.approx((want.ci_low, want.ci_high), rel=1e-14)
+        assert got.lhs_hat == want.lhs_hat and got.verdict == want.verdict
+
+
 class TestEstimator:
     def test_mpe_estimate_violates(self, mpe2):
         pos = sample_measurements(mpe2, "position", 100_000, seed=5)
@@ -288,6 +341,16 @@ class TestEstimator:
             mom = sample_measurements(mpe2, "momentum", n, seed=22)
             widths.append(estimate_criterion(pos, mom, ModularScale(ell=1.0)).ci_halfwidth)
         assert widths[0] > widths[1] > widths[2]
+
+    def test_records_too_large_to_bootstrap(self):
+        # momenta near 1e100 have finite variances but overflowing influence moments
+        rng = np.random.default_rng(0)
+        pos = SampleSet(records=rng.normal(size=(500, 2)), seed=0, kind="position")
+        mom = SampleSet(records=1e100 * rng.normal(size=(500, 2)), seed=1, kind="momentum")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite"):
+                estimate_criterion(pos, mom, ModularScale(ell=1.0))
 
     def test_report_json_fields(self, mpe2):
         pos = sample_measurements(mpe2, "position", 2000, seed=1)

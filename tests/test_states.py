@@ -505,6 +505,13 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="grid"):
             discretize(st, tiny)
 
+    def test_grid_coarser_than_the_envelope_raises(self):
+        # one grid point on a packet of width 1e-6 carries |phi(0)|^2 dx ~ 1.6e3 of its mass
+        with pytest.warns(UserWarning, match="overlap"):
+            st = build_smp(2, x0=0.0, N0=1, lam=1.0, envelope=GaussianEnvelope(1e-6))
+        with pytest.raises(ValueError, match="too coarse"):
+            discretize(st, GridSpec(points=1024, xmin=-2.0, xmax=2.0))
+
     def test_coarse_grid_raises(self):
         st = build_smp(2, x0=0.0, N0=1, lam=1.0, envelope=WIDE)
         coarse = GridSpec(points=32, xmin=-64.0, xmax=64.0)  # dx = 4 > lambda/8
