@@ -1,8 +1,8 @@
 """Seeded Monte Carlo measurement simulation and criterion estimation.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator, so a
-given (state, seed, n) always reproduces the same records; sub-seeds for the
-bootstrap are derived from the master seed.
+given (state, seed, n) always reproduces the same records. The criterion's
+interval is computed from the records alone and draws no random numbers.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .states import (
     joint_position_density,
 )
 
-BOOTSTRAP_RESAMPLES = 2000
-BOOTSTRAP_BINS = 512
 MIN_BOOTSTRAP_N = 100
 # Largest expected proposal count of one draw: about a minute at the
 # ~1.7e6 proposals/s the sampler reaches on MPE states.
@@ -36,9 +34,6 @@ MAX_PROPOSALS = 1e8
 # Proposals whose densities and acceptance draws are evaluated at a time, which
 # bounds the sampler's temporaries however large a batch is.
 PROPOSAL_BLOCK = 1 << 14
-# Bootstrap resamples drawn at a time. OpenBLAS's products `draws @ m` over
-# blocks of a multiple of 8 rows equal those of one call bit for bit.
-BOOTSTRAP_BLOCK = 200
 
 
 @dataclass
@@ -73,9 +68,11 @@ class EstimateReport:
     clamped: bool = False
     n_position: int | None = None  # records used for Var(x_rel)
     n_momentum: int | None = None  # records used for Var(N_tot)
-    bootstrap_resamples: int | None = None
-    bootstrap_bins_rel: int | None = None  # categories resampled; 0 for constant data
-    bootstrap_bins_tot: int | None = None
+    # the interval draws no resamples; these keys stay in the JSON and read 0
+    bootstrap_resamples: int = 0
+    bootstrap_bins_rel: int = 0
+    bootstrap_bins_tot: int = 0
+    interval: str = "abc"  # nonparametric ABC (approximate bootstrap confidence)
 
     @property
     def ci_halfwidth(self) -> float:
@@ -182,10 +179,13 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
             if m:
                 v1[sel] = _packet_samples(wp1, kind, rng, m)
                 v2[sel] = _packet_samples(wp2, kind, rng, m)
-        # the blocks' uniforms are those of one random(batch) call; every block
-        # draws them, also past the n-th record, so the generator handed on to
-        # the next component is the same
+        # the blocks' uniforms are those of one random(batch) call; past the n-th
+        # record the rest of them is drawn in one call, with no densities, so the
+        # generator handed on to the next component is the same
         for lo in range(0, batch, PROPOSAL_BLOCK):
+            if filled == n:
+                rng.random(batch - lo)
+                break
             b1, b2 = v1[lo : lo + PROPOSAL_BLOCK], v2[lo : lo + PROPOSAL_BLOCK]
             g = _proposal_density(terms, q, kind, b1, b2)
             rho = dens_fn(state, b1, b2)
@@ -233,96 +233,89 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
 # estimation
 
 
-def _binned_bootstrap_var(values, rng, bins=BOOTSTRAP_BINS, resamples=BOOTSTRAP_RESAMPLES):
-    """Bootstrap replicates of the sample variance, and the categories resampled.
+def _abc_interval(lhs: float, sets) -> tuple[float, float]:
+    """Two-sided 95 % nonparametric ABC interval of a sum of sample variances.
 
-    Data with at most `bins` distinct values (the integer N_tot) are resampled
-    over those values, which is the exact nonparametric bootstrap. Other data
-    fall into `bins` equal-width bins that keep their count, sum and sum of
-    squares, so each bin resamples at its own mean and mean square: at the
-    data's own counts a replicate is the sample variance itself, and binning
-    only coarsens the resampling. Constant data need no draws (0 categories).
+    `sets` holds independent (values, scale) record sets and `lhs` is
+    sum_i scale_i * Var(values_i) with ddof 1. Along weights w on one set, with
+    d = x - mean(x) and f = scale * n / (n - 1), that set's variance is
+    f (sum w d^2 - (sum w d)^2). So its influence values t = f (d^2 - mean d^2)
+    and their second derivatives -2 f d^2 are exact, and along
+    delta_i = t_i / (n_i^2 sigma) the statistic is exactly lhs + lam L - lam^2 Q,
+    which gives the curvature -Q / sigma and the endpoints without finite
+    differences or resampling (DiCiccio & Efron 1992; Efron & Tibshirani 1993,
+    ch. 22, `abcnon`).
     """
-    n = len(values)
-    lo, hi = float(np.min(values)), float(np.max(values))
-    if hi == lo:
-        return np.zeros(resamples), 0
-    distinct = np.unique(values)
-    if distinct.size <= bins:
-        counts = np.bincount(np.searchsorted(distinct, values))
-        m1, m2 = distinct, distinct**2
-    else:
-        idx = np.minimum(np.floor((values - lo) * (bins / (hi - lo))).astype(np.intp), bins - 1)
-        counts = np.bincount(idx, minlength=bins)
-        s1 = np.bincount(idx, weights=values, minlength=bins)
-        s2 = np.bincount(idx, weights=values * values, minlength=bins)
-        full = counts > 0
-        counts = counts[full]
-        m1, m2 = s1[full] / counts, s2[full] / counts
-    means, seconds = np.empty(resamples), np.empty(resamples)
-    for lo in range(0, resamples, BOOTSTRAP_BLOCK):
-        draws = rng.multinomial(n, counts / n, size=min(BOOTSTRAP_BLOCK, resamples - lo))
-        means[lo : lo + len(draws)] = draws @ m1 / n
-        seconds[lo : lo + len(draws)] = draws @ m2 / n
-    return (seconds - means**2) * n / (n - 1), len(counts)
-
-
-def _bca_interval(boot: np.ndarray, stat: float, accel: float, level: float = 0.95):
-    """Bias-corrected and accelerated percentile interval of a bootstrap sample."""
-    if np.ptp(boot) == 0:
-        return float(boot[0]), float(boot[0])
-    b = len(boot)
-    prop = np.clip(np.mean(boot < stat), 1.0 / b, 1.0 - 1.0 / b)
+    var = skew = bias = tdd = tdsq = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values, scale in sets:
+            n = values.size
+            f = scale * n / (n - 1)
+            d = values - values.mean()
+            dd = d * d
+            t = f * (dd - dd.mean())
+            var += float(t @ t) / n**2
+            # t * t * t, not t**3: numpy's power takes libm's slow pow here
+            skew += float((t * t * t).sum()) / n**3
+            bias -= f * float(dd.sum()) / n**2
+            # L and Q without the common 1 / sigma of delta; floats overflow to inf
+            # on a product, but raise OverflowError on a power
+            td = float(t @ d) / n**2
+            tdd += f * float(t @ dd) / n**2
+            tdsq += f * td * td
+    if not np.isfinite([lhs, var, skew, bias, tdd, tdsq]).all():
+        raise ValueError(
+            f"the records' variance or influence values are not finite (lhs = {lhs:.3g}): "
+            "the records are too large for the interval"
+        )
+    if var == 0.0:
+        return lhs, lhs
+    sigma = math.sqrt(var)
+    accel = skew / var / sigma / 6.0  # var * sigma may underflow to 0
+    lin, quad = tdd / sigma, tdsq / var
     normal = NormalDist()
-    z0 = normal.inv_cdf(float(prop))
-    alpha = 0.5 * (1.0 - level)
-    z = np.array([normal.inv_cdf(alpha), normal.inv_cdf(1.0 - alpha)])
-    adj = np.array([normal.cdf(u) for u in z0 + (z0 + z) / (1.0 - accel * (z0 + z))])
-    lo, hi = np.percentile(boot, 100.0 * adj)
-    return float(lo), float(hi)
+    prob = 2.0 * normal.cdf(accel) * normal.cdf(-(bias + quad) / sigma)
+    if not 0.0 < prob < 1.0:
+        raise ValueError(f"the ABC bias correction is undefined: 2 Phi(a) Phi(-gamma) = {prob:.3g}")
+    z0 = normal.inv_cdf(prob)
+    ends = []
+    for alpha in (0.025, 0.975):
+        w = z0 + normal.inv_cdf(alpha)
+        if not 1.0 - accel * w > 0.0:
+            raise ValueError(f"the ABC interval is undefined: 1 - a w = {1.0 - accel * w:.3g}")
+        lam = w / (1.0 - accel * w) ** 2
+        ends.append(lhs + lam * lin - lam * lam * quad)
+    if not np.isfinite(ends).all():
+        raise ValueError(f"the ABC endpoints are not finite: {ends[0]:.3g}, {ends[1]:.3g}")
+    return ends[0], ends[1]
 
 
 def estimate_criterion(
     position_samples: SampleSet, momentum_samples: SampleSet, scale: ModularScale
 ) -> EstimateReport:
-    """Plug-in variance estimators with a percentile bootstrap CI on the lhs."""
+    """Plug-in variance estimators with a nonparametric ABC interval on the lhs.
+
+    The interval is a function of the records alone; a lower end below 0 is
+    raised to 0 and marked `clamped`.
+    """
     if position_samples.kind != "position" or momentum_samples.kind != "momentum":
         raise ValueError("need one position-kind and one momentum-kind sample set")
     n = min(position_samples.n, momentum_samples.n)
     if n < MIN_BOOTSTRAP_N:
-        raise ValueError(f"need at least {MIN_BOOTSTRAP_N} samples per kind for the bootstrap")
+        raise ValueError(f"need at least {MIN_BOOTSTRAP_N} samples per kind for the interval")
 
     xm = modular_part(position_samples.records, scale.ell)
     rel = xm[:, 0] - xm[:, 1]
     npart = integer_part(momentum_samples.records, scale.momentum_period)
     tot = npart[:, 0] + npart[:, 1]
 
-    # the BCa acceleration comes from the influence function of the combined
-    # statistic; records whose squares or cubes overflow get no interval
     with np.errstate(over="ignore", invalid="ignore"):
         var_rel = float(np.var(rel, ddof=1))
         var_tot = float(np.var(tot, ddof=1))
-        if_rel = ((rel - rel.mean()) ** 2 - var_rel) / scale.ell**2
-        if_tot = (tot - tot.mean()) ** 2 - var_tot
-        infl = np.concatenate([if_rel, if_tot])
-        denom = (infl @ infl) ** 1.5  # a numpy float: inf on overflow, not OverflowError
-        # infl * infl * infl, not infl**3: numpy's power takes libm's slow pow here
-        skew = float((infl * infl * infl).sum())
-    del if_rel, if_tot, infl  # 4n floats the bootstrap need not hold
-    if not np.isfinite([var_rel, var_tot, denom, skew]).all():
-        raise ValueError(
-            f"the records' variance or influence values are not finite (Var(x_rel) = "
-            f"{var_rel:.3g}, Var(N_tot) = {var_tot:.3g}): the records are too large to bootstrap"
-        )
-    accel = skew / (6.0 * denom) if denom > 0 else 0.0
-
-    lhs = var_tot + var_rel / scale.ell**2
-    master = np.uint64(position_samples.seed) ^ np.uint64(0x9E3779B97F4A7C15)
-    rng = np.random.Generator(np.random.Philox(key=master))
-    boot_rel, bins_rel = _binned_bootstrap_var(rel, rng)
-    boot_tot, bins_tot = _binned_bootstrap_var(tot, rng)
-    boot_lhs = boot_tot + boot_rel / scale.ell**2
-    ci_low, ci_high = _bca_interval(boot_lhs, lhs, accel)
+        lhs = var_tot + var_rel / scale.ell**2
+    ci_low, ci_high = _abc_interval(lhs, [(rel, 1.0 / scale.ell**2), (tot, 1.0)])
+    clamped = ci_low < 0.0
+    ci_low = max(ci_low, 0.0)
 
     bound = criterion_bound()
     if ci_high < bound:
@@ -340,11 +333,9 @@ def estimate_criterion(
         n=n,
         bound=bound,
         verdict=verdict,
+        clamped=clamped,
         n_position=position_samples.n,
         n_momentum=momentum_samples.n,
-        bootstrap_resamples=len(boot_lhs),
-        bootstrap_bins_rel=bins_rel,
-        bootstrap_bins_tot=bins_tot,
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for seeded measurement sampling and the bootstrap estimator."""
+"""Tests for seeded measurement sampling and the criterion estimator's interval."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from modint import (
     build_classical_correlated,
     build_mpe,
     estimate_criterion,
+    joint_position_density,
     mix,
     mpe_modular_relative_variance,
     sample_measurements,
@@ -33,10 +35,9 @@ from modint import (
     sampleset_to_csv,
     solve_c,
 )
+from modint.modvar import integer_part, modular_part
 from modint.sampling import (
-    BOOTSTRAP_BINS,
     SampleSet,
-    _binned_bootstrap_var,
     _envelope_cdf_table,
     _packet_samples,
 )
@@ -98,11 +99,116 @@ def _reference_records(state, kind, n, seed):
     return rng.permutation(np.concatenate(parts))
 
 
-class _OwnCounts:
-    """Stands in for the generator: every 'resample' is the data's own counts."""
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_BINS = 512
 
-    def multinomial(self, n, pvals, size):
-        return np.tile(np.rint(np.asarray(pvals) * n).astype(np.int64), (size, 1))
+
+def _binned_bootstrap_var(values, rng, bins=BOOTSTRAP_BINS, resamples=BOOTSTRAP_RESAMPLES):
+    """Bootstrap replicates of the sample variance, and the categories resampled.
+
+    Data with at most `bins` distinct values (the integer N_tot) are resampled
+    over those values, which is the exact nonparametric bootstrap. Other data
+    fall into `bins` equal-width bins that keep their count, sum and sum of
+    squares, so each bin resamples at its own mean and mean square.
+    """
+    n = len(values)
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if hi == lo:
+        return np.zeros(resamples), 0
+    distinct = np.unique(values)
+    if distinct.size <= bins:
+        counts = np.bincount(np.searchsorted(distinct, values))
+        m1, m2 = distinct, distinct**2
+    else:
+        idx = np.minimum(np.floor((values - lo) * (bins / (hi - lo))).astype(np.intp), bins - 1)
+        counts = np.bincount(idx, minlength=bins)
+        s1 = np.bincount(idx, weights=values, minlength=bins)
+        s2 = np.bincount(idx, weights=values * values, minlength=bins)
+        full = counts > 0
+        counts = counts[full]
+        m1, m2 = s1[full] / counts, s2[full] / counts
+    draws = rng.multinomial(n, counts / n, size=resamples)
+    return (draws @ m2 / n - (draws @ m1 / n) ** 2) * n / (n - 1), len(counts)
+
+
+def _bca_interval(boot, stat, accel, level=0.95):
+    """Bias-corrected and accelerated percentile interval of a bootstrap sample."""
+    if np.ptp(boot) == 0:
+        return float(boot[0]), float(boot[0])
+    b = len(boot)
+    prop = np.clip(np.mean(boot < stat), 1.0 / b, 1.0 - 1.0 / b)
+    normal = NormalDist()
+    z0 = normal.inv_cdf(float(prop))
+    alpha = 0.5 * (1.0 - level)
+    z = np.array([normal.inv_cdf(alpha), normal.inv_cdf(1.0 - alpha)])
+    adj = np.array([normal.cdf(u) for u in z0 + (z0 + z) / (1.0 - accel * (z0 + z))])
+    lo, hi = np.percentile(boot, 100.0 * adj)
+    return float(lo), float(hi)
+
+
+def _bca_reference(pos, mom, scale):
+    """The BCa interval from 2000 binned multinomial resamples that the ABC interval replaced."""
+    xm = modular_part(pos.records, scale.ell)
+    rel = xm[:, 0] - xm[:, 1]
+    npart = integer_part(mom.records, scale.momentum_period)
+    tot = npart[:, 0] + npart[:, 1]
+    var_rel, var_tot = np.var(rel, ddof=1), np.var(tot, ddof=1)
+    infl = np.concatenate([((rel - rel.mean()) ** 2 - var_rel) / scale.ell**2,
+                           (tot - tot.mean()) ** 2 - var_tot])
+    accel = (infl**3).sum() / (6.0 * (infl @ infl) ** 1.5)
+    master = np.uint64(pos.seed) ^ np.uint64(0x9E3779B97F4A7C15)
+    rng = np.random.Generator(np.random.Philox(key=master))
+    boot_rel, _ = _binned_bootstrap_var(rel, rng)
+    boot_tot, _ = _binned_bootstrap_var(tot, rng)
+    lhs = var_tot + var_rel / scale.ell**2
+    return _bca_interval(boot_tot + boot_rel / scale.ell**2, lhs, accel)
+
+
+def _abcnon_reference(sets, level=0.95):
+    """Efron and Tibshirani's `abcnon` over independent sets, by central differences.
+
+    `sets` holds (values, scale) pairs, and the statistic is the sum over sets
+    of scale * n / (n - 1) * (sum p x^2 - (sum p x)^2), with an explicit weight
+    vector p per set. It is quadratic in the weights, so the differences are
+    exact for any step; the step 1 / n keeps them well above rounding.
+    """
+    ns = [len(x) for x, _ in sets]
+    p0 = [np.full(n, 1.0 / n) for n in ns]
+
+    def tt(ps):
+        return sum(
+            s * n / (n - 1) * (p @ (x * x) - (p @ x) ** 2) for (x, s), n, p in zip(sets, ns, ps)
+        )
+
+    t0 = tt(p0)
+    ts, tdots = [], []
+    for i, n in enumerate(ns):
+        ep = 1.0 / n
+        t1, t2 = np.empty(n), np.empty(n)
+        for j in range(n):
+            di = -p0[i].copy()
+            di[j] += 1.0
+            tp = tt([p + ep * di if k == i else p for k, p in enumerate(p0)])
+            tm = tt([p - ep * di if k == i else p for k, p in enumerate(p0)])
+            t1[j] = (tp - tm) / (2.0 * ep)
+            t2[j] = (tp - 2.0 * t0 + tm) / ep**2
+        ts.append(t1)
+        tdots.append(t2)
+    sighat = np.sqrt(sum((t @ t) / n**2 for t, n in zip(ts, ns)))
+    a = sum((t**3).sum() / n**3 for t, n in zip(ts, ns)) / (6.0 * sighat**3)
+    delta = [t / (n**2 * sighat) for t, n in zip(ts, ns)]
+    ep = 1.0 / max(ns)
+    cq = (tt([p + ep * d for p, d in zip(p0, delta)]) - 2.0 * t0
+          + tt([p - ep * d for p, d in zip(p0, delta)])) / (2.0 * sighat * ep**2)
+    bhat = sum(t2.sum() / (2.0 * n**2) for t2, n in zip(tdots, ns))
+    normal = NormalDist()
+    z0 = normal.inv_cdf(2.0 * normal.cdf(a) * normal.cdf(-(bhat / sighat - cq)))
+    ends = []
+    for alpha in (0.5 * (1.0 - level), 0.5 * (1.0 + level)):
+        w = z0 + normal.inv_cdf(alpha)
+        lam = w / (1.0 - a * w) ** 2
+        ends.append(tt([p + lam * d for p, d in zip(p0, delta)]))
+    return ends
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +360,7 @@ class TestSampling:
 
 
 class TestBlocks:
-    """The sampler and the bootstrap work in fixed blocks, in bounded memory."""
+    """The sampler works in fixed blocks, in bounded memory."""
 
     MPE5 = build_mpe(5, 0.0, 1, 1.0, GaussianEnvelope(8.0))
 
@@ -270,17 +376,6 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
-    def test_bootstrap_memory(self):
-        # one (2000, 512) draw matrix and its float copy took 15-16 MiB
-        values = np.random.default_rng(0).normal(size=100_000)
-        tracemalloc.start()
-        try:
-            _binned_bootstrap_var(values, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20, peak
-
     @pytest.mark.parametrize(
         "state",
         [MPE5, admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))],
@@ -294,15 +389,27 @@ class TestBlocks:
 
         default = run()
         monkeypatch.setattr(sampling, "PROPOSAL_BLOCK", 1000)
-        monkeypatch.setattr(sampling, "BOOTSTRAP_BLOCK", 8)
         small = run()
         for a, b in zip(default[:2], small[:2]):
             assert np.array_equal(a.records, b.records)
             assert a.proposals == b.proposals
-        # the interval's products go through BLAS, whose sums may split differently
-        want, got = default[2], small[2]
-        assert (got.ci_low, got.ci_high) == pytest.approx((want.ci_low, want.ci_high), rel=1e-14)
-        assert got.lhs_hat == want.lhs_hat and got.verdict == want.verdict
+        assert small[2] == default[2]
+
+    def test_blocks_past_the_last_record_skip_their_densities(self, monkeypatch):
+        # the admixture's product component accepts every proposal, so its first
+        # batch of 2 m proposals fills all m records halfway through
+        state = admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))
+        want = sample_measurements(state, "position", 100_000, seed=5)
+        points = []
+
+        def counting(st, v1, v2):
+            points.append(v1.size)
+            return joint_position_density(st, v1, v2)
+
+        monkeypatch.setattr(sampling, "joint_position_density", counting)
+        got = sample_measurements(state, "position", 100_000, seed=5)
+        assert np.array_equal(got.records, want.records) and got.proposals == want.proposals
+        assert sum(points) < 0.9 * got.proposals, (sum(points), got.proposals)
 
 
 class TestEstimator:
@@ -368,39 +475,83 @@ class TestEstimator:
         d = json.loads(estimate_criterion(pos, mom, ModularScale(ell=1.0)).to_json())
         assert d["n"] == 2000
         assert (d["n_position"], d["n_momentum"]) == (3000, 2000)
-        assert d["bootstrap_resamples"] == 2000
-        assert 1 < d["bootstrap_bins_rel"] <= BOOTSTRAP_BINS
-        assert d["bootstrap_bins_tot"] == 0  # N_tot is constant for this state
+        assert d["interval"] == "abc"
+        assert d["bootstrap_resamples"] == d["bootstrap_bins_rel"] == d["bootstrap_bins_tot"] == 0
 
 
-class TestBootstrap:
-    def test_constant_data_need_no_draws(self):
-        boot, cats = _binned_bootstrap_var(np.full(500, 3.0), np.random.default_rng(0))
-        assert cats == 0
-        assert boot.shape == (2000,) and not boot.any()
+class TestInterval:
+    """The ABC interval against the BCa bootstrap it replaced and against `abcnon`."""
 
-    def test_binary_data_resample_on_the_exact_lattice(self):
-        n = 1000
-        rng = np.random.default_rng(1)
-        values = (rng.random(n) < 0.3).astype(float)
-        boot, cats = _binned_bootstrap_var(values, rng)
-        assert cats == 2
-        k = np.arange(n // 2 + 1)
-        lattice = k * (n - k) / (n * (n - 1))
-        dist = np.abs(boot[:, None] - lattice[None, :]).min(axis=1)
-        assert np.all(dist <= 1e-12 * lattice.max())
+    @pytest.mark.parametrize(
+        "state",
+        [
+            build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(8.0)),
+            build_mpe(5, 0.0, 1, 1.0, GaussianEnvelope(8.0)),
+            admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0)),
+            build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0)),
+        ],
+        ids=["mpe N=2", "mpe N=5", "admixture eps=0.5", "mpe N=2 sinc"],
+    )
+    @pytest.mark.parametrize("seed", [10, 20])
+    def test_endpoints_agree_with_the_bca_bootstrap(self, state, seed):
+        scale = ModularScale(ell=1.0)
+        pos = sample_measurements(state, "position", 20_000, seed=seed)
+        mom = sample_measurements(state, "momentum", 20_000, seed=seed + 1)
+        rep = estimate_criterion(pos, mom, scale)
+        lo, hi = _bca_reference(pos, mom, scale)
+        width = hi - lo
+        assert abs(rep.ci_low - lo) <= 0.15 * width and abs(rep.ci_high - hi) <= 0.15 * width
 
-    def test_integer_data_use_their_distinct_values(self):
-        values = np.random.default_rng(2).integers(-3, 4, size=5000).astype(float)
-        boot, cats = _binned_bootstrap_var(values, _OwnCounts())
-        assert cats == 7
-        assert np.allclose(boot, np.var(values, ddof=1), rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_matches_finite_difference_abcnon(self, seed):
+        # skewed continuous data beside small integers, as x_rel beside N_tot
+        rng = np.random.default_rng(seed)
+        rel = rng.exponential(0.3, size=300) - 0.2
+        tot = rng.poisson(1.5, size=300).astype(float)
+        sets = [(rel, 1.0 / 0.7**2), (tot, 1.0)]
+        lhs = np.var(tot, ddof=1) + np.var(rel, ddof=1) / 0.7**2
+        got = sampling._abc_interval(lhs, sets)
+        assert got == pytest.approx(_abcnon_reference(sets), rel=1e-9, abs=0)
 
-    def test_continuous_data_keep_the_sample_variance_at_their_own_counts(self):
-        values = np.random.default_rng(3).normal(0.01, 0.25, size=20_000)
-        boot, cats = _binned_bootstrap_var(values, _OwnCounts())
-        assert cats <= BOOTSTRAP_BINS
-        assert np.allclose(boot, np.var(values, ddof=1), rtol=1e-12, atol=0)
+    def test_reports_depend_on_the_records_alone(self, mpe2):
+        pos = sample_measurements(mpe2, "position", 5000, seed=1)
+        mom = sample_measurements(mpe2, "momentum", 5000, seed=2)
+        other = SampleSet(records=pos.records.copy(), seed=99, kind="position")
+        scale = ModularScale(ell=1.0)
+        assert estimate_criterion(other, mom, scale) == estimate_criterion(pos, mom, scale)
+
+    def test_skewed_records_get_finite_ordered_endpoints(self):
+        # one x_rel of 50 among 100 standard normals puts negative weights on
+        # the records along the ABC direction: the raw lower end is below 0
+        ell = 1000.0  # no wrapping: x_rel is the records' first column
+        scale = ModularScale(ell=ell)
+        rel = np.random.default_rng(0).normal(size=100)
+        rel[0] = 50.0
+        outlier = estimate_criterion(
+            SampleSet(records=np.column_stack([rel, np.zeros(100)]), seed=0, kind="position"),
+            SampleSet(records=np.zeros((100, 2)), seed=0, kind="momentum"),
+            scale,
+        )
+        # two N_tot of 1 among 100: a first momentum of one period is N_1 = 1
+        tot = (np.random.default_rng(1).random(100) < 0.02).astype(float)
+        assert tot.sum() == 2
+        binary = estimate_criterion(
+            SampleSet(records=np.zeros((100, 2)), seed=0, kind="position"),
+            SampleSet(
+                records=np.column_stack([tot * scale.momentum_period, np.zeros(100)]),
+                seed=0,
+                kind="momentum",
+            ),
+            scale,
+        )
+        assert outlier.clamped and not binary.clamped
+        assert outlier.var_mod_rel_hat == pytest.approx(np.var(rel, ddof=1), rel=1e-12)
+        assert binary.var_N_tot_hat == pytest.approx(np.var(tot, ddof=1), rel=1e-12)
+        for rep in (outlier, binary):
+            assert np.isfinite([rep.ci_low, rep.ci_high]).all()
+            assert 0.0 <= rep.ci_low <= rep.lhs_hat <= rep.ci_high
+        assert outlier.ci_low == 0.0
+        assert json.loads(outlier.to_json())["clamped"] is True
 
 
 class TestRoundTrip:
