@@ -9,6 +9,7 @@ the modular scale ell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ from .modvar import TWO_PI, ModularScale, integer_part, modular_part
 
 DENSE_CAP = 2**11  # per-axis cap when materializing full 2-D arrays
 GRAM_BLOCK = 4096  # grid columns per block in gram()
+WAVE_BLOCK = 256  # grid points per fine plane-wave factor in FactoredRows.array
+LATTICE_ULPS = 4  # how far, in ulps, s L / 2 pi may sit from an integer for a lattice wave
 
 _POSITION_OBS = {"x", "xbar", "N_x"}
 _MOMENTUM_OBS = {"p", "pbar", "N_p"}
@@ -114,40 +117,139 @@ def gram(A: np.ndarray, B: np.ndarray, dx: float, weight: np.ndarray | None = No
     return out if np.ndim(weight) == 2 else out[0]
 
 
-@dataclass
+@dataclass(eq=False)
+class FactoredRows:
+    """K grid rows factors[index[k]](x) * e^{i(s_k x + t_k)}, kept as those parts.
+
+    `array` materializes the (K, n) rows: the wave on x = xmin + dx (j B + i)
+    is the outer product of a coarse exponential over the blocks j and a fine
+    one over i < B, so no row pays a full-grid exponential.
+    """
+
+    spec: GridSpec
+    factors: list  # distinct envelope factors on spec.x
+    index: list  # each row's factor
+    waves: list  # each row's (s, t)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.index), self.spec.points
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        spec = self.spec
+        b = min(WAVE_BLOCK, spec.points)
+        fine = spec.dx * np.arange(b)
+        starts = spec.xmin + spec.dx * b * np.arange(spec.points // b)
+        out = np.empty(self.shape, dtype=complex)
+        for row, (s, t), k in zip(out, self.waves, self.index):
+            coarse = np.exp(1j * (s * starts + t))
+            np.multiply(coarse[:, None], np.exp(1j * s * fine), out=row.reshape(-1, b))
+            row *= self.factors[k]
+        return out
+
+    @functools.cached_property
+    def lattice(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(m, phase) when row k is phase_k * factor(x_j) * e^{2 pi i m_k j / n}, else None.
+
+        That holds when all K rows share one factor and every s_k is 2 pi m_k / L
+        to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the Grams are
+        Toeplitz and the rows' FFTs are one FFT rolled. Taken for K >= 2 only:
+        for one row a real FFT costs more than the row's own dot product.
+        """
+        if len(self.factors) != 1 or len(self.index) < 2:
+            return None
+        s, t = np.array(self.waves).T
+        r = s * (self.spec.length / TWO_PI)
+        m = np.rint(r)
+        if np.any(np.abs(r - m) > LATTICE_ULPS * np.spacing(np.abs(r))):
+            return None
+        return m.astype(np.intp), np.exp(1j * (s * self.spec.xmin + t))
+
+
+def _array(rows) -> np.ndarray:
+    return rows.array if isinstance(rows, FactoredRows) else rows
+
+
+def _lattice(rows):
+    return rows.lattice if isinstance(rows, FactoredRows) else None
+
+
+def lattice_gram(rows: FactoredRows, weight: np.ndarray | None = None) -> np.ndarray:
+    """gram(A, A, dx, weight) of lattice rows, one real FFT per weight.
+
+    <a_i|w|a_j> dx = conj(ph_i) ph_j dx R[(m_i - m_j) mod n] with R the FFT of
+    |factor|^2 w, whose entries past n / 2 are the conjugates of rfft's.
+    """
+    m, phase = rows.lattice
+    n = rows.spec.points
+    dens = np.abs(rows.factors[0]) ** 2
+    spectra = np.fft.rfft(dens if weight is None else dens * weight, axis=-1)
+    lag = (m[:, None] - m[None, :]) % n
+    fold = lag > n // 2
+    out = spectra[..., np.where(fold, n - lag, lag)]
+    np.conjugate(out, out=out, where=fold)
+    out *= np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx
+    return out
+
+
+def _momentum_rows(rows: FactoredRows) -> np.ndarray:
+    """fft of lattice rows: row k is phase_k * roll(fft(factor), m_k)."""
+    m, phase = rows.lattice
+    n = rows.spec.points
+    ft = np.fft.fft(rows.factors[0])
+    # roll(ft, m) is the window of n points from n - m in ft twice over
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([ft, ft]), n)
+    out = windows[-m % n]
+    out *= phase[:, None]
+    return out
+
+
+def _identity_gram(rows, spec: GridSpec) -> np.ndarray:
+    if _lattice(rows) is not None:
+        return lattice_gram(rows)
+    arr = _array(rows)
+    return gram(arr, arr, spec.dx)
+
+
 class TwoParticleGridState:
     """Sum of product terms coefs[k] * a1[k](x1) a2[k](x2), globally normalized.
 
-    The terms are one (K, n) array per particle.  Each particle's identity
-    Gram <a_i|a_j> dx is computed once, here, and reused by the norm, the
-    marginals and the observable statistics.
+    Each particle's terms are a (K, n) array or FactoredRows, which are
+    materialized only when `a1` or `a2` is read. Each particle's identity Gram
+    <a_i|a_j> dx is computed once, here, and reused by the norm, the marginals
+    and the observable statistics.
     """
 
-    spec1: GridSpec
-    spec2: GridSpec
-    coefs: np.ndarray  # (K,)
-    a1: np.ndarray  # (K, spec1.points)
-    a2: np.ndarray  # (K, spec2.points)
-
-    def __post_init__(self):
-        self.coefs = np.asarray(self.coefs, dtype=complex)
-        self.a1 = np.asarray(self.a1, dtype=complex)
-        self.a2 = np.asarray(self.a2, dtype=complex)
+    def __init__(self, spec1: GridSpec, spec2: GridSpec, coefs, a1, a2):
+        self.spec1, self.spec2 = spec1, spec2
+        self.coefs = np.asarray(coefs, dtype=complex)
+        self.rows1, self.rows2 = (
+            r if isinstance(r, FactoredRows) else np.asarray(r, dtype=complex) for r in (a1, a2)
+        )
         k = self.coefs.size
         if k == 0:
             raise ValueError("two-particle grid state needs at least one term")
         if (
             self.coefs.shape != (k,)
-            or self.a1.shape != (k, self.spec1.points)
-            or self.a2.shape != (k, self.spec2.points)
+            or self.rows1.shape != (k, spec1.points)
+            or self.rows2.shape != (k, spec2.points)
         ):
             raise ValueError("term arrays do not match the grid specs")
-        self.g1 = gram(self.a1, self.a1, self.spec1.dx)
-        self.g2 = gram(self.a2, self.a2, self.spec2.dx)
+        self.g1 = _identity_gram(self.rows1, spec1)
+        self.g2 = _identity_gram(self.rows2, spec2)
         self.input_norm = self.norm  # norm of the terms as given
         if not self.input_norm > 0:
             raise ValueError("product terms have zero norm on this grid")
         self.coefs = self.coefs / math.sqrt(self.input_norm)
+
+    @property
+    def a1(self) -> np.ndarray:  # (K, spec1.points)
+        return _array(self.rows1)
+
+    @property
+    def a2(self) -> np.ndarray:  # (K, spec2.points)
+        return _array(self.rows2)
 
     @property
     def n_terms(self) -> int:
@@ -233,14 +335,19 @@ _REL_TOT = {
 }
 
 
-def _moments(spec: GridSpec, arrs: np.ndarray, domain: str, vals: np.ndarray):
-    """(<a|O|b>, <a|O^2|b>) over the rows of arrs for O diagonal in domain with vals."""
-    dx = spec.dx
-    if domain == "momentum":
+def _moments(spec: GridSpec, rows, domain: str, vals: np.ndarray):
+    """(<a|O|b>, <a|O^2|b>) over the rows for O diagonal in domain with vals."""
+    weights = np.stack([vals, vals**2])
+    lattice = _lattice(rows) is not None
+    if domain == "position":
+        if lattice:
+            return lattice_gram(rows, weights)
+        arrs, dx = _array(rows), spec.dx
+    else:
         # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
-        arrs = np.fft.fft(arrs, axis=1)
-        dx /= spec.points
-    return gram(arrs, arrs, dx, np.stack([vals, vals**2]))
+        arrs = _momentum_rows(rows) if lattice else np.fft.fft(_array(rows), axis=1)
+        dx = spec.dx / spec.points
+    return gram(arrs, arrs, dx, weights)
 
 
 def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
@@ -256,8 +363,8 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
     cc = np.conj(c)[:, None] * c[None, :]
     domain, v1 = observable_values(state.spec1, base, scale)
     v2 = v1 if state.spec2 == state.spec1 else observable_values(state.spec2, base, scale)[1]
-    o1, o1sq = _moments(state.spec1, state.a1, domain, v1)
-    o2, o2sq = _moments(state.spec2, state.a2, domain, v2)
+    o1, o1sq = _moments(state.spec1, state.rows1, domain, v1)
+    o2, o2sq = _moments(state.spec2, state.rows2, domain, v2)
     i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):

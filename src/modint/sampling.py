@@ -244,7 +244,9 @@ def _abc_interval(lhs: float, sets) -> tuple[float, float]:
     delta_i = t_i / (n_i^2 sigma) the statistic is exactly lhs + lam L - lam^2 Q,
     which gives the curvature -Q / sigma and the endpoints without finite
     differences or resampling (DiCiccio & Efron 1992; Efron & Tibshirani 1993,
-    ch. 22, `abcnon`).
+    ch. 22, `abcnon`). The ends are the path's least value for lam between 0
+    and lam_lo and its greatest between 0 and lam_hi, so they bracket lhs even
+    where the path turns before lam_hi (nearly balanced binary records).
     """
     var = skew = bias = tdd = tdsq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -278,16 +280,25 @@ def _abc_interval(lhs: float, sets) -> tuple[float, float]:
     if not 0.0 < prob < 1.0:
         raise ValueError(f"the ABC bias correction is undefined: 2 Phi(a) Phi(-gamma) = {prob:.3g}")
     z0 = normal.inv_cdf(prob)
+
+    def path(lam):
+        return lhs + lam * lin - lam * lam * quad
+
     ends = []
     for alpha in (0.025, 0.975):
         w = z0 + normal.inv_cdf(alpha)
         if not 1.0 - accel * w > 0.0:
             raise ValueError(f"the ABC interval is undefined: 1 - a w = {1.0 - accel * w:.3g}")
-        lam = w / (1.0 - accel * w) ** 2
-        ends.append(lhs + lam * lin - lam * lam * quad)
-    if not np.isfinite(ends).all():
-        raise ValueError(f"the ABC endpoints are not finite: {ends[0]:.3g}, {ends[1]:.3g}")
-    return ends[0], ends[1]
+        ends.append(w / (1.0 - accel * w) ** 2)
+    lam_lo, lam_hi = ends
+    # the path is concave (quad >= 0): its least value between 0 and lam_lo is at
+    # an end, and its greatest between 0 and lam_hi is at its vertex, clipped there
+    vertex = lin / (2.0 * quad) if quad > 0.0 else 0.0
+    top = min(max(vertex, min(lam_hi, 0.0)), max(lam_hi, 0.0))
+    low, high = min(path(lam_lo), lhs), max(path(top), path(lam_hi), lhs)
+    if not np.isfinite([low, high]).all():
+        raise ValueError(f"the ABC endpoints are not finite: {low:.3g}, {high:.3g}")
+    return low, high
 
 
 def estimate_criterion(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GRAM_BLOCK, GridSpec, GridState, TwoParticleGridState, gram
+from .grids import GRAM_BLOCK, FactoredRows, GridSpec, GridState, TwoParticleGridState, gram
 from .modvar import TWO_PI, H_PLANCK, modular_part
 
 
@@ -302,28 +302,15 @@ def _quadrature_grid(packets) -> GridSpec:
     return GridSpec(points=1 << (int(size) - 1).bit_length(), xmin=lo, xmax=hi)
 
 
-WAVE_BLOCK = 256  # grid points per fine plane-wave factor in _amplitude_rows
+def _grid_rows(packets, grid: GridSpec) -> FactoredRows:
+    """The packets' position amplitudes on the grid as shared envelope factors and plane waves."""
+    factors, index = envelope_values(packets, "position", grid.x)
+    return FactoredRows(grid, factors, index, [_plane_wave(wp, "position") for wp in packets])
 
 
 def _amplitude_rows(packets, grid: GridSpec) -> np.ndarray:
-    """(K, n) array of the packets' position amplitudes on the grid.
-
-    Each row is a shared envelope factor times the packet's plane wave
-    e^{i(s x + t)}; the wave on x = xmin + dx (j B + i) is the outer product of
-    a coarse exponential over the blocks j and a fine one over i < B, so no
-    packet pays a full-grid exponential.
-    """
-    factors, index = envelope_values(packets, "position", grid.x)
-    b = min(WAVE_BLOCK, grid.points)
-    fine = grid.dx * np.arange(b)
-    starts = grid.xmin + grid.dx * b * np.arange(grid.points // b)
-    out = np.empty((len(packets), grid.points), dtype=complex)
-    for row, wp, k in zip(out, packets, index):
-        s, t = _plane_wave(wp, "position")
-        coarse = np.exp(1j * (s * starts + t))
-        np.multiply(coarse[:, None], np.exp(1j * s * fine), out=row.reshape(-1, b))
-        row *= factors[k]
-    return out
+    """(K, n) array of the packets' position amplitudes on the grid."""
+    return _grid_rows(packets, grid).array
 
 
 def _overlap_matrix(packets, grid: GridSpec) -> np.ndarray:
@@ -633,15 +620,22 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
     if not isinstance(state, _PacketSum):
         raise TypeError(f"cannot discretize {type(state).__name__}")
     grids = (grid, grid2 or grid)[: len(state.particles)]
-    for g in grids:
+    for packets, g in zip(state.particles, grids):
         if state.fringe_period is not None and g.dx > state.fringe_period / 8:
             raise ValueError(
                 f"grid spacing {g.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
             )
-    rows = [_amplitude_rows(packets, g) for packets, g in zip(state.particles, grids)]
+        # the grid's momentum lattice ends at pi / dx; a packet reaching it aliases
+        reach = max(abs(wp.p0) + 1.0 / wp.envelope.width for wp in packets)
+        if not reach < math.pi / g.dx:
+            raise ValueError(
+                f"grid too coarse for the momenta: a packet reaches |p0| + 1/width = {reach:.6g}, "
+                f"at or above the lattice's end pi/dx = {math.pi / g.dx:.6g}"
+            )
+    rows = [_grid_rows(packets, g) for packets, g in zip(state.particles, grids)]
     coefs = np.array([t[0] * state._scale for t in state.terms])
     if len(rows) == 1:
-        out = GridState(grid, coefs @ rows[0])
+        out = GridState(grid, coefs @ rows[0].array)
     else:
         out = TwoParticleGridState(*grids, coefs, *rows)
     contained = out.input_norm  # the analytically normalized state's mass on the grids
@@ -651,8 +645,9 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
             raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
         # each packet has unit mass, so more on the grid means the grid points miss
         # its envelope's shape; the state's mass would not do here, because it also
-        # carries the overlap quadrature's error (1.7 % for sinc envelopes)
-        worst = max(np.vdot(row, row).real for row in r) * g.dx
+        # carries the overlap quadrature's error (1.7 % for sinc envelopes). A row's
+        # plane wave has modulus 1, so its mass is its envelope factor's.
+        worst = max(np.vdot(f, f).real for f in r.factors) * g.dx
         if not worst <= 1 + tol:
             raise ValueError(
                 f"grid too coarse for the envelope: a packet holds {worst:.10g} of its "

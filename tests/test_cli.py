@@ -381,6 +381,14 @@ class TestErrors:
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_aliased_comb_exits_2(self):
+        # the second packet sits at 2 pi 128 = pi / dx on the default grid
+        code, out, err = run_cli(["criterion", "--state", "mpe", "--N", "2", "--N0", "127"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "too coarse" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

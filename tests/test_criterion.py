@@ -3,14 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modint.criterion import (
+    _AXES,
     admixture_state,
     criterion_bound,
     evaluate_criterion,
     robustness_threshold,
     visibility_of_admixture,
 )
+from modint.grids import TwoParticleGridState, observable_stats
 from modint.modvar import ModularScale, squeezing_s2
 from modint.spectral import solve_c
 from modint.states import (
@@ -20,6 +24,9 @@ from modint.states import (
     WavePacket,
     build_classical_correlated,
     build_mpe,
+    build_smp,
+    default_grid,
+    discretize,
     mix,
     state_from_descriptor,
 )
@@ -132,12 +139,51 @@ class TestEvaluate:
                 st = mix([(float(wi), random_product_state(rng)) for wi in w])
             assert not evaluate_criterion(st, SCALE).violated
 
+    def test_aliased_packets_are_refused(self):
+        # at 256 points per ell the lattice ends at pi / dx = 2 pi 128: N0 = 127 puts the
+        # second packet there, where it aliases onto negative momenta (lhs read 16384.1)
+        with pytest.raises(ValueError, match="too coarse"):
+            evaluate_criterion(build_mpe(2, 0.0, 127, 1.0, WIDE), SCALE)
+        rep = evaluate_criterion(build_mpe(2, 0.0, 126, 1.0, WIDE), SCALE)
+        assert rep.violated
+        assert rep.lhs == pytest.approx((1 - squeezing_s2(2)) / 6.0, abs=1e-4)
+
     def test_rejects_single_particle_state(self):
         from modint.states import build_smp
 
         st = build_smp(2, 0.0, 1, 1.0, WIDE)
         with pytest.raises(TypeError):
             evaluate_criterion(st, SCALE)
+
+
+def _product_of_combs(n1, x1, n01, n2, x2, n02, envelope):
+    """smp (x) smp as N1 N2 product terms: one envelope factor per particle."""
+    combs = [build_smp(n, x, n0, 1.0, envelope) for n, x, n0 in ((n1, x1, n01), (n2, x2, n02))]
+    terms = [(a * b, w1, w2) for a, w1 in combs[0].terms for b, w2 in combs[1].terms]
+    return TwoParticleState(terms, fringe_period=1.0)
+
+
+_COMB = (st.integers(1, 4), st.floats(-1.0, 1.0), st.integers(-3, 3))
+
+
+class TestSeparable:
+    @given(
+        combs=st.lists(st.tuples(*_COMB, *_COMB), min_size=1, max_size=2),
+        weight=st.floats(0.1, 0.9),
+        sigma=st.floats(5.0, 10.0),
+        axis=st.sampled_from(sorted(_AXES)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_products_of_combs_and_their_mixtures_never_violate(self, combs, weight, sigma, axis):
+        parts = [_product_of_combs(*c, GaussianEnvelope(sigma)) for c in combs]
+        state = parts[0] if len(parts) == 1 else mix([(weight, parts[0]), (1 - weight, parts[1])])
+        assert evaluate_criterion(state, SCALE, axis=axis).lhs >= criterion_bound() - 1e-9
+        for part in parts:
+            gs = discretize(part, default_grid(part, 1.0))
+            rows = TwoParticleGridState(gs.spec1, gs.spec2, gs.coefs, gs.a1, gs.a2)
+            for name in _AXES[axis]:
+                want = observable_stats(rows, name, SCALE)
+                assert observable_stats(gs, name, SCALE) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestRobustness:

@@ -7,20 +7,24 @@ from modint.dynamics import PropagationParams, free_propagate
 from modint.grids import (
     DENSE_CAP,
     GRAM_BLOCK,
+    FactoredRows,
     GridSpec,
     GridState,
     IncommensurateGridError,
     TwoParticleGridState,
+    _momentum_rows,
     apply_modular_operator,
     apply_observable_raw,
     commutator_expectation,
     gram,
+    lattice_gram,
     mixture_stats,
     observable_stats,
     observable_values,
     observable_variance,
 )
 from modint.modvar import (
+    TWO_PI,
     ModularScale,
     mpe_modular_relative_variance,
     smp_commutator_expectation,
@@ -32,10 +36,12 @@ from modint.states import (
     GaussianEnvelope,
     SincEnvelope,
     TabulatedEnvelope,
+    TwoParticleState,
     WavePacket,
     _amplitude_rows,
     _overlap_matrix,
     _quadrature_grid,
+    admixture_state,
     build_mpe,
     build_multislit,
     build_smp,
@@ -444,6 +450,117 @@ class TestSecondGrid:
         # the same physics as on one grid, up to the second-order grid error
         same = discretize(st, grid)
         assert got == pytest.approx(observable_stats(same, name, SCALE), rel=1e-4, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# lattice rows: one envelope factor shifted on the momentum lattice
+
+
+def _row_route(gs):
+    """The same state with its rows given as arrays, so every statistic takes the row route."""
+    return TwoParticleGridState(gs.spec1, gs.spec2, gs.coefs, gs.a1, gs.a2)
+
+
+def _materialized_discretize(st, grid):
+    """discretize's pair state built from materialized rows, as before factored rows."""
+    coefs = np.array([t[0] * st._scale for t in st.terms])
+    rows = [_amplitude_rows(packets, grid) for packets in st.particles]
+    return TwoParticleGridState(grid, grid, coefs, *rows)
+
+
+def _assert_routes_agree(gs):
+    ref = _row_route(gs)
+    for got, want in ((gs.g1, ref.g1), (gs.g2, ref.g2)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for name in sorted(_REL_TOT):
+        got = observable_stats(gs, name, SCALE)
+        assert got == pytest.approx(observable_stats(ref, name, SCALE), rel=1e-12, abs=1e-12)
+
+
+class TestLatticeRoute:
+    @pytest.mark.parametrize("N", [2, 3, 5, 10])
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    @pytest.mark.parametrize("N0", [1, 3])
+    def test_routes_agree_on_every_admixture_component(self, N, x0, N0):
+        # the admixture's components are the MPE state (K = N rows per particle,
+        # the lattice route) and the N classical product pairs (K = 1, the row route)
+        st = admixture_state(0.4, N, 1.0, WIDE, x0, N0)
+        for i, (_, comp) in enumerate(st.components):
+            gs = discretize(comp, default_grid(comp, 1.0))
+            assert (gs.rows1.lattice is not None) == (i == 0)
+            _assert_routes_agree(gs)
+
+    def test_routes_agree_on_a_different_second_grid(self):
+        st = build_mpe(3, x0=0.37, N0=1, lam=1.0, envelope=WIDE)
+        grid = default_grid(st, 1.0)
+        gs = discretize(st, grid, GridSpec(2 * grid.points, grid.xmin - 3.0, grid.xmax + 5.0))
+        assert gs.rows1.lattice is not None and gs.rows2.lattice is not None
+        _assert_routes_agree(gs)
+
+    def test_rows_materialize_bitwise(self):
+        st = build_mpe(5, x0=0.37, N0=3, lam=1.0, envelope=WIDE)
+        grid = default_grid(st, 1.0)
+        gs = discretize(st, grid)
+        assert isinstance(gs.rows1, FactoredRows)
+        assert np.array_equal(gs.a1, _amplitude_rows(st.particles[0], grid))
+        assert np.array_equal(gs.a2, _amplitude_rows(st.particles[1], grid))
+
+    def test_position_rows_are_not_built(self):
+        gs = mpe_grid(3)
+        for name in sorted(_REL_TOT):
+            observable_stats(gs, name, SCALE)
+        assert "array" not in vars(gs.rows1) and "array" not in vars(gs.rows2)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["distinct x0", "lambda 0.7 on ell 1", "1e-9 off the lattice"],
+    )
+    def test_other_rows_take_the_row_route_bitwise(self, case):
+        if case == "distinct x0":
+            coefs, x0s = [1.0, 0.5j, -0.7, 0.3], [0.0, 0.3, -0.6, 1.1]
+            terms = [
+                (c, WavePacket(WIDE, x, 2 * np.pi * (1 + n)), WavePacket(WIDE, -x, -2 * np.pi * (1 + n)))
+                for n, (c, x) in enumerate(zip(coefs, x0s))
+            ]
+            st = TwoParticleState(terms, fringe_period=1.0)
+        elif case == "lambda 0.7 on ell 1":
+            st = build_mpe(3, 0.0, 1, 0.7, GaussianEnvelope(5.6))
+        else:
+            terms = [
+                (1.0, WavePacket(WIDE, 0.0, 2 * np.pi * n + 1e-9), WavePacket(WIDE, 0.0, -2 * np.pi * n - 1e-9))
+                for n in (1, 2, 3)
+            ]
+            st = TwoParticleState(terms, fringe_period=1.0)
+        grid = default_grid(st, 1.0)
+        gs = discretize(st, grid)
+        assert gs.rows1.lattice is None and gs.rows2.lattice is None
+        ref = _materialized_discretize(st, grid)
+        assert np.array_equal(gs.g1, ref.g1) and np.array_equal(gs.g2, ref.g2)
+        assert np.array_equal(gs.coefs, ref.coefs)
+        for name in sorted(_REL_TOT):
+            assert observable_stats(gs, name, SCALE) == observable_stats(ref, name, SCALE)
+
+    def test_routes_agree_where_the_momentum_rows_overlap(self):
+        # sigma = 0.6 lambda: neighbouring packets share momenta, so the rows' phases
+        # enter the off-diagonal momentum Gram entries
+        with pytest.warns(UserWarning, match="envelope width"):
+            st = build_mpe(3, x0=0.37, N0=1, lam=1.0, envelope=GaussianEnvelope(0.6))
+        gs = discretize(st, default_grid(st, 1.0))
+        assert gs.rows1.lattice is not None
+        _assert_routes_agree(gs)
+
+    def test_lattice_identities_on_a_small_grid(self):
+        # shifts 47 and -20 differ by more than n / 2: the rfft entry is conjugated
+        spec = GridSpec(64, -4.0, 4.0)
+        factor = np.exp(-spec.x**2) * (1 + 0.2j * spec.x)
+        waves = [(TWO_PI * m / spec.length, t) for m, t in ((0, 0.3), (47, -1.1), (-20, 2.0))]
+        rows = FactoredRows(spec, [factor], [0, 0, 0], waves)
+        assert rows.lattice is not None
+        w = np.stack([np.ones(64), spec.x, spec.x**2])
+        want = gram(rows.array, rows.array, spec.dx, w)
+        assert np.allclose(lattice_gram(rows, w), want, rtol=0, atol=1e-14)
+        want = np.fft.fft(rows.array, axis=1)
+        assert np.allclose(_momentum_rows(rows), want, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,26 @@ class TestInterval:
         got = sampling._abc_interval(lhs, sets)
         assert got == pytest.approx(_abcnon_reference(sets), rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("n, ones", [(1000, range(485, 516)), (100, range(46, 55))])
+    def test_interval_brackets_lhs_on_nearly_balanced_binary_records(self, n, ones):
+        # the variance of binary records peaks at half ones, so the path
+        # lhs + lam L - lam^2 Q turns before lam_hi: 499 of 1000 gave (0.24923, 0.24935)
+        scale = ModularScale(ell=1.0)
+        for k in ones:
+            tot = np.zeros(n)
+            tot[:k] = 1.0
+            rep = estimate_criterion(
+                SampleSet(records=np.zeros((n, 2)), seed=0, kind="position"),
+                SampleSet(
+                    records=np.column_stack([tot * scale.momentum_period, np.zeros(n)]),
+                    seed=0,
+                    kind="momentum",
+                ),
+                scale,
+            )
+            assert rep.var_N_tot_hat == pytest.approx(np.var(tot, ddof=1), rel=1e-12)
+            assert rep.ci_low <= rep.lhs_hat <= rep.ci_high, k
+
     def test_reports_depend_on_the_records_alone(self, mpe2):
         pos = sample_measurements(mpe2, "position", 5000, seed=1)
         mom = sample_measurements(mpe2, "momentum", 5000, seed=2)
