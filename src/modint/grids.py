@@ -153,11 +153,11 @@ class FactoredRows:
         """(m, phase) when row k is phase_k * factor(x_j) * e^{2 pi i m_k j / n}, else None.
 
         That holds when all K rows share one factor and every s_k is 2 pi m_k / L
-        to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the Grams are
-        Toeplitz and the rows' FFTs are one FFT rolled. Taken for K >= 2 only:
-        for one row a real FFT costs more than the row's own dot product.
+        to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the position Grams
+        come from the factor's folded density and the momentum rows are shifts of
+        the factor's FFT.
         """
-        if len(self.factors) != 1 or len(self.index) < 2:
+        if len(self.factors) != 1:
             return None
         s, t = np.array(self.waves).T
         r = s * (self.spec.length / TWO_PI)
@@ -175,39 +175,86 @@ def _lattice(rows):
     return rows.lattice if isinstance(rows, FactoredRows) else None
 
 
-def lattice_gram(rows: FactoredRows, weight: np.ndarray | None = None) -> np.ndarray:
-    """gram(A, A, dx, weight) of lattice rows, one real FFT per weight.
+def lattice_gram(
+    rows: FactoredRows, weight: np.ndarray | None = None, memo=None, key=None
+) -> np.ndarray:
+    """gram(A, A, dx, weight) of lattice rows from the factor's folded density.
 
     <a_i|w|a_j> dx = conj(ph_i) ph_j dx R[(m_i - m_j) mod n] with R the FFT of
-    |factor|^2 w, whose entries past n / 2 are the conjugates of rfft's.
+    d = |factor|^2 w. Every lag is a multiple of G = gcd(n, m_k - m_0), and there
+    R[G k] = FFT_{n/G}(fold(d))[k] with fold(d)[r] = sum_q d[r + q n / G]. For one
+    row G = n and the fold is the plain sum. The spectra are kept in `memo` (see
+    _cached) under `key`, which names the weight, None for none.
     """
     m, phase = rows.lattice
     n = rows.spec.points
-    dens = np.abs(rows.factors[0]) ** 2
-    spectra = np.fft.rfft(dens if weight is None else dens * weight, axis=-1)
-    lag = (m[:, None] - m[None, :]) % n
-    fold = lag > n // 2
-    out = spectra[..., np.where(fold, n - lag, lag)]
-    np.conjugate(out, out=out, where=fold)
-    out *= np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx
-    return out
+    g = int(np.gcd.reduce(np.append(m - m[0], n)))
+    factor = rows.factors[0]
+
+    def folded():
+        dens = np.abs(factor) ** 2
+        d = dens if weight is None else dens * weight
+        fold = d.reshape(*d.shape[:-1], g, n // g).sum(axis=-2)
+        return fold if g == n else np.fft.fft(fold, axis=-1)
+
+    spectra = _cached(memo, factor, ("fold", g, key), folded)
+    lags = (m[:, None] - m[None, :]) // g % (n // g)
+    return spectra[..., lags] * (np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx)
 
 
-def _momentum_rows(rows: FactoredRows) -> np.ndarray:
-    """fft of lattice rows: row k is phase_k * roll(fft(factor), m_k)."""
+TAIL_ULP = 2.0**-53  # bound on the momentum sweep's dropped weighted power, as a share of the factor's
+
+
+def support_rows(
+    rows: FactoredRows, wmax: float, memo=None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(S, fft rows on S, tail bound) of lattice rows for weights bounded by wmax.
+
+    Row k's FFT is phase_k * F[(u - m_k) mod n] with F = fft(factor). The columns
+    W = {u : |F[u]|^2 n wmax > TAIL_ULP sum |F|^2} carry the factor's weight, and
+    S is the union of W shifted by every m_k. By Cauchy-Schwarz, the columns off S
+    change a Gram entry <a_i|w|a_j> by at most the returned tail bound,
+    wmax * sum_{u not in W} |F[u]|^2 <= TAIL_ULP sum |F|^2: one unit roundoff of
+    the rows' norm in the Gram's momentum scaling.
+    """
     m, phase = rows.lattice
     n = rows.spec.points
-    ft = np.fft.fft(rows.factors[0])
-    # roll(ft, m) is the window of n points from n - m in ft twice over
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([ft, ft]), n)
-    out = windows[-m % n]
+    factor = rows.factors[0]
+    ft = _cached(memo, factor, "fft", lambda: np.fft.fft(factor))
+
+    def support():
+        power = ft.real**2 + ft.imag**2
+        keep = power * (n * wmax) > TAIL_ULP * np.sum(power)
+        return keep, wmax * np.sum(power, where=~keep)
+
+    keep, tail = _cached(memo, factor, ("support", wmax), support)
+    mask = np.zeros(n, dtype=bool)
+    for shift in np.unique(m):
+        mask |= np.roll(keep, shift)
+    s = np.flatnonzero(mask)
+    out = np.take(ft, s[None, :] - m[:, None], mode="wrap")
     out *= phase[:, None]
-    return out
+    return s, out, tail
 
 
-def _identity_gram(rows, spec: GridSpec) -> np.ndarray:
+def _cached(memo: dict | None, factor: np.ndarray, key, compute):
+    """compute() of an envelope factor, kept in memo under the factor object and key.
+
+    A grid state's memo lives as long as the state, so its particles' rows that
+    hold one factor object share the factor's transforms, and none outlive it.
+    """
+    if memo is None:
+        return compute()
+    entry = memo.get((id(factor), key))
+    if entry is None:
+        # the entry holds its factor, so no other array can take the factor's id
+        entry = memo[id(factor), key] = (factor, compute())
+    return entry[1]
+
+
+def _identity_gram(rows, spec: GridSpec, memo=None) -> np.ndarray:
     if _lattice(rows) is not None:
-        return lattice_gram(rows)
+        return lattice_gram(rows, memo=memo)
     arr = _array(rows)
     return gram(arr, arr, spec.dx)
 
@@ -218,7 +265,8 @@ class TwoParticleGridState:
     Each particle's terms are a (K, n) array or FactoredRows, which are
     materialized only when `a1` or `a2` is read. Each particle's identity Gram
     <a_i|a_j> dx is computed once, here, and reused by the norm, the marginals
-    and the observable statistics.
+    and the observable statistics. Lattice rows' factor transforms are kept in
+    `transforms` for the state's life, once per factor object for both particles.
     """
 
     def __init__(self, spec1: GridSpec, spec2: GridSpec, coefs, a1, a2):
@@ -236,8 +284,9 @@ class TwoParticleGridState:
             or self.rows2.shape != (k, spec2.points)
         ):
             raise ValueError("term arrays do not match the grid specs")
-        self.g1 = _identity_gram(self.rows1, spec1)
-        self.g2 = _identity_gram(self.rows2, spec2)
+        self.transforms = {}  # the lattice rows' factor transforms, see _cached
+        self.g1 = _identity_gram(self.rows1, spec1, self.transforms)
+        self.g2 = _identity_gram(self.rows2, spec2, self.transforms)
         self.input_norm = self.norm  # norm of the terms as given
         if not self.input_norm > 0:
             raise ValueError("product terms have zero norm on this grid")
@@ -335,19 +384,28 @@ _REL_TOT = {
 }
 
 
-def _moments(spec: GridSpec, rows, domain: str, vals: np.ndarray):
-    """(<a|O|b>, <a|O^2|b>) over the rows for O diagonal in domain with vals."""
-    weights = np.stack([vals, vals**2])
+def _moments(spec: GridSpec, rows, domain: str, vals: np.ndarray, memo=None, key=None):
+    """(<a|O|b>, <a|O^2|b>) over the rows for O diagonal in domain with vals.
+
+    Lattice rows keep their factor's transforms in memo, with key naming vals
+    there (see lattice_gram); other rows are swept in full.
+    """
     lattice = _lattice(rows) is not None
-    if domain == "position":
-        if lattice:
-            return lattice_gram(rows, weights)
-        arrs, dx = _array(rows), spec.dx
-    else:
+    dx = spec.dx
+    if domain == "momentum":
         # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
-        arrs = _momentum_rows(rows) if lattice else np.fft.fft(_array(rows), axis=1)
-        dx = spec.dx / spec.points
-    return gram(arrs, arrs, dx, weights)
+        dx /= spec.points
+        if lattice:
+            vmax = float(np.max(np.abs(vals)))
+            cols, arrs, _ = support_rows(rows, max(vmax, vmax * vmax), memo)
+            vals = vals[cols]
+        else:
+            arrs = np.fft.fft(_array(rows), axis=1)
+    elif lattice:
+        return lattice_gram(rows, np.stack([vals, vals**2]), memo, key)
+    else:
+        arrs = _array(rows)
+    return gram(arrs, arrs, dx, np.stack([vals, vals**2]))
 
 
 def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
@@ -363,8 +421,9 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
     cc = np.conj(c)[:, None] * c[None, :]
     domain, v1 = observable_values(state.spec1, base, scale)
     v2 = v1 if state.spec2 == state.spec1 else observable_values(state.spec2, base, scale)[1]
-    o1, o1sq = _moments(state.spec1, state.rows1, domain, v1)
-    o2, o2sq = _moments(state.spec2, state.rows2, domain, v2)
+    memo = state.transforms
+    o1, o1sq = _moments(state.spec1, state.rows1, domain, v1, memo, (base, scale, state.spec1))
+    o2, o2sq = _moments(state.spec2, state.rows2, domain, v2, memo, (base, scale, state.spec2))
     i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):

@@ -253,20 +253,24 @@ def _plane_wave(wp: WavePacket, kind: str) -> tuple[float, float]:
     return -wp.x0, wp.p0 * (wp.x0 - wp.phase_ref)
 
 
-def envelope_values(packets, kind: str, v) -> tuple[list, list[int]]:
+def envelope_values(packets, kind: str, v, memo=None) -> tuple[list, list[int]]:
     """Distinct envelope factors of the packets at v, and each packet's index into them.
 
     The factor is phi(x - x0) in position and phi_hat(p - p0) in momentum; the
     rest of a packet's amplitude is a plane wave of modulus 1. Packets sharing
-    (envelope, x0) or (envelope, p0) share one evaluation.
+    (envelope, x0) or (envelope, p0) share one evaluation, and calls given one
+    `memo` dict at the same v share the factor objects themselves.
     """
+    memo = {} if memo is None else memo
     values, index, seen = [], [], {}
     for wp in packets:
         key = (wp.envelope, wp.x0 if kind == "position" else wp.p0)
         if key not in seen:
             seen[key] = len(values)
-            env = wp.envelope if kind == "position" else wp.envelope.fourier
-            values.append(env(v - key[1]))
+            if key not in memo:
+                env = wp.envelope if kind == "position" else wp.envelope.fourier
+                memo[key] = env(v - key[1])
+            values.append(memo[key])
         index.append(seen[key])
     return values, index
 
@@ -302,9 +306,9 @@ def _quadrature_grid(packets) -> GridSpec:
     return GridSpec(points=1 << (int(size) - 1).bit_length(), xmin=lo, xmax=hi)
 
 
-def _grid_rows(packets, grid: GridSpec) -> FactoredRows:
+def _grid_rows(packets, grid: GridSpec, memo=None) -> FactoredRows:
     """The packets' position amplitudes on the grid as shared envelope factors and plane waves."""
-    factors, index = envelope_values(packets, "position", grid.x)
+    factors, index = envelope_values(packets, "position", grid.x, memo)
     return FactoredRows(grid, factors, index, [_plane_wave(wp, "position") for wp in packets])
 
 
@@ -600,16 +604,39 @@ def joint_momentum_density(state, p1, p2):
 # discretization
 
 
+MAX_GRID_POINTS = 2**22  # largest grid default_grid refines to for the packets' momenta
+
+
+def _momentum_reach(packets) -> float:
+    """Largest |p0| + 1/width over the packets: the grid's pi / dx must exceed it."""
+    return max(abs(wp.p0) + 1.0 / wp.envelope.width for wp in packets)
+
+
 def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
-    """Commensurate power-of-two grid covering the state's packets."""
+    """Commensurate power-of-two grid covering the state's packets and their momenta.
+
+    Takes the smallest power-of-two multiple of points_per_ell at which every
+    packet's momentum reach lies below the lattice's end pi / dx; raises
+    ValueError when that needs more than MAX_GRID_POINTS points.
+    """
     if not hasattr(state, "packets"):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     lo, hi = _reach(state.packets, GRID_PAD)
     periods = max(2, math.ceil((hi - lo) / ell))
     center = 0.5 * (lo + hi)
-    n = 1 << (periods * points_per_ell - 1).bit_length()
     half = periods * ell / 2
-    return GridSpec(points=n, xmin=center - half, xmax=center + half)
+    reach = _momentum_reach(state.packets)
+    n = 1 << (periods * points_per_ell - 1).bit_length()
+    while True:
+        grid = GridSpec(points=n, xmin=center - half, xmax=center + half)
+        if reach < math.pi / grid.dx:
+            return grid
+        n *= 2
+        if n > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid too coarse for the momenta: a packet reaches |p0| + 1/width = {reach:.6g}, "
+                f"beyond pi/dx on the largest default grid of {MAX_GRID_POINTS} points"
+            )
 
 
 TAIL_TOL = 1e-8  # mass a grid may miss where its second-order error 10 dx^2 is smaller
@@ -626,13 +653,15 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
                 f"grid spacing {g.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
             )
         # the grid's momentum lattice ends at pi / dx; a packet reaching it aliases
-        reach = max(abs(wp.p0) + 1.0 / wp.envelope.width for wp in packets)
+        reach = _momentum_reach(packets)
         if not reach < math.pi / g.dx:
             raise ValueError(
                 f"grid too coarse for the momenta: a packet reaches |p0| + 1/width = {reach:.6g}, "
                 f"at or above the lattice's end pi/dx = {math.pi / g.dx:.6g}"
             )
-    rows = [_grid_rows(packets, g) for packets, g in zip(state.particles, grids)]
+    # particles on one grid share the factor object of a common (envelope, x0)
+    memos = {g: {} for g in grids}
+    rows = [_grid_rows(packets, g, memos[g]) for packets, g in zip(state.particles, grids)]
     coefs = np.array([t[0] * state._scale for t in state.terms])
     if len(rows) == 1:
         out = GridState(grid, coefs @ rows[0].array)

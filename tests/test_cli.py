@@ -15,6 +15,7 @@ import pytest
 
 from modint import sampling
 from modint.cli import _state_descriptor, build_parser, main
+from modint.modvar import squeezing_s2
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -381,13 +382,19 @@ class TestErrors:
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_aliased_comb_exits_2(self):
-        # the second packet sits at 2 pi 128 = pi / dx on the default grid
-        code, out, err = run_cli(["criterion", "--state", "mpe", "--N", "2", "--N0", "127"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "too coarse" in err
-        assert len(err.strip().splitlines()) == 1
+    def test_aliased_comb_gets_a_finer_grid(self):
+        # each comb's top packet sits at or past pi / dx of 256 points per ell; the
+        # default grid doubles that until the comb is resolved (N = 130 read 276.43)
+        for argv, points, tol in (
+            (["--N", "2", "--N0", "127"], 65536, 1e-4),
+            (["--N", "130"], 65536, 1e-3),
+        ):
+            code, out, err = run_cli(["criterion", "--state", "mpe", *argv])
+            assert code == 0 and err == ""
+            rep = json.loads(out)
+            assert rep["grid_points"] == points and rep["violated"]
+            n = int(argv[1])
+            assert rep["lhs"] == pytest.approx((1 - squeezing_s2(n)) / 6.0, abs=tol)
 
     @pytest.mark.parametrize(
         "argv",

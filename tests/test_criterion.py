@@ -14,7 +14,7 @@ from modint.criterion import (
     robustness_threshold,
     visibility_of_admixture,
 )
-from modint.grids import TwoParticleGridState, observable_stats
+from modint.grids import GridSpec, TwoParticleGridState, observable_stats
 from modint.modvar import ModularScale, squeezing_s2
 from modint.spectral import solve_c
 from modint.states import (
@@ -142,11 +142,24 @@ class TestEvaluate:
     def test_aliased_packets_are_refused(self):
         # at 256 points per ell the lattice ends at pi / dx = 2 pi 128: N0 = 127 puts the
         # second packet there, where it aliases onto negative momenta (lhs read 16384.1)
+        state = build_mpe(2, 0.0, 127, 1.0, WIDE)
+        grid = default_grid(state, 1.0)
         with pytest.raises(ValueError, match="too coarse"):
-            evaluate_criterion(build_mpe(2, 0.0, 127, 1.0, WIDE), SCALE)
-        rep = evaluate_criterion(build_mpe(2, 0.0, 126, 1.0, WIDE), SCALE)
-        assert rep.violated
-        assert rep.lhs == pytest.approx((1 - squeezing_s2(2)) / 6.0, abs=1e-4)
+            discretize(state, GridSpec(grid.points // 2, grid.xmin, grid.xmax))
+        for n0, points in ((126, grid.points // 2), (127, grid.points)):
+            # the default grid doubles its points per ell until pi / dx clears the comb
+            rep = evaluate_criterion(build_mpe(2, 0.0, n0, 1.0, WIDE), SCALE)
+            assert rep.grid_points == points
+            assert rep.violated
+            assert rep.lhs == pytest.approx((1 - squeezing_s2(2)) / 6.0, abs=1e-4)
+
+    @pytest.mark.filterwarnings("ignore:envelope width")
+    def test_default_grid_refuses_past_its_points_budget(self):
+        # pi / dx must exceed |p0| + 1/width: 1e6 takes 2^20 points over the minimal two
+        # periods, and 1e7 would take 2^23, past MAX_GRID_POINTS
+        assert default_grid(build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(1e-6)), 1.0).points == 2**20
+        with pytest.raises(ValueError, match="too coarse"):
+            default_grid(build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(1e-7)), 1.0)
 
     def test_rejects_single_particle_state(self):
         from modint.states import build_smp

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from modint.dynamics import PropagationParams, free_propagate
 from modint.grids import (
@@ -12,7 +14,6 @@ from modint.grids import (
     GridState,
     IncommensurateGridError,
     TwoParticleGridState,
-    _momentum_rows,
     apply_modular_operator,
     apply_observable_raw,
     commutator_expectation,
@@ -22,6 +23,7 @@ from modint.grids import (
     observable_stats,
     observable_values,
     observable_variance,
+    support_rows,
 )
 from modint.modvar import (
     TWO_PI,
@@ -42,6 +44,7 @@ from modint.states import (
     _overlap_matrix,
     _quadrature_grid,
     admixture_state,
+    build_classical_correlated,
     build_mpe,
     build_multislit,
     build_smp,
@@ -482,12 +485,40 @@ class TestLatticeRoute:
     @pytest.mark.parametrize("x0", [0.0, 0.37])
     @pytest.mark.parametrize("N0", [1, 3])
     def test_routes_agree_on_every_admixture_component(self, N, x0, N0):
-        # the admixture's components are the MPE state (K = N rows per particle,
-        # the lattice route) and the N classical product pairs (K = 1, the row route)
+        # the admixture's components are the MPE state (K = N rows per particle)
+        # and the N classical product pairs (K = 1): all take the lattice route
         st = admixture_state(0.4, N, 1.0, WIDE, x0, N0)
-        for i, (_, comp) in enumerate(st.components):
+        for _, comp in st.components:
             gs = discretize(comp, default_grid(comp, 1.0))
-            assert (gs.rows1.lattice is not None) == (i == 0)
+            assert gs.rows1.lattice is not None and gs.rows2.lattice is not None
+            _assert_routes_agree(gs)
+
+    @pytest.mark.filterwarnings("ignore:envelope width")
+    @given(
+        kind=hst.sampled_from(["mpe", "classical", "admixture"]),
+        N=hst.integers(1, 12),
+        x0=hst.floats(-2.0, 2.0),
+        N0=hst.integers(-4, 4),
+        sigma=hst.floats(4.0, 16.0),
+        pick=hst.integers(0, 12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_routes_agree_on_random_comb_states(self, kind, N, x0, N0, sigma, pick):
+        # both axes' statistics and the identity Grams; of a mixture, the first
+        # component and one drawn one
+        envelope = GaussianEnvelope(sigma)
+        if kind == "mpe":
+            comps = [build_mpe(N, x0, N0, 1.0, envelope)]
+        else:
+            if kind == "classical":
+                state = build_classical_correlated(N, x0, N0, 1.0, envelope)
+            else:
+                state = admixture_state(0.4, N, 1.0, envelope, x0, N0)
+            comps = [comp for _, comp in state.components]
+            comps = [comps[0], comps[pick % len(comps)]]
+        for comp in comps:
+            gs = discretize(comp, default_grid(comp, 1.0))
+            assert gs.rows1.lattice is not None and gs.rows2.lattice is not None
             _assert_routes_agree(gs)
 
     def test_routes_agree_on_a_different_second_grid(self):
@@ -550,17 +581,69 @@ class TestLatticeRoute:
         _assert_routes_agree(gs)
 
     def test_lattice_identities_on_a_small_grid(self):
-        # shifts 47 and -20 differ by more than n / 2: the rfft entry is conjugated
         spec = GridSpec(64, -4.0, 4.0)
-        factor = np.exp(-spec.x**2) * (1 + 0.2j * spec.x)
-        waves = [(TWO_PI * m / spec.length, t) for m, t in ((0, 0.3), (47, -1.1), (-20, 2.0))]
-        rows = FactoredRows(spec, [factor], [0, 0, 0], waves)
-        assert rows.lattice is not None
+        factor = np.exp(-2.0 * spec.x**2) * (1 + 0.2j * spec.x)
+        power = np.sum(np.abs(np.fft.fft(factor)) ** 2)
         w = np.stack([np.ones(64), spec.x, spec.x**2])
-        want = gram(rows.array, rows.array, spec.dx, w)
-        assert np.allclose(lattice_gram(rows, w), want, rtol=0, atol=1e-14)
-        want = np.fft.fft(rows.array, axis=1)
-        assert np.allclose(_momentum_rows(rows), want, rtol=0, atol=1e-13)
+        for shifts in (
+            ((0, 0.3), (47, -1.1), (-20, 2.0)),  # lags past n / 2, G = 1
+            ((3, 0.0), (11, 0.5), (-5, 1.0)),  # G = 8: an 8-point fold
+            ((0, 0.3),),  # one row: G = n, the fold is the sum
+        ):
+            waves = [(TWO_PI * m / spec.length, t) for m, t in shifts]
+            rows = FactoredRows(spec, [factor], [0] * len(shifts), waves)
+            assert rows.lattice is not None
+            want = gram(rows.array, rows.array, spec.dx, w)
+            assert np.allclose(lattice_gram(rows, w), want, rtol=0, atol=1e-14)
+            assert np.allclose(lattice_gram(rows), want[0], rtol=0, atol=1e-14)
+            # weights bounded by 1 keep the columns where |F|^2 is above 2^-53 / 64 of the
+            # total; the support rows are the full FFT rows there, and off it each row's
+            # power is below the tail bound
+            cols, got, tail = support_rows(rows, 1.0)
+            full = np.fft.fft(rows.array, axis=1)
+            assert np.array_equal(cols, np.unique(cols)) and 0 < cols.size < 64
+            assert np.allclose(got, full[:, cols], rtol=0, atol=1e-13)
+            off = np.delete(full, cols, axis=1)
+            assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
+            assert 0 < tail <= 2.0**-53 * power
+
+    @pytest.mark.parametrize("N", [2, 10])
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    @pytest.mark.parametrize("sigma", [4.0, 16.0])
+    @pytest.mark.filterwarnings("ignore:envelope width")
+    def test_support_sweep_tail_is_one_unit_roundoff(self, N, x0, sigma):
+        st = build_mpe(N, x0, 1, 1.0, GaussianEnvelope(sigma))
+        gs = discretize(st, default_grid(st, 1.0))
+        for base in ("N_p", "pbar"):
+            vals = np.abs(observable_values(gs.spec1, base, SCALE)[1])
+            wmax = max(vals.max(), vals.max() ** 2)
+            for rows in (gs.rows1, gs.rows2):
+                cols, _, tail = support_rows(rows, wmax)
+                power = np.abs(np.fft.fft(rows.factors[0])) ** 2
+                assert tail <= 2.0**-53 * np.sum(power)
+                if x0 == 0.0:  # a centred factor's transform is negligible off its support
+                    assert cols.size < gs.spec1.points // 4
+
+    @pytest.mark.parametrize("axis", ["momentum", "position"])
+    def test_one_transform_per_shared_factor(self, monkeypatch, axis):
+        st = build_mpe(5, 0.0, 1, 1.0, WIDE)
+        grid = default_grid(st, 1.0)
+        calls = []
+        for name in ("fft", "rfft"):
+            real = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _real=real, **kw):
+                calls.append((_name, np.shape(a)[-1]))
+                return _real(a, *args, **kw)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        gs = discretize(st, grid)
+        assert gs.rows1.factors[0] is gs.rows2.factors[0]
+        for name in {"momentum": ("N_p_tot", "xbar_rel"), "position": ("N_x_tot", "pbar_rel")}[axis]:
+            observable_stats(gs, name, SCALE)
+        # one n-point FFT for both particles; the position side folds to n / G = 256 points
+        assert calls.count(("fft", grid.points)) == 1
+        assert set(calls) <= {("fft", grid.points), ("fft", 256)}
 
 
 # ---------------------------------------------------------------------------
