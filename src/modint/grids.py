@@ -338,21 +338,49 @@ class TwoParticleGridState:
 # observable machinery
 
 
-def observable_values(spec: GridSpec, name: str, scale: ModularScale) -> tuple[str, np.ndarray]:
-    """Diagonal values of a single-particle observable: (domain, values)."""
+def _lattice_momenta(spec: GridSpec, cols: np.ndarray) -> np.ndarray:
+    """spec.p[cols], bitwise, without the full lattice: fftfreq's signed index times 1/(n dx)."""
+    n = spec.points
+    k = np.where(cols < (n + 1) // 2, cols, cols - n)
+    return TWO_PI * (k * (1.0 / (n * spec.dx)))
+
+
+def observable_values(
+    spec: GridSpec, name: str, scale: ModularScale, cols: np.ndarray | None = None
+) -> tuple[str, np.ndarray]:
+    """Diagonal values of a single-particle observable: (domain, values).
+
+    Given lattice indices `cols`, a momentum observable's values at those
+    momenta only, each bitwise equal to the full lattice's.
+    """
     if name == "x":
         return "position", spec.x
     if name == "xbar":
         return "position", modular_part(spec.x, scale.ell)
     if name == "N_x":
         return "position", integer_part(spec.x, scale.ell)
+    p = spec.p if cols is None else _lattice_momenta(spec, cols)
     if name == "p":
-        return "momentum", spec.p
+        return "momentum", p
     if name == "pbar":
-        return "momentum", modular_part(spec.p, scale.momentum_period)
+        return "momentum", modular_part(p, scale.momentum_period)
     if name == "N_p":
-        return "momentum", integer_part(spec.p, scale.momentum_period)
+        return "momentum", integer_part(p, scale.momentum_period)
     raise ValueError(f"unknown single-particle observable {name!r}")
+
+
+def _momentum_bound(spec: GridSpec, name: str, scale: ModularScale) -> float:
+    """An upper bound on |values| of a momentum observable over the whole lattice.
+
+    pbar lies in [-P/2, P/2); p and N_p grow with p, so their largest magnitude
+    is at one of the lattice ends k = -n/2 and n/2 - 1, and the bound is the
+    full lattice's maximum.
+    """
+    if name == "pbar":
+        return scale.momentum_period / 2
+    n = spec.points
+    ends = observable_values(spec, name, scale, np.array([n // 2, n // 2 - 1]))[1]
+    return float(np.max(np.abs(ends)))
 
 
 def _require_commensurate(spec: GridSpec, name: str, scale: ModularScale):
@@ -384,34 +412,37 @@ _REL_TOT = {
 }
 
 
-def _moments(spec: GridSpec, rows, domain: str, vals: np.ndarray, memo=None, key=None):
-    """(<a|O|b>, <a|O^2|b>) over the rows for O diagonal in domain with vals.
+def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None, vals=None):
+    """(<a|O|b>, <a|O^2|b>) over the rows for the diagonal observable O named.
 
-    Lattice rows keep their factor's transforms in memo, with key naming vals
-    there (see lattice_gram); other rows are swept in full.
+    Lattice rows keep their factor's transforms in memo (see lattice_gram) and
+    take the momentum values on their support columns only; other rows are
+    swept in full. `vals` may give the full position values, computed once for
+    particles on one grid.
     """
     lattice = _lattice(rows) is not None
     dx = spec.dx
-    if domain == "momentum":
+    if name in _MOMENTUM_OBS:
         # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
         dx /= spec.points
         if lattice:
-            vmax = float(np.max(np.abs(vals)))
+            vmax = _momentum_bound(spec, name, scale)
             cols, arrs, _ = support_rows(rows, max(vmax, vmax * vmax), memo)
-            vals = vals[cols]
+            vals = observable_values(spec, name, scale, cols)[1]
         else:
+            vals = observable_values(spec, name, scale)[1]
             arrs = np.fft.fft(_array(rows), axis=1)
-    elif lattice:
-        return lattice_gram(rows, np.stack([vals, vals**2]), memo, key)
     else:
+        vals = observable_values(spec, name, scale)[1] if vals is None else vals
+        if lattice:
+            return lattice_gram(rows, np.stack([vals, vals**2]), memo, (name, scale, spec))
         arrs = _array(rows)
     return gram(arrs, arrs, dx, np.stack([vals, vals**2]))
 
 
 def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
     _require_commensurate(state.spec, name, scale)
-    domain, vals = observable_values(state.spec, name, scale)
-    mean, second = _moments(state.spec, state.psi[None], domain, vals)[:, 0, 0].real
+    mean, second = _moments(state.spec, state.psi[None], name, scale)[:, 0, 0].real
     return float(mean), float(second - mean**2)
 
 
@@ -419,11 +450,13 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
     base, sign = _REL_TOT[name]
     c = state.coefs
     cc = np.conj(c)[:, None] * c[None, :]
-    domain, v1 = observable_values(state.spec1, base, scale)
-    v2 = v1 if state.spec2 == state.spec1 else observable_values(state.spec2, base, scale)[1]
     memo = state.transforms
-    o1, o1sq = _moments(state.spec1, state.rows1, domain, v1, memo, (base, scale, state.spec1))
-    o2, o2sq = _moments(state.spec2, state.rows2, domain, v2, memo, (base, scale, state.spec2))
+    v1 = v2 = None
+    if base in _POSITION_OBS:
+        v1 = observable_values(state.spec1, base, scale)[1]
+        v2 = v1 if state.spec2 == state.spec1 else None
+    o1, o1sq = _moments(state.spec1, state.rows1, base, scale, memo, v1)
+    o2, o2sq = _moments(state.spec2, state.rows2, base, scale, memo, v2)
     i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):

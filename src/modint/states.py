@@ -1,8 +1,9 @@
 """State builders: position combs, momentum combs, entangled pair states.
 
-All amplitudes are renormalized numerically after construction, so the
-1/sqrt(N) prefactor of the ideal (orthogonal-component) construction is
-corrected for packet overlaps automatically.
+All amplitudes are renormalized after construction by the packets' overlap
+Gram, in closed form for Gaussian and sinc envelopes and by quadrature for
+others, so the 1/sqrt(N) prefactor of the ideal (orthogonal-component)
+construction is corrected for packet overlaps automatically.
 """
 
 from __future__ import annotations
@@ -282,6 +283,10 @@ QUADRATURE_MIN_POINTS = 4096
 # points are rounded up to a power of two: about a minute at the ~2e9 per second
 # it reaches (MPE N=100 at sigma=8 does 1.3e9).
 MAX_OVERLAP_WORK = 1e11
+# Largest closed-form overlap Gram, in entries K^2 per particle: K = 2048 packets,
+# 64 MiB of complex entries, a fraction of a second.
+MAX_GRAM_ENTRIES = 2**22
+OVERLAP_BLOCK = 256  # Gram rows per block of the closed forms
 
 
 def _reach(packets, pad: float) -> tuple[float, float]:
@@ -329,12 +334,98 @@ def _overlap_matrix(packets, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _packet_table(packets) -> np.ndarray:
+    """(4, K) array of the packets' x0, p0, phase_ref and envelope width."""
+    return np.array([(wp.x0, wp.p0, wp.phase_ref, wp.envelope.width) for wp in packets]).T
+
+
+def _pairs(rows: np.ndarray, cols: np.ndarray):
+    """(Ka, 1) and (1, Kb) views of each quantity of two packet tables."""
+    return [(a[:, None], b[None, :]) for a, b in zip(rows, cols)]
+
+
+def _gaussian_overlaps(rows, cols) -> np.ndarray:
+    """<a|b> of Gaussian packets in closed form.
+
+    sqrt(2 / (r + 1/r)) exp(-dx^2 / 4(sa^2 + sb^2) - dp^2 sa^2 sb^2 / (sa^2 + sb^2)
+    + i(dp mu + p_a r_a - p_b r_b)) with r = sa / sb, dx = x_b - x_a, dp = p_b - p_a
+    and mu = (x_a sb^2 + x_b sa^2) / (sa^2 + sb^2). Every width product is a ratio
+    to hypot(sa, sb) before it is squared, so no width whose square is finite
+    under- or overflows, and a packet's own overlap is exactly 1.
+    """
+    (xa, xb), (pa, pb), (ra, rb), (sa, sb) = _pairs(rows, cols)
+    ratio = sa / sb
+    s = np.hypot(sa, sb)
+    dx, dp = xb - xa, pb - pa
+    mu = xa + dx * (sa / s) ** 2
+    # a decay that overflows to inf is an overlap that underflows to 0
+    with np.errstate(over="ignore"):
+        decay = (dx / (2 * s)) ** 2 + (dp * (sa * (sb / s))) ** 2
+    phase = dp * mu + pa * ra - pb * rb
+    return np.sqrt(2 / (ratio + 1 / ratio)) * np.exp(1j * phase - decay)
+
+
+def _sinc_overlaps(rows, cols) -> np.ndarray:
+    """<a|b> of sinc packets in closed form: the overlap of their momentum boxes.
+
+    (sqrt(d_a d_b) / 2 pi) conj(e^{i p_a (x_a - r_a)}) e^{i p_b (x_b - r_b)} times
+    the integral of e^{ip (x_a - x_b)} over the boxes' intersection [lo, hi],
+    span e^{i (x_a - x_b)(lo + hi) / 2} sinc((x_a - x_b) span / 2 pi), and 0 where
+    the boxes [p0 - pi/d, p0 + pi/d] are disjoint. The factor sqrt(d_a d_b) span / 2 pi
+    is taken in ratios of the widths, so a packet's own overlap is exactly 1.
+    """
+    (xa, xb), (pa, pb), (ra, rb), (da, db) = _pairs(rows, cols)
+    rho = np.sqrt(da / db)
+    root = np.sqrt(da) * np.sqrt(db)
+    # span * root / 2 pi: the smaller box when one holds the other, else the boxes' overlap
+    w = np.minimum(np.minimum(rho, 1 / rho), (rho + 1 / rho) / 2 - np.abs(pb - pa) * root / TWO_PI)
+    w = np.maximum(w, 0.0)
+    lo = np.maximum(pa - math.pi / da, pb - math.pi / db)
+    hi = np.minimum(pa + math.pi / da, pb + math.pi / db)
+    delta = xa - xb
+    phase = delta * (lo + hi) / 2 - pa * (xa - ra) + pb * (xb - rb)
+    return w * np.sinc(delta * w / root) * np.exp(1j * phase)
+
+
+# each envelope kind's closed form of <a|b> over two packet tables
+_CLOSED_FORM_OVERLAPS = {GaussianEnvelope: _gaussian_overlaps, SincEnvelope: _sinc_overlaps}
+
+
+def _overlap_gram(packets):
+    """A function returning the packets' overlap Gram, once its budget has been checked.
+
+    Packets of one analytic envelope kind take the closed form, within
+    MAX_GRAM_ENTRIES; others take the quadrature, within MAX_OVERLAP_WORK.
+    """
+    kinds = {type(wp.envelope) for wp in packets}
+    closed = _CLOSED_FORM_OVERLAPS.get(kinds.pop()) if len(kinds) == 1 else None
+    if closed is None:
+        grid = _quadrature_grid(packets)
+        return lambda: _overlap_matrix(packets, grid)
+    entries = len(packets) ** 2
+    if not entries <= MAX_GRAM_ENTRIES:
+        raise ValueError(
+            f"the overlap Gram of {len(packets)} packets has {entries:.3g} entries, "
+            f"over the budget of {MAX_GRAM_ENTRIES:.3g}"
+        )
+
+    def closed_form():
+        table = _packet_table(packets)
+        # row blocks keep the temporaries at OVERLAP_BLOCK x K entries
+        out = np.empty((len(packets), len(packets)), dtype=complex)
+        for s in range(0, len(packets), OVERLAP_BLOCK):
+            out[s : s + OVERLAP_BLOCK] = closed(table[:, s : s + OVERLAP_BLOCK], table)
+        return out
+
+    return closed_form
+
+
 class _PacketSum:
     """Normalized sum of coefficients times products of wave packets, one per particle.
 
     `terms` holds (a, wp_1, ..., wp_P) tuples and `particles` the P tuples of
     each particle's packets. The norm is the coefficients' quadratic form with
-    the elementwise product of the particles' overlap Grams.
+    the elementwise product of the particles' overlap Grams (_overlap_gram).
     """
 
     _packets_per_term = 1
@@ -348,9 +439,9 @@ class _PacketSum:
             raise ValueError(f"each term needs a coefficient and {n} packet(s)")
         coefs, *particles = zip(*self.terms)
         self.particles = tuple(particles)
-        grids = [_quadrature_grid(p) for p in self.particles]  # every budget before any row
+        grams = [_overlap_gram(p) for p in self.particles]  # every budget before any Gram
         amps = np.array(coefs)
-        g = functools.reduce(operator.mul, map(_overlap_matrix, self.particles, grids))
+        g = functools.reduce(operator.mul, (f() for f in grams))
         nrm2 = float(np.real(np.conj(amps) @ g @ amps))
         if nrm2 <= 0:
             raise ValueError("state has zero norm")
@@ -673,9 +764,8 @@ def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
         if contained < 1 - tol:
             raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
         # each packet has unit mass, so more on the grid means the grid points miss
-        # its envelope's shape; the state's mass would not do here, because it also
-        # carries the overlap quadrature's error (1.7 % for sinc envelopes). A row's
-        # plane wave has modulus 1, so its mass is its envelope factor's.
+        # its envelope's shape. A row's plane wave has modulus 1, so its mass is its
+        # envelope factor's.
         worst = max(np.vdot(f, f).real for f in r.factors) * g.dx
         if not worst <= 1 + tol:
             raise ValueError(

@@ -347,7 +347,7 @@ class TestErrors:
             (["fringes", "--state", "smp", "--sigma", "inf"], "sigma_x"),
             (["protocol", "--sigma", "inf", "--steps", "2"], "sigma_x"),
             (["criterion", "--state", "mpe", "--N", "2", "--sigma", "8", "--lam", "inf"], "lambda"),
-            (["robustness", "--N", "100000"], "overlap quadrature"),
+            (["robustness", "--N", "100000"], "overlap Gram"),
             (["protocol", "--steps", "2", "--sigma", "1e-100"], "not finite"),
             (["protocol", "--steps", "2", "--lam", "1e200"], "not finite"),
         ],

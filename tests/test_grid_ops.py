@@ -14,6 +14,8 @@ from modint.grids import (
     GridState,
     IncommensurateGridError,
     TwoParticleGridState,
+    _moments,
+    _momentum_bound,
     apply_modular_operator,
     apply_observable_raw,
     commutator_expectation,
@@ -645,6 +647,38 @@ class TestLatticeRoute:
         assert calls.count(("fft", grid.points)) == 1
         assert set(calls) <= {("fft", grid.points), ("fft", 256)}
 
+    @pytest.mark.parametrize(
+        "spec", [GridSpec(16, -1.0, 1.0), GridSpec(32768, -64.0, 64.0), GridSpec(65536, -80.63, 47.37)]
+    )
+    def test_momentum_values_on_columns_are_the_full_lattices(self, spec):
+        n = spec.points
+        rng = np.random.default_rng(n)
+        cols = np.unique(np.r_[0, n // 2 - 1, n // 2, n - 1, rng.integers(0, n, size=min(n, 999))])
+        for name in ("p", "pbar", "N_p"):
+            full = observable_values(spec, name, SCALE)[1]
+            got = observable_values(spec, name, SCALE, cols)[1]
+            assert got.tobytes() == full[cols].tobytes()
+            bound = _momentum_bound(spec, name, SCALE)
+            if name == "pbar":
+                assert bound >= np.max(np.abs(full))
+            else:  # the lattice ends hold the full lattice's maximum, bitwise
+                assert bound == np.max(np.abs(full))
+
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    def test_support_moments_read_the_full_values_on_the_support(self, x0):
+        st = build_mpe(3, x0, 1, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, 1.0))
+        for rows in (gs.rows1, gs.rows2):
+            for name in ("pbar", "N_p"):
+                full = np.abs(observable_values(gs.spec1, name, SCALE)[1])
+                cols, arrs, _ = support_rows(rows, max(full.max(), full.max() ** 2))
+                vals = observable_values(gs.spec1, name, SCALE)[1][cols]
+                want = gram(arrs, arrs, gs.spec1.dx / gs.spec1.points, np.stack([vals, vals**2]))
+                if name == "N_p":  # the same bound, so the same columns and sums, bitwise
+                    assert np.array_equal(_moments(gs.spec1, rows, name, SCALE), want)
+                else:  # pbar's bound P/2 may keep a few more columns below the tail bound
+                    assert np.allclose(_moments(gs.spec1, rows, name, SCALE), want, rtol=0, atol=1e-14)
+
 
 # ---------------------------------------------------------------------------
 # one grid path for one- and two-particle states
@@ -653,7 +687,8 @@ class TestLatticeRoute:
 _SINGLE_CASES = {
     "multislit": (lambda: build_multislit(3, 1.0, GaussianEnvelope(0.1)), GridSpec(8192, -32.0, 32.0)),
     "smp x0=0.37 N0=2": (lambda: build_smp(3, 0.37, 2, 1.0, WIDE), None),
-    "sinc": (lambda: build_multislit(3, 1.0, SincEnvelope(0.1)), GridSpec(8192, -32.0, 32.0)),
+    # the 1/x^2 tails: this grid holds 0.99976 of the exactly normalized sinc state
+    "sinc": (lambda: build_multislit(3, 1.0, SincEnvelope(0.1)), GridSpec(2**15, -128.0, 128.0)),
     "complex tabulated": (lambda: build_smp(2, 0.0, 1, 1.0, _wide_complex_tabulated()), None),
 }
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modint import states
+from modint.criterion import evaluate_criterion
 from modint.grids import GridSpec, TwoParticleGridState
-from modint.modvar import H_PLANCK, fringe_function
+from modint.modvar import H_PLANCK, ModularScale, fringe_function
 from modint.states import (
     GaussianEnvelope,
     MixtureState,
@@ -336,9 +337,28 @@ class TestBuilders:
             raise AssertionError("built quadrature rows for a state over the budget")
 
         monkeypatch.setattr(states, "_amplitude_rows", no_rows)
-        # 2000 packets on 2.56e6 points (2**22 once rounded): 1.02e13 multiply-adds
-        with pytest.raises(ValueError, match=r"2000 packets on 2\.56e\+06 points.*budget of 1e\+11"):
-            build_mpe(2000, 0.0, 1, 1.0, WIDE)
+        xs = np.linspace(-60.0, 60.0, 1201)
+        table = TabulatedEnvelope(xs, WIDE(xs))  # no closed form: the quadrature normalizes it
+        # 1000 packets on 1.28e6 points (2**21 once rounded): 1.28e12 multiply-adds
+        with pytest.raises(ValueError, match=r"1000 packets on 1\.28e\+06 points.*budget of 1e\+11"):
+            build_mpe(1000, 0.0, 1, 1.0, table)
+
+    def test_gaussian_2000_packet_mpe_normalizes_in_closed_form(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("overlap quadrature used for Gaussian packets")
+
+        monkeypatch.setattr(states, "_overlap_matrix", no_quadrature)
+        # the packets are 2 pi apart in momentum, so each overlap is e^{-(2 pi sigma)^2 / 2} = 0
+        assert build_mpe(2000, 0.0, 1, 1.0, WIDE)._scale == pytest.approx(1.0, abs=1e-12)
+
+    def test_closed_form_gram_over_budget_raises_before_any_entry(self, monkeypatch):
+        def no_entries(*args, **kwargs):
+            raise AssertionError("computed Gram entries for a state over the budget")
+
+        monkeypatch.setitem(states._CLOSED_FORM_OVERLAPS, GaussianEnvelope, no_entries)
+        # 2049 packets: 4.2e6 entries per particle, over MAX_GRAM_ENTRIES = 2**22
+        with pytest.raises(ValueError, match=r"overlap Gram of 2049 packets has 4\.2e\+06 entries"):
+            build_mpe(2049, 0.0, 1, 1.0, WIDE)
 
     @pytest.mark.parametrize("x0", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize(
@@ -604,3 +624,77 @@ class TestWavePacket:
         st = SuperposedState([(1.0, a), (1.0, b)])
         x = np.linspace(-20, 20, 20001)
         assert quad_norm(st, x) == pytest.approx(1.0, abs=1e-8)
+
+
+def _quadrature_gram(packets):
+    return states._overlap_matrix(packets, states._quadrature_grid(packets))
+
+
+def _closed_gram(packets):
+    return states._overlap_gram(packets)()
+
+
+def _box_reference(a, b):
+    """<a|b> of two sinc packets by a Gauss-Legendre rule on their momentum boxes' intersection."""
+    lo = max(a.p0 - np.pi / a.envelope.d, b.p0 - np.pi / b.envelope.d)
+    hi = min(a.p0 + np.pi / a.envelope.d, b.p0 + np.pi / b.envelope.d)
+    if not lo < hi:
+        return 0.0
+    t, w = np.polynomial.legendre.leggauss(400)
+    p = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+    return 0.5 * (hi - lo) * np.sum(w * np.conj(a.momentum_amplitude(p)) * b.momentum_amplitude(p))
+
+
+_PACKET = st.tuples(
+    st.floats(-20.0, 20.0), st.floats(-10.0, 10.0), st.floats(-5.0, 5.0), st.floats(0.5, 20.0)
+)
+
+
+class TestClosedFormGrams:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_PACKET, min_size=1, max_size=4))
+    def test_gaussian_gram_matches_the_quadrature(self, rows):
+        packets = [WavePacket(GaussianEnvelope(s), x0, p0, r) for x0, p0, r, s in rows]
+        assert np.max(np.abs(_closed_gram(packets) - _quadrature_gram(packets))) <= 1e-12
+
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_gaussian_mpe_gram_matches_the_quadrature(self, n, x0):
+        for packets in build_mpe(n, x0, 1, 1.0, WIDE).particles:
+            assert np.max(np.abs(_closed_gram(packets) - _quadrature_gram(packets))) <= 1e-12
+
+    @pytest.mark.parametrize("width", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    @pytest.mark.parametrize("envelope", [GaussianEnvelope, SincEnvelope])
+    def test_a_packet_overlaps_itself_exactly(self, envelope, width):
+        # RuntimeWarnings are errors here, so no width may under- or overflow
+        packet = WavePacket(envelope(width), x0=0.37, p0=2 * np.pi * 3, phase_ref=0.37)
+        assert _closed_gram([packet]).tolist() == [[1.0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_PACKET, min_size=1, max_size=4))
+    def test_sinc_gram_matches_the_box_integrals(self, rows):
+        packets = [WavePacket(SincEnvelope(d), x0, p0, r) for x0, p0, r, d in rows]
+        want = np.array([[_box_reference(a, b) for b in packets] for a in packets])
+        got = _closed_gram(packets)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(np.diag(got) == 1.0)
+
+    def test_sinc_states_are_normalized_exactly(self):
+        # the quadrature stopped 10 widths out and read 0.98268 here
+        assert build_multislit(3, 1.0, SincEnvelope(0.1))._scale == pytest.approx(1.0, abs=1e-15)
+
+    def test_tabulated_and_mixed_kinds_take_the_quadrature(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "_overlap_matrix", lambda p, g: calls.append(len(p)) or np.eye(len(p)))
+        SuperposedState([(1.0, WavePacket(_tabulated_64())), (1.0, WavePacket(WIDE, x0=40.0))])
+        build_smp(2, 0.0, 1, 1.0, SincEnvelope(8.0))
+        assert calls == [2]
+
+    def test_analytic_states_never_take_the_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("overlap quadrature used for analytic envelopes")
+
+        monkeypatch.setattr(states, "_overlap_matrix", no_quadrature)
+        build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0))
+        for state in (build_mpe(3, 0.37, 2, 1.0, WIDE), admixture_state(0.5, 2, 1.0, WIDE)):
+            assert evaluate_criterion(state, ModularScale(1.0)).lhs > 0
