@@ -18,7 +18,6 @@ from .modvar import fringe_function
 class PropagationParams:
     mass: float
     time: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
@@ -50,13 +49,13 @@ def _propagate_rows(spec: GridSpec, rows: np.ndarray, params: PropagationParams)
     cum = np.cumsum(_weights(rows), axis=1)
     lo = spec.x[np.sum(cum < SUPPORT_TAIL / 2, axis=1)]
     hi = spec.x[np.minimum(np.sum(cum < 1 - SUPPORT_TAIL / 2, axis=1), last)]
-    # p is a wavenumber: the fastest packet travels hbar * pmax / m per unit time
-    shift = pmax / params.mass * params.time * params.hbar
+    # p is a wavenumber (hbar = 1): the fastest packet travels pmax / m per unit time
+    shift = pmax / params.mass * params.time
     if np.any((hi + shift > spec.xmax) | (lo - shift < spec.xmin)):
         raise ValueError(
             "aliasing check failed: propagated state would wrap around the periodic box"
         )
-    phase = np.exp(-1j * params.hbar * spec.p**2 * params.time / (2 * params.mass))
+    phase = np.exp(-1j * spec.p**2 * params.time / (2 * params.mass))
     return np.fft.ifft(phase * ft, axis=1)
 
 
@@ -65,9 +64,9 @@ def free_propagate(state, params: PropagationParams):
     if isinstance(state, GridState):
         return GridState(state.spec, _propagate_rows(state.spec, state.psi[None], params)[0])
     if isinstance(state, TwoParticleGridState):
-        a1 = _propagate_rows(state.spec1, state.a1, params)
-        a2 = _propagate_rows(state.spec2, state.a2, params)
-        return TwoParticleGridState(state.spec1, state.spec2, state.coefs, a1, a2)
+        a1 = _propagate_rows(state.spec, state.a1, params)
+        a2 = _propagate_rows(state.spec, state.a2, params)
+        return TwoParticleGridState(state.spec, state.coefs, a1, a2)
     raise TypeError(f"cannot propagate {type(state).__name__}")
 
 
@@ -75,7 +74,7 @@ def far_field_map(x, mean_x: float, params: PropagationParams):
     """Identify late-time position with initial momentum: p = m (x - <x>) / t."""
     if params.time <= 0:
         raise ValueError("far-field map requires t > 0")
-    return params.mass * (np.asarray(x, dtype=float) - mean_x) / (params.time * params.hbar)
+    return params.mass * (np.asarray(x, dtype=float) - mean_x) / params.time
 
 
 def far_field_momentum_density(state: GridState, params: PropagationParams):
@@ -84,7 +83,7 @@ def far_field_momentum_density(state: GridState, params: PropagationParams):
     w = dens / (np.sum(dens) * state.spec.dx)
     mean_x = float(np.sum(state.spec.x * w) * state.spec.dx)
     p = far_field_map(state.spec.x, mean_x, params)
-    jac = params.time * params.hbar / params.mass
+    jac = params.time / params.mass
     return p, dens * jac
 
 
@@ -114,15 +113,16 @@ def fit_fringe_visibility(r, density, N: int, lam: float) -> float:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Pair-emission protocol: component n dissociates at emission_times[n]."""
+    """Pair-emission protocol: component n dissociates at emission_times[n].
+
+    Only mass / hbar enters the dispersion, so `mass` is in units with hbar = 1.
+    """
 
     N: int
     emission_times: tuple
     lam: float
     envelope: Envelope
     mass: float
-    base_integer: int = 1
-    hbar: float = 1.0
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.emission_times)
@@ -147,12 +147,11 @@ class ProtocolSpec:
             "lambda": self.lam,
             "envelope": self.envelope.descriptor(),
             "mass": self.mass,
-            "base_integer": self.base_integer,
-            "hbar": self.hbar,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProtocolSpec":
+        """The spec of a stored dict; a stored hbar divides the mass, a base_integer cancels."""
         from .states import envelope_from_descriptor
 
         return cls(
@@ -160,9 +159,7 @@ class ProtocolSpec:
             emission_times=tuple(d["emission_times"]),
             lam=float(d["lambda"]),
             envelope=envelope_from_descriptor(d["envelope"]),
-            mass=float(d["mass"]),
-            base_integer=int(d.get("base_integer", 1)),
-            hbar=float(d.get("hbar", 1.0)),
+            mass=float(d["mass"]) / float(d.get("hbar", 1.0)),
         )
 
 
@@ -175,7 +172,7 @@ def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
     meeting point: the constant kinetic offsets p0^2 dwell / 2m are dropped.
 
     Component n is exp(i p_n x1 - i p_n x2) g_n(x1) g_n(x2), with the freely
-    evolved gaussian g_n(x) ∝ exp(-x^2 / (4 sigma^2 s_n)), s_n = 1 + i hbar
+    evolved gaussian g_n(x) ∝ exp(-x^2 / (4 sigma^2 s_n)), s_n = 1 + i
     dwell_n / (2 m sigma^2).  In rho_rel(r) = sum_mn int A_m conj(A_n)(x)
     B_m conj(B_n)(x - r) dx the plane waves cancel in x, leaving a gaussian
     integral: rho_rel(r) = Re sum_mn exp(i (p_m - p_n) r) C_mn exp(-beta_mn r^2 / 2).
@@ -187,8 +184,9 @@ def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
     sigma = spec.envelope.sigma_x
     per = H_PLANCK / spec.lam
     dwells = meeting_time - np.asarray(spec.emission_times)
-    momenta = (spec.base_integer + np.arange(spec.N)) * per
-    s = 1.0 + 1j * spec.hbar * dwells / (2 * spec.mass * sigma**2)
+    # only the differences p_m - p_n enter, so the comb's base integer is 1
+    momenta = (1 + np.arange(spec.N)) * per
+    s = 1.0 + 1j * dwells / (2 * spec.mass * sigma**2)
 
     # beta_mn = (1/s_m + 1/conj(s_n)) / (4 sigma^2) has Re > 0, so the
     # principal root is the gaussian integral's

@@ -100,17 +100,18 @@ class GridState:
         return w / (np.sum(w) * dp)
 
 
-def gram(A: np.ndarray, B: np.ndarray, dx: float, weight: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of <a_i|w|b_j> dx over the rows of A (K, n) and B (L, n).
+def gram(A: np.ndarray, dx: float, weight: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of <a_i|w|a_j> dx over the rows of A (K, n).
 
-    A stack of weights (W, n) gives the (W, K, L) matrices of all of them from
+    A stack of weights (W, n) gives the (W, K, K) matrices of all of them from
     one sweep. Summed over blocks of GRAM_BLOCK grid columns, each conjugated
     once, so the temporaries stay K x GRAM_BLOCK however long the grid is.
     """
     weights = [None] if weight is None else np.atleast_2d(weight)
-    out = np.zeros((len(weights), A.shape[0], B.shape[0]), dtype=complex)
+    out = np.zeros((len(weights), A.shape[0], A.shape[0]), dtype=complex)
     for s in range(0, A.shape[1], GRAM_BLOCK):
-        a, b = A[:, s : s + GRAM_BLOCK].conj(), B[:, s : s + GRAM_BLOCK].T
+        block = A[:, s : s + GRAM_BLOCK]
+        a, b = block.conj(), block.T
         for acc, w in zip(out, weights):
             acc += (a if w is None else a * w[s : s + GRAM_BLOCK]) @ b
     out *= dx
@@ -178,7 +179,7 @@ def _lattice(rows):
 def lattice_gram(
     rows: FactoredRows, weight: np.ndarray | None = None, memo=None, key=None
 ) -> np.ndarray:
-    """gram(A, A, dx, weight) of lattice rows from the factor's folded density.
+    """gram(A, dx, weight) of lattice rows from the factor's folded density.
 
     <a_i|w|a_j> dx = conj(ph_i) ph_j dx R[(m_i - m_j) mod n] with R the FFT of
     d = |factor|^2 w. Every lag is a multiple of G = gcd(n, m_k - m_0), and there
@@ -255,12 +256,11 @@ def _cached(memo: dict | None, factor: np.ndarray, key, compute):
 def _identity_gram(rows, spec: GridSpec, memo=None) -> np.ndarray:
     if _lattice(rows) is not None:
         return lattice_gram(rows, memo=memo)
-    arr = _array(rows)
-    return gram(arr, arr, spec.dx)
+    return gram(_array(rows), spec.dx)
 
 
 class TwoParticleGridState:
-    """Sum of product terms coefs[k] * a1[k](x1) a2[k](x2), globally normalized.
+    """Sum of product terms coefs[k] * a1[k](x1) a2[k](x2) on one grid, globally normalized.
 
     Each particle's terms are a (K, n) array or FactoredRows, which are
     materialized only when `a1` or `a2` is read. Each particle's identity Gram
@@ -269,8 +269,8 @@ class TwoParticleGridState:
     `transforms` for the state's life, once per factor object for both particles.
     """
 
-    def __init__(self, spec1: GridSpec, spec2: GridSpec, coefs, a1, a2):
-        self.spec1, self.spec2 = spec1, spec2
+    def __init__(self, spec: GridSpec, coefs, a1, a2):
+        self.spec = spec
         self.coefs = np.asarray(coefs, dtype=complex)
         self.rows1, self.rows2 = (
             r if isinstance(r, FactoredRows) else np.asarray(r, dtype=complex) for r in (a1, a2)
@@ -278,26 +278,22 @@ class TwoParticleGridState:
         k = self.coefs.size
         if k == 0:
             raise ValueError("two-particle grid state needs at least one term")
-        if (
-            self.coefs.shape != (k,)
-            or self.rows1.shape != (k, spec1.points)
-            or self.rows2.shape != (k, spec2.points)
-        ):
-            raise ValueError("term arrays do not match the grid specs")
+        if self.coefs.shape != (k,) or not self.rows1.shape == self.rows2.shape == (k, spec.points):
+            raise ValueError("term arrays do not match the grid spec")
         self.transforms = {}  # the lattice rows' factor transforms, see _cached
-        self.g1 = _identity_gram(self.rows1, spec1, self.transforms)
-        self.g2 = _identity_gram(self.rows2, spec2, self.transforms)
+        self.g1 = _identity_gram(self.rows1, spec, self.transforms)
+        self.g2 = _identity_gram(self.rows2, spec, self.transforms)
         self.input_norm = self.norm  # norm of the terms as given
         if not self.input_norm > 0:
             raise ValueError("product terms have zero norm on this grid")
         self.coefs = self.coefs / math.sqrt(self.input_norm)
 
     @property
-    def a1(self) -> np.ndarray:  # (K, spec1.points)
+    def a1(self) -> np.ndarray:  # (K, spec.points)
         return _array(self.rows1)
 
     @property
-    def a2(self) -> np.ndarray:  # (K, spec2.points)
+    def a2(self) -> np.ndarray:  # (K, spec.points)
         return _array(self.rows2)
 
     @property
@@ -315,7 +311,7 @@ class TwoParticleGridState:
 
     def dense(self) -> np.ndarray:
         """Materialize the full 2-D amplitude array (capped)."""
-        if self.spec1.points > DENSE_CAP or self.spec2.points > DENSE_CAP:
+        if self.spec.points > DENSE_CAP:
             raise ValueError(
                 f"dense export capped at {DENSE_CAP} points per axis; "
                 "use the structured term representation instead"
@@ -437,7 +433,7 @@ def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None, va
         if lattice:
             return lattice_gram(rows, np.stack([vals, vals**2]), memo, (name, scale, spec))
         arrs = _array(rows)
-    return gram(arrs, arrs, dx, np.stack([vals, vals**2]))
+    return gram(arrs, dx, np.stack([vals, vals**2]))
 
 
 def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
@@ -451,12 +447,10 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
     c = state.coefs
     cc = np.conj(c)[:, None] * c[None, :]
     memo = state.transforms
-    v1 = v2 = None
-    if base in _POSITION_OBS:
-        v1 = observable_values(state.spec1, base, scale)[1]
-        v2 = v1 if state.spec2 == state.spec1 else None
-    o1, o1sq = _moments(state.spec1, state.rows1, base, scale, memo, v1)
-    o2, o2sq = _moments(state.spec2, state.rows2, base, scale, memo, v2)
+    # both particles' position values are one array on the one grid
+    vals = observable_values(state.spec, base, scale)[1] if base in _POSITION_OBS else None
+    o1, o1sq = _moments(state.spec, state.rows1, base, scale, memo, vals)
+    o2, o2sq = _moments(state.spec, state.rows2, base, scale, memo, vals)
     i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):
@@ -477,8 +471,7 @@ def observable_stats(state, name: str, scale: ModularScale) -> tuple[float, floa
         if name not in _TWOPARTICLE_OBS:
             raise ValueError(f"observable {name!r} undefined for two-particle states")
         base, _ = _REL_TOT[name]
-        _require_commensurate(state.spec1, base, scale)
-        _require_commensurate(state.spec2, base, scale)
+        _require_commensurate(state.spec, base, scale)
         return _pair_stats(state, name, scale)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 

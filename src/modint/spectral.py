@@ -30,6 +30,7 @@ KUMMER_MAX_TERMS = 500  # power-series terms kummer_M sums before it gives up
 KUMMER_TOL = 1e-12  # rounding error kummer_M accepts, absolute or relative to |M| > 1
 BRUTE_MAX_POINTS_PER_PERIOD = 4096  # largest dense block brute_force_c diagonalizes
 BRUTE_MAX_POINTS = 2**22  # largest full grid brute_force_c builds
+SOLVE_TOL = 1e-12  # bracket width at which solve_c's bisection stops
 
 
 def kummer_M(a, b: float, x: float):
@@ -110,27 +111,25 @@ def _bisect(f, lo: float, hi: float, tolerance: float) -> float:
     return lo if flo == 0.0 else lo - flo * (hi - lo) / (fhi - flo)
 
 
-@lru_cache(maxsize=16)
-def _solve_c_cached(tolerance: float) -> tuple[float, tuple[float, ...], float]:
+@lru_cache(maxsize=1)
+def _solve_c_cached() -> tuple[float, tuple[float, ...], float]:
     seed = perturbative_c()
     lo, hi = seed - 0.02, seed + 0.02
     if boundary_mismatch(lo) * boundary_mismatch(hi) >= 0:
         raise RuntimeError("root bracket failed near the perturbative seed")
-    c = _bisect(boundary_mismatch, lo, hi, tolerance)
+    c = _bisect(boundary_mismatch, lo, hi, SOLVE_TOL)
     # enumerate the first few even-parity eigenvalues by scanning for sign changes
     head = [c]
     mu_grid = np.linspace(hi, 8.0, 1600)
     vals = boundary_mismatch(mu_grid)
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))[:3]:
-        head.append(_bisect(boundary_mismatch, float(mu_grid[i]), float(mu_grid[i + 1]), tolerance))
+        head.append(_bisect(boundary_mismatch, float(mu_grid[i]), float(mu_grid[i + 1]), SOLVE_TOL))
     return c, tuple(head), abs(boundary_mismatch(c))
 
 
-def solve_c(tolerance: float = 1e-12) -> EigenSolveReport:
-    """Smallest eigenvalue via bracketed root finding on the shooting function."""
-    if tolerance < 1e-13:
-        raise ValueError("tolerance below root-finder resolution")
-    c, head, residual = _solve_c_cached(float(tolerance))
+def solve_c() -> EigenSolveReport:
+    """Smallest eigenvalue via bracketed root finding on the shooting function, to SOLVE_TOL."""
+    c, head, residual = _solve_c_cached()
     return EigenSolveReport(c=c, mu_spectrum_head=list(head), method="kummer_shoot", residual=residual)
 
 
@@ -146,20 +145,17 @@ def _modular_operator(spec: GridSpec, ell: float):
     return lambda psi: np.fft.ifft(npv2 * np.fft.fft(psi)) + pot * psi
 
 
-def brute_force_c(
-    periods: int = 32,
-    points_per_period: int = 128,
-    n_eigenvalues: int = 3,
-) -> EigenSolveReport:
+def brute_force_c(periods: int = 32, points_per_period: int = 128) -> EigenSolveReport:
     """Oracle: smallest eigenvalue of N_p^2 + xbar^2/ell^2 on a periodic grid, at ell = 1.
 
     The grid spans `periods` periods of `m` points, m being points_per_period
     rounded up to a power of two. The operator commutes with translation by
     ell, so it splits into one block per modular momentum, and each block is
     the one-period problem with its integer momenta relabelled: every block
-    has the spectrum of the first. `c`, the spectrum head and the ground state
-    come from one dense eigensolve of that m x m block, the kinetic term a
-    real circulant and the potential xbar^2/ell^2 on the grid's first period.
+    has the spectrum of the first. `c`, the spectrum head (the three lowest
+    eigenvalues) and the ground state come from one dense eigensolve of that
+    m x m block, the kinetic term a real circulant and the potential
+    xbar^2/ell^2 on the grid's first period.
     The ground state is the block's eigenvector repeated over all periods;
     `residual` is |A psi - c psi| for the full-grid operator A applied
     matrix-free, which checks the reduction at run time.
@@ -195,7 +191,7 @@ def brute_force_c(
     residual = float(np.linalg.norm(_modular_operator(spec, 1.0)(ground) - c * ground))
     return EigenSolveReport(
         c=c,
-        mu_spectrum_head=[float(v) for v in mu[:n_eigenvalues]],
+        mu_spectrum_head=[float(v) for v in mu[:3]],
         method="brute_force",
         residual=residual,
         ground_state=GridState(spec, ground),

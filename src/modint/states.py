@@ -330,7 +330,7 @@ def _overlap_matrix(packets, grid: GridSpec) -> np.ndarray:
     for j in range(grid.points // block):
         sub = GridSpec(block, grid.xmin + j * width, grid.xmin + (j + 1) * width)
         amps = _amplitude_rows(packets, sub)
-        out = out + gram(amps, amps, grid.dx)
+        out = out + gram(amps, grid.dx)
     return out
 
 
@@ -562,7 +562,8 @@ def build_multislit(N: int, L: float, envelope: Envelope) -> SuperposedState:
         )
     amp = 1.0 / math.sqrt(N)
     terms = [(amp, WavePacket(envelope, x0=-n * L)) for n in range(N)]
-    return SuperposedState(terms, fringe_period=H_PLANCK / L)
+    # its fringes, of period h/L, are in momentum: no position spacing to check
+    return SuperposedState(terms)
 
 
 def _check_comb(N, x0, lam, envelope):
@@ -706,18 +707,25 @@ def _momentum_reach(packets) -> float:
 def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
     """Commensurate power-of-two grid covering the state's packets and their momenta.
 
-    Takes the smallest power-of-two multiple of points_per_ell at which every
-    packet's momentum reach lies below the lattice's end pi / dx; raises
-    ValueError when that needs more than MAX_GRID_POINTS points.
+    Spans a power-of-two count of periods, so with n a power of two every
+    partition edge falls on a grid point. Takes the smallest power-of-two
+    multiple of points_per_ell at which every packet's momentum reach lies
+    below the lattice's end pi / dx; raises ValueError, before any grid is
+    returned, when that needs more than MAX_GRID_POINTS points.
     """
     if not hasattr(state, "packets"):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     lo, hi = _reach(state.packets, GRID_PAD)
-    periods = max(2, math.ceil((hi - lo) / ell))
+    periods = 1 << (max(2, math.ceil((hi - lo) / ell)) - 1).bit_length()
     center = 0.5 * (lo + hi)
     half = periods * ell / 2
     reach = _momentum_reach(state.packets)
     n = 1 << (periods * points_per_ell - 1).bit_length()
+    if n > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid too large: {periods} periods at {points_per_ell} points per ell "
+            f"take {n} points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
     while True:
         grid = GridSpec(points=n, xmin=center - half, xmax=center + half)
         if reach < math.pi / grid.dx:
@@ -733,45 +741,46 @@ def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
 TAIL_TOL = 1e-8  # mass a grid may miss where its second-order error 10 dx^2 is smaller
 
 
-def discretize(state, grid: GridSpec, grid2: GridSpec | None = None):
-    """Sample a state onto one grid per particle; raises if a grid misses mass or is coarse."""
+def discretize(state, grid: GridSpec):
+    """Sample a state onto the grid, both particles of a pair on the same one.
+
+    Raises if the grid misses mass or is coarse for the fringes, the momenta or
+    an envelope.
+    """
     if not isinstance(state, _PacketSum):
         raise TypeError(f"cannot discretize {type(state).__name__}")
-    grids = (grid, grid2 or grid)[: len(state.particles)]
-    for packets, g in zip(state.particles, grids):
-        if state.fringe_period is not None and g.dx > state.fringe_period / 8:
-            raise ValueError(
-                f"grid spacing {g.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
-            )
-        # the grid's momentum lattice ends at pi / dx; a packet reaching it aliases
-        reach = _momentum_reach(packets)
-        if not reach < math.pi / g.dx:
-            raise ValueError(
-                f"grid too coarse for the momenta: a packet reaches |p0| + 1/width = {reach:.6g}, "
-                f"at or above the lattice's end pi/dx = {math.pi / g.dx:.6g}"
-            )
-    # particles on one grid share the factor object of a common (envelope, x0)
-    memos = {g: {} for g in grids}
-    rows = [_grid_rows(packets, g, memos[g]) for packets, g in zip(state.particles, grids)]
+    if state.fringe_period is not None and grid.dx > state.fringe_period / 8:
+        raise ValueError(
+            f"grid spacing {grid.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
+        )
+    # the grid's momentum lattice ends at pi / dx; a packet reaching it aliases
+    reach = _momentum_reach(state.packets)
+    if not reach < math.pi / grid.dx:
+        raise ValueError(
+            f"grid too coarse for the momenta: a packet reaches |p0| + 1/width = {reach:.6g}, "
+            f"at or above the lattice's end pi/dx = {math.pi / grid.dx:.6g}"
+        )
+    # particles share the factor object of a common (envelope, x0)
+    memo = {}
+    rows = [_grid_rows(packets, grid, memo) for packets in state.particles]
     coefs = np.array([t[0] * state._scale for t in state.terms])
     if len(rows) == 1:
         out = GridState(grid, coefs @ rows[0].array)
     else:
-        out = TwoParticleGridState(*grids, coefs, *rows)
-    contained = out.input_norm  # the analytically normalized state's mass on the grids
-    for g, r in zip(grids, rows):
-        tol = max(TAIL_TOL, 10 * g.dx**2)
-        if contained < 1 - tol:
-            raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
-        # each packet has unit mass, so more on the grid means the grid points miss
-        # its envelope's shape. A row's plane wave has modulus 1, so its mass is its
-        # envelope factor's.
-        worst = max(np.vdot(f, f).real for f in r.factors) * g.dx
-        if not worst <= 1 + tol:
-            raise ValueError(
-                f"grid too coarse for the envelope: a packet holds {worst:.10g} of its "
-                f"unit mass on a grid of spacing {g.dx:.3g}"
-            )
+        out = TwoParticleGridState(grid, coefs, *rows)
+    contained = out.input_norm  # the analytically normalized state's mass on the grid
+    tol = max(TAIL_TOL, 10 * grid.dx**2)
+    if contained < 1 - tol:
+        raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
+    # each packet has unit mass, so more on the grid means the grid points miss
+    # its envelope's shape. A row's plane wave has modulus 1, so its mass is its
+    # envelope factor's.
+    worst = max(np.vdot(f, f).real for r in rows for f in r.factors) * grid.dx
+    if not worst <= 1 + tol:
+        raise ValueError(
+            f"grid too coarse for the envelope: a packet holds {worst:.10g} of its "
+            f"unit mass on a grid of spacing {grid.dx:.3g}"
+        )
     return out
 
 
@@ -793,8 +802,8 @@ def gridstate_to_csv(state, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x1", "x2", "re", "im"])
-            for i, x1 in enumerate(state.spec1.x):
-                for j, x2 in enumerate(state.spec2.x):
+            for i, x1 in enumerate(state.spec.x):
+                for j, x2 in enumerate(state.spec.x):
                     w.writerow([repr(float(x1)), repr(float(x2)),
                                 repr(float(dense[i, j].real)), repr(float(dense[i, j].imag))])
         return

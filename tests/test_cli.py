@@ -159,6 +159,15 @@ class TestPropagate:
         x = np.array([float(r[0]) for r in rows[1:]])
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-6)
 
+    def test_wide_slits_on_the_default_points(self):
+        # L = 100 with sigma = L / 10 on 16384 points over [-512, 512): dx = 0.0625
+        code, out, err = run_cli(["propagate", "--L", "100", "--xmin", "-512", "--xmax", "512"])
+        assert code == 0 and err == ""
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) - 1 == 16384
+        dens = np.array([float(r[3]) for r in rows[1:]])
+        assert np.sum(dens) * 1024 / 16384 == pytest.approx(1.0, abs=1e-12)
+
     def test_two_particle_state_rejected(self):
         code, _, err = run_cli(["propagate", "--state", "mpe"])
         assert code == 2
@@ -380,6 +389,14 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_state_wider_than_the_grid_budget_exits_2(self):
+        # the first grid would take 2^33 points; it is refused before any array
+        code, out, err = run_cli(["criterion", "--x0", "1e7"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "MAX_GRID_POINTS" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_aliased_comb_gets_a_finer_grid(self):

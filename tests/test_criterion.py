@@ -161,6 +161,22 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="too coarse"):
             default_grid(build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(1e-7)), 1.0)
 
+    @pytest.mark.parametrize("x0", [1e4, 1e5, 1e7])
+    def test_default_grid_refuses_a_state_wider_than_its_points_budget(self, x0):
+        # at 256 points per ell the first grid would take 2^23, 2^26 and 2^33 points;
+        # default_grid builds no array, so asking allocates nothing
+        with pytest.raises(ValueError, match="grid too large"):
+            default_grid(build_mpe(2, x0, 1, 1.0, WIDE), 1.0)
+
+    def test_off_centre_grids_converge_at_second_order(self):
+        # a power-of-two count of periods puts every partition edge on a grid point,
+        # so the lhs error falls fourfold per halving of dx (129 periods gave 2.92)
+        state = build_mpe(2, 0.37, 1, 1.0, WIDE)
+        periods = round(default_grid(state, 1.0).length)
+        assert periods == 256
+        lhs = [evaluate_criterion(state, SCALE, points_per_ell=p).lhs for p in (128, 256, 512)]
+        assert (lhs[0] - lhs[1]) / (lhs[1] - lhs[2]) == pytest.approx(4.0, abs=0.05)
+
     def test_rejects_single_particle_state(self):
         from modint.states import build_smp
 
@@ -193,7 +209,7 @@ class TestSeparable:
         assert evaluate_criterion(state, SCALE, axis=axis).lhs >= criterion_bound() - 1e-9
         for part in parts:
             gs = discretize(part, default_grid(part, 1.0))
-            rows = TwoParticleGridState(gs.spec1, gs.spec2, gs.coefs, gs.a1, gs.a2)
+            rows = TwoParticleGridState(gs.spec, gs.coefs, gs.a1, gs.a2)
             for name in _AXES[axis]:
                 want = observable_stats(rows, name, SCALE)
                 assert observable_stats(gs, name, SCALE) == pytest.approx(want, rel=1e-12, abs=1e-12)

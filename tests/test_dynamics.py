@@ -90,9 +90,9 @@ def _reference_propagate(spec, psi, params, tail=1e-9):
     cum = np.cumsum(np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2))
     lo = spec.x[np.searchsorted(cum, tail / 2)]
     hi = spec.x[min(np.searchsorted(cum, 1 - tail / 2), spec.points - 1)]
-    shift = pmax / params.mass * params.time * params.hbar
+    shift = pmax / params.mass * params.time
     assert spec.xmin <= lo - shift and hi + shift <= spec.xmax
-    phase = np.exp(-1j * params.hbar * spec.p**2 * params.time / (2 * params.mass))
+    phase = np.exp(-1j * spec.p**2 * params.time / (2 * params.mass))
     return np.fft.ifft(phase * np.fft.fft(psi))
 
 
@@ -102,8 +102,8 @@ class TestPairPropagation:
         gs = discretize(st, GridSpec(points=4096, xmin=-64.0, xmax=64.0))
         params = PropagationParams(mass=1.0, time=0.5)
         moved = free_propagate(gs, params)
-        for spec, before, after in ((gs.spec1, gs.a1, moved.a1), (gs.spec2, gs.a2, moved.a2)):
-            want = np.array([_reference_propagate(spec, a, params) for a in before])
+        for before, after in ((gs.a1, moved.a1), (gs.a2, moved.a2)):
+            want = np.array([_reference_propagate(gs.spec, a, params) for a in before])
             assert np.max(np.abs(after - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_wraparound_checked_per_row(self):
@@ -112,9 +112,9 @@ class TestPairPropagation:
         spec = GridSpec(points=1024, xmin=-16.0, xmax=16.0)
         rest = np.exp(-spec.x**2 / 4)
         rows = np.array([rest, 1e-6 * rest * np.exp(3j * spec.x)])
-        gs = TwoParticleGridState(spec, spec, np.ones(2), rows, np.array([rest, rest]))
+        gs = TwoParticleGridState(spec, np.ones(2), rows, np.array([rest, rest]))
         params = PropagationParams(mass=1.0, time=2.0)
-        free_propagate(TwoParticleGridState(spec, spec, [1.0], rows[:1], rows[:1]), params)
+        free_propagate(TwoParticleGridState(spec, [1.0], rows[:1], rows[:1]), params)
         with pytest.raises(ValueError, match="wrap"):
             free_propagate(gs, params)
 
@@ -231,6 +231,12 @@ class TestProtocol:
         back = ProtocolSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert back == spec
 
+    def test_stored_hbar_divides_the_mass(self):
+        d = {**self.make(stagger=2.5).to_json_dict(), "mass": 3.0, "hbar": 2.0, "base_integer": 7}
+        spec = ProtocolSpec.from_json_dict(d)
+        assert spec.mass == 1.5
+        assert spec.to_json_dict().keys() == d.keys() - {"hbar", "base_integer"}
+
     @pytest.mark.parametrize("sigma, lam", [(1e-100, 1.0), (8.0, 1e200)])
     def test_nonfinite_algebra_rejected(self, sigma, lam):
         # sigma^2 |s|^2 overflows in the coefficients; r^2 overflows in the terms
@@ -248,24 +254,25 @@ class TestProtocol:
             ProtocolSpec(N=N, emission_times=(0.0,) * N, lam=1.0, envelope=self.ENV, mass=1.0)
 
 
-def _quadrature_protocol_visibility(spec, meeting_time):
+def _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, base_integer):
     """Reference: the relative-coordinate density by brute-force quadrature.
 
     Every packet is sampled on a 4096-point x grid and particle 2's packets on
-    the shifted grid x - r for each of the 601 r values.
+    the shifted grid x - r for each of the 601 r values. The packets disperse
+    with the given mass and hbar, and the comb starts at base_integer.
     """
     sigma = spec.envelope.sigma_x
     per = H_PLANCK / spec.lam
     dwells = [meeting_time - t for t in spec.emission_times]
-    momenta = [(spec.base_integer + n) * per for n in range(spec.N)]
+    momenta = [(base_integer + n) * per for n in range(spec.N)]
 
     def amplitude(x, p0, dwell):
-        s = 1.0 + 1j * spec.hbar * dwell / (2 * spec.mass * sigma**2)
+        s = 1.0 + 1j * hbar * dwell / (2 * mass * sigma**2)
         env = (2 * math.pi * sigma**2) ** -0.25 / np.sqrt(s) * np.exp(-(x**2) / (4 * sigma**2 * s))
         return np.exp(1j * p0 * x) * env
 
     smax = max(
-        sigma * math.sqrt(1 + (spec.hbar * d / (2 * spec.mass * sigma**2)) ** 2) for d in dwells
+        sigma * math.sqrt(1 + (hbar * d / (2 * mass * sigma**2)) ** 2) for d in dwells
     )
     x = np.linspace(-8 * smax, 8 * smax, 4096)
     r = np.linspace(-1.5 * spec.lam, 1.5 * spec.lam, 601)
@@ -296,15 +303,16 @@ def _quadrature_protocol_visibility(spec, meeting_time):
     ],
 )
 def test_closed_form_matches_quadrature(N, stagger, mass, hbar, base_integer, sigma):
+    # the closed form, in units with hbar = 1 and its comb from 1, against a
+    # quadrature at the given hbar and base integer: only mass / hbar enters,
+    # and the base integer cancels in the momentum differences
     spec = ProtocolSpec(
         N=N,
         emission_times=tuple(n * stagger for n in range(N)),
         lam=1.0,
         envelope=GaussianEnvelope(sigma),
-        mass=mass,
-        base_integer=base_integer,
-        hbar=hbar,
+        mass=mass / hbar,
     )
     meeting_time = 60.0 + 2 * stagger
-    reference = _quadrature_protocol_visibility(spec, meeting_time)
+    reference = _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, base_integer)
     assert abs(protocol_visibility(spec, meeting_time) - reference) <= 1e-9

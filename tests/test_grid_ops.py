@@ -255,8 +255,8 @@ def _loop_pair_stats(gs, name):
     base, sign = _REL_TOT[name]
     c = gs.coefs
     cc = np.conj(c)[:, None] * c[None, :]
-    e1 = [_loop_elements(gs.spec1, gs.a1, base, k) for k in range(3)]
-    e2 = [_loop_elements(gs.spec2, gs.a2, base, k) for k in range(3)]
+    e1 = [_loop_elements(gs.spec, gs.a1, base, k) for k in range(3)]
+    e2 = [_loop_elements(gs.spec, gs.a2, base, k) for k in range(3)]
 
     def ev(m1, m2):
         return float(np.real(np.sum(cc * m1 * m2)))
@@ -276,12 +276,11 @@ class TestProductTermCore:
         rng = np.random.default_rng(5)
         n = GRAM_BLOCK + 1000  # one full block and a partial one
         A = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-        B = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         w = rng.uniform(-1.0, 1.0, size=n)
-        ref = np.array([[np.vdot(a, w * b) * 0.5 for b in B] for a in A])
-        assert np.allclose(gram(A, B, 0.5, w), ref, rtol=1e-13, atol=0)
-        ref = np.array([[np.vdot(a, b) * 0.5 for b in B] for a in A])
-        assert np.allclose(gram(A, B, 0.5), ref, rtol=1e-13, atol=0)
+        ref = np.array([[np.vdot(a, w * b) * 0.5 for b in A] for a in A])
+        assert np.allclose(gram(A, 0.5, w), ref, rtol=1e-13, atol=0)
+        ref = np.array([[np.vdot(a, b) * 0.5 for b in A] for a in A])
+        assert np.allclose(gram(A, 0.5), ref, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("N", [2, 3, 5])
     @pytest.mark.parametrize("name", sorted(_REL_TOT))
@@ -295,8 +294,8 @@ class TestProductTermCore:
     def test_identity_gram_kept_on_the_carrier(self):
         gs = mpe_grid(3)
         assert gs.n_terms == 3
-        assert np.allclose(gs.g1, _loop_elements(gs.spec1, gs.a1, "x", 0), rtol=1e-13, atol=1e-15)
-        assert np.allclose(gs.g2, _loop_elements(gs.spec2, gs.a2, "x", 0), rtol=1e-13, atol=1e-15)
+        assert np.allclose(gs.g1, _loop_elements(gs.spec, gs.a1, "x", 0), rtol=1e-13, atol=1e-15)
+        assert np.allclose(gs.g2, _loop_elements(gs.spec, gs.a2, "x", 0), rtol=1e-13, atol=1e-15)
         assert gs.norm == pytest.approx(1.0, abs=1e-13)
 
     def test_free_propagate_keeps_norm_and_acts_per_term(self):
@@ -306,10 +305,10 @@ class TestProductTermCore:
         assert isinstance(moved, TwoParticleGridState)
         assert moved.input_norm == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(moved.coefs, gs.coefs, rtol=1e-12, atol=0)
-        for spec, before, after in ((gs.spec1, gs.a1, moved.a1), (gs.spec2, gs.a2, moved.a2)):
+        for before, after in ((gs.a1, moved.a1), (gs.a2, moved.a2)):
             for a, b in zip(before, after):
-                single = free_propagate(GridState(spec, a), params)
-                assert np.allclose(single.psi, GridState(spec, b).psi, atol=1e-12)
+                single = free_propagate(GridState(gs.spec, a), params)
+                assert np.allclose(single.psi, GridState(gs.spec, b).psi, atol=1e-12)
 
     def test_dense_is_the_sum_of_outer_products(self):
         small = GridSpec(points=256, xmin=-16.0, xmax=16.0)
@@ -322,30 +321,29 @@ class TestProductTermCore:
 
     def test_two_particle_csv_has_one_row_per_point_pair(self, tmp_path):
         rng = np.random.default_rng(2)
-        s1 = GridSpec(points=16, xmin=-1.0, xmax=1.0)
-        s2 = GridSpec(points=32, xmin=0.0, xmax=4.0)
+        spec = GridSpec(points=16, xmin=-1.0, xmax=3.0)
         gs = TwoParticleGridState(
-            s1, s2, np.array([1.0, 0.5j]),
+            spec, np.array([1.0, 0.5j]),
             rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)),
-            rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32)),
+            rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)),
         )
         path = tmp_path / "pair.csv"
         gridstate_to_csv(gs, path)
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["x1", "x2", "re", "im"]
-        assert len(rows) - 1 == s1.points * s2.points
+        assert len(rows) - 1 == spec.points**2
         table = np.array([[float(v) for v in r] for r in rows[1:]])
-        assert np.allclose(table[:, 0], np.repeat(s1.x, s2.points))
-        assert np.allclose(table[:, 1], np.tile(s2.x, s1.points))
+        assert np.allclose(table[:, 0], np.repeat(spec.x, spec.points))
+        assert np.allclose(table[:, 1], np.tile(spec.x, spec.points))
         dense = gs.dense().ravel()
         assert np.allclose(table[:, 2] + 1j * table[:, 3], dense, rtol=1e-15, atol=0)
 
     def test_rejects_mismatched_term_arrays(self):
         spec = GridSpec(points=16, xmin=-1.0, xmax=1.0)
         with pytest.raises(ValueError, match="match"):
-            TwoParticleGridState(spec, spec, np.ones(2), np.ones((2, 16)), np.ones((3, 16)))
+            TwoParticleGridState(spec, np.ones(2), np.ones((2, 16)), np.ones((3, 16)))
         with pytest.raises(ValueError, match="at least one term"):
-            TwoParticleGridState(spec, spec, np.ones(0), np.ones((0, 16)), np.ones((0, 16)))
+            TwoParticleGridState(spec, np.ones(0), np.ones((0, 16)), np.ones((0, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +392,7 @@ class TestAmplitudeRows:
         grid = _quadrature_grid(packets)
         assert grid.points > GRAM_BLOCK  # more than one sub-grid
         amps = np.array([wp.position_amplitude(grid.x) for wp in packets])
-        want = gram(amps, amps, grid.dx)
+        want = gram(amps, grid.dx)
         assert np.allclose(_overlap_matrix(packets, grid), want, rtol=0, atol=1e-12)
 
     def test_grid_verdict_needs_no_packet_amplitudes(self, monkeypatch):
@@ -410,10 +408,10 @@ class TestAmplitudeRows:
         n = GRAM_BLOCK + 300
         A = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         w = rng.uniform(-1.0, 1.0, size=(2, n))
-        both = gram(A, A, 0.25, w)
+        both = gram(A, 0.25, w)
         assert both.shape == (2, 3, 3)
         for got, wk in zip(both, w):
-            assert np.array_equal(got, gram(A, A, 0.25, wk))
+            assert np.array_equal(got, gram(A, 0.25, wk))
 
 
 def _reference_moments(spec, arrs, name):
@@ -423,15 +421,15 @@ def _reference_moments(spec, arrs, name):
     if domain == "momentum":
         arrs = np.fft.fft(arrs, axis=1)
         dx /= spec.points
-    return gram(arrs, arrs, dx, vals), gram(arrs, arrs, dx, vals**2)
+    return gram(arrs, dx, vals), gram(arrs, dx, vals**2)
 
 
 def _reference_pair_stats(gs, name):
     base, sign = _REL_TOT[name]
     c = gs.coefs
     cc = np.conj(c)[:, None] * c[None, :]
-    o1, o1sq = _reference_moments(gs.spec1, gs.a1, base)
-    o2, o2sq = _reference_moments(gs.spec2, gs.a2, base)
+    o1, o1sq = _reference_moments(gs.spec, gs.a1, base)
+    o2, o2sq = _reference_moments(gs.spec, gs.a2, base)
 
     def ev(e1, e2):
         return float(np.real(np.sum(cc * e1 * e2)))
@@ -441,18 +439,26 @@ def _reference_pair_stats(gs, name):
     return mean, second - mean**2
 
 
-class TestSecondGrid:
+def _wider_grid(grid):
+    """Twice the box at the same spacing, so still aligned to the partition.
+
+    The spacing is kept because the grid points on partition edges count wholly
+    to the upper cell, which moves the mean of N_x by O(dx).
+    """
+    return GridSpec(2 * grid.points, grid.xmin - grid.length / 2, grid.xmax + grid.length / 2)
+
+
+class TestWiderGrid:
     @pytest.mark.parametrize("name", sorted(_REL_TOT))
-    def test_stats_on_a_different_second_grid(self, name):
+    def test_stats_on_a_wider_grid(self, name):
         st = build_mpe(3, x0=0.37, N0=1, lam=1.0, envelope=WIDE)
         grid = default_grid(st, 1.0)
-        grid2 = GridSpec(2 * grid.points, grid.xmin - 3.0, grid.xmax + 5.0)
-        gs = discretize(st, grid, grid2)
-        assert (gs.spec1, gs.spec2) == (grid, grid2)
-        assert gs.a2.shape == (3, grid2.points)
+        wide = _wider_grid(grid)
+        gs = discretize(st, wide)
+        assert gs.spec == wide and gs.a2.shape == (3, wide.points)
         got = observable_stats(gs, name, SCALE)
         assert got == pytest.approx(_reference_pair_stats(gs, name), rel=1e-12, abs=1e-12)
-        # the same physics as on one grid, up to the second-order grid error
+        # the same physics as on the default grid, up to the second-order grid error
         same = discretize(st, grid)
         assert got == pytest.approx(observable_stats(same, name, SCALE), rel=1e-4, abs=1e-4)
 
@@ -463,14 +469,14 @@ class TestSecondGrid:
 
 def _row_route(gs):
     """The same state with its rows given as arrays, so every statistic takes the row route."""
-    return TwoParticleGridState(gs.spec1, gs.spec2, gs.coefs, gs.a1, gs.a2)
+    return TwoParticleGridState(gs.spec, gs.coefs, gs.a1, gs.a2)
 
 
 def _materialized_discretize(st, grid):
     """discretize's pair state built from materialized rows, as before factored rows."""
     coefs = np.array([t[0] * st._scale for t in st.terms])
     rows = [_amplitude_rows(packets, grid) for packets in st.particles]
-    return TwoParticleGridState(grid, grid, coefs, *rows)
+    return TwoParticleGridState(grid, coefs, *rows)
 
 
 def _assert_routes_agree(gs):
@@ -523,10 +529,9 @@ class TestLatticeRoute:
             assert gs.rows1.lattice is not None and gs.rows2.lattice is not None
             _assert_routes_agree(gs)
 
-    def test_routes_agree_on_a_different_second_grid(self):
+    def test_routes_agree_on_a_wider_grid(self):
         st = build_mpe(3, x0=0.37, N0=1, lam=1.0, envelope=WIDE)
-        grid = default_grid(st, 1.0)
-        gs = discretize(st, grid, GridSpec(2 * grid.points, grid.xmin - 3.0, grid.xmax + 5.0))
+        gs = discretize(st, _wider_grid(default_grid(st, 1.0)))
         assert gs.rows1.lattice is not None and gs.rows2.lattice is not None
         _assert_routes_agree(gs)
 
@@ -595,7 +600,7 @@ class TestLatticeRoute:
             waves = [(TWO_PI * m / spec.length, t) for m, t in shifts]
             rows = FactoredRows(spec, [factor], [0] * len(shifts), waves)
             assert rows.lattice is not None
-            want = gram(rows.array, rows.array, spec.dx, w)
+            want = gram(rows.array, spec.dx, w)
             assert np.allclose(lattice_gram(rows, w), want, rtol=0, atol=1e-14)
             assert np.allclose(lattice_gram(rows), want[0], rtol=0, atol=1e-14)
             # weights bounded by 1 keep the columns where |F|^2 is above 2^-53 / 64 of the
@@ -617,14 +622,14 @@ class TestLatticeRoute:
         st = build_mpe(N, x0, 1, 1.0, GaussianEnvelope(sigma))
         gs = discretize(st, default_grid(st, 1.0))
         for base in ("N_p", "pbar"):
-            vals = np.abs(observable_values(gs.spec1, base, SCALE)[1])
+            vals = np.abs(observable_values(gs.spec, base, SCALE)[1])
             wmax = max(vals.max(), vals.max() ** 2)
             for rows in (gs.rows1, gs.rows2):
                 cols, _, tail = support_rows(rows, wmax)
                 power = np.abs(np.fft.fft(rows.factors[0])) ** 2
                 assert tail <= 2.0**-53 * np.sum(power)
                 if x0 == 0.0:  # a centred factor's transform is negligible off its support
-                    assert cols.size < gs.spec1.points // 4
+                    assert cols.size < gs.spec.points // 4
 
     @pytest.mark.parametrize("axis", ["momentum", "position"])
     def test_one_transform_per_shared_factor(self, monkeypatch, axis):
@@ -670,14 +675,14 @@ class TestLatticeRoute:
         gs = discretize(st, default_grid(st, 1.0))
         for rows in (gs.rows1, gs.rows2):
             for name in ("pbar", "N_p"):
-                full = np.abs(observable_values(gs.spec1, name, SCALE)[1])
+                full = np.abs(observable_values(gs.spec, name, SCALE)[1])
                 cols, arrs, _ = support_rows(rows, max(full.max(), full.max() ** 2))
-                vals = observable_values(gs.spec1, name, SCALE)[1][cols]
-                want = gram(arrs, arrs, gs.spec1.dx / gs.spec1.points, np.stack([vals, vals**2]))
+                vals = observable_values(gs.spec, name, SCALE)[1][cols]
+                want = gram(arrs, gs.spec.dx / gs.spec.points, np.stack([vals, vals**2]))
                 if name == "N_p":  # the same bound, so the same columns and sums, bitwise
-                    assert np.array_equal(_moments(gs.spec1, rows, name, SCALE), want)
+                    assert np.array_equal(_moments(gs.spec, rows, name, SCALE), want)
                 else:  # pbar's bound P/2 may keep a few more columns below the tail bound
-                    assert np.allclose(_moments(gs.spec1, rows, name, SCALE), want, rtol=0, atol=1e-14)
+                    assert np.allclose(_moments(gs.spec, rows, name, SCALE), want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +737,3 @@ class TestOneGridPath:
         # a mean that vanishes by symmetry is compared on the observable's rms
         assert mean == pytest.approx(ref_mean, rel=1e-12, abs=1e-12 * np.sqrt(ref_var + ref_mean**2))
         assert var == pytest.approx(ref_var, rel=1e-12)
-
-    def test_coarse_second_grid_rejected(self):
-        # at 256 points dx = 0.5 > lambda / 8: the fringes of particle 2 would alias
-        st = build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))
-        grid = default_grid(st, 1.0)
-        with pytest.raises(ValueError, match="fringe"):
-            discretize(st, grid, GridSpec(256, grid.xmin, grid.xmax))

@@ -122,10 +122,6 @@ class TestShootingSolve:
         # second even level sits just above the first kinetic quantum
         assert head[1] == pytest.approx(1.0999, abs=1e-3)
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            solve_c(tolerance=1e-14)
-
 
 class TestPerturbative:
     def test_exact_fraction(self):
@@ -151,7 +147,7 @@ class TestBruteForce:
         assert c32 > solve_c().c - 1e-6
 
     def test_head_contains_even_levels(self):
-        rep = brute_force_c(periods=32, points_per_period=128, n_eigenvalues=3)
+        rep = brute_force_c(periods=32, points_per_period=128)
         kum = solve_c().mu_spectrum_head
         # ground level appears in both; the fiber head also contains odd levels
         assert rep.mu_spectrum_head[0] == pytest.approx(rep.c, abs=1e-6)

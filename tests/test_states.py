@@ -538,6 +538,13 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="fringe"):
             discretize(st, coarse)
 
+    def test_multislit_grid_needs_no_position_fringe_spacing(self):
+        # the slits' fringes, of period h/L, are in momentum: dx = 0.0625 resolves
+        # slits 100 apart although (h/L) / 8 = 0.00785
+        st = build_multislit(2, 100.0, GaussianEnvelope(10.0))
+        gs = discretize(st, GridSpec(points=16384, xmin=-512.0, xmax=512.0))
+        assert gs.input_norm == pytest.approx(1.0, abs=1e-12)
+
     def test_default_grid_commensurate(self):
         st = build_smp(2, x0=0.0, N0=1, lam=0.7, envelope=GaussianEnvelope(5.6))
         grid = default_grid(st, 0.7)
