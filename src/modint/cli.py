@@ -90,6 +90,12 @@ def _sigma(args) -> float:
 
 
 def _state_descriptor(args) -> dict:
+    # the default width is built from --L or --lam, so they are checked first
+    if args.state == "multislit":
+        if not 0 < args.L < math.inf:
+            raise CliError(f"--L: the slit separation must be positive and finite, got {args.L}")
+    elif not 0 < args.lam < math.inf:
+        raise CliError(f"--lam: the fringe period lambda must be positive and finite, got {args.lam}")
     d = {"kind": args.state, "N": args.N, "envelope": {"kind": "gaussian", "sigma_x": _sigma(args)}}
     if args.state == "multislit":
         d["L"] = args.L

@@ -391,33 +391,52 @@ def _sinc_overlaps(rows, cols) -> np.ndarray:
 _CLOSED_FORM_OVERLAPS = {GaussianEnvelope: _gaussian_overlaps, SincEnvelope: _sinc_overlaps}
 
 
-def _overlap_gram(packets):
-    """A function returning the packets' overlap Gram, once its budget has been checked.
+def _overlap_rows(packets):
+    """A function of (lo, hi) returning rows lo:hi of the packets' overlap Gram, once its
+    budget has been checked.
 
     Packets of one analytic envelope kind take the closed form, within
-    MAX_GRAM_ENTRIES; others take the quadrature, within MAX_OVERLAP_WORK.
+    MAX_GRAM_ENTRIES; others take the quadrature, within MAX_OVERLAP_WORK, which
+    builds the whole Gram once.
     """
     kinds = {type(wp.envelope) for wp in packets}
     closed = _CLOSED_FORM_OVERLAPS.get(kinds.pop()) if len(kinds) == 1 else None
     if closed is None:
         grid = _quadrature_grid(packets)
-        return lambda: _overlap_matrix(packets, grid)
+        whole = functools.cache(lambda: _overlap_matrix(packets, grid))
+        return lambda lo, hi: whole()[lo:hi]
     entries = len(packets) ** 2
     if not entries <= MAX_GRAM_ENTRIES:
         raise ValueError(
             f"the overlap Gram of {len(packets)} packets has {entries:.3g} entries, "
             f"over the budget of {MAX_GRAM_ENTRIES:.3g}"
         )
+    return _closed_form_rows(closed, _packet_table(packets))
 
-    def closed_form():
-        table = _packet_table(packets)
-        # row blocks keep the temporaries at OVERLAP_BLOCK x K entries
-        out = np.empty((len(packets), len(packets)), dtype=complex)
-        for s in range(0, len(packets), OVERLAP_BLOCK):
-            out[s : s + OVERLAP_BLOCK] = closed(table[:, s : s + OVERLAP_BLOCK], table)
+
+def _closed_form_rows(closed, table):
+    """A function of (lo, hi) returning rows lo:hi of a closed form over a packet table."""
+    size = table.shape[1]
+
+    def rows(lo, hi):
+        # column blocks keep the closed form's temporaries at OVERLAP_BLOCK^2 entries
+        out = np.empty((hi - lo, size), dtype=complex)
+        for c in range(0, size, OVERLAP_BLOCK):
+            out[:, c : c + OVERLAP_BLOCK] = closed(table[:, lo:hi], table[:, c : c + OVERLAP_BLOCK])
         return out
 
-    return closed_form
+    return rows
+
+
+def _product_rows(tables, size: int):
+    """(lo, hi, rows lo:hi) of the elementwise product of size x size tables, by row blocks.
+
+    `tables` are functions of (lo, hi) returning rows lo:hi of one table, so no
+    more than OVERLAP_BLOCK rows of any table are held at a time.
+    """
+    for lo in range(0, size, OVERLAP_BLOCK):
+        hi = min(lo + OVERLAP_BLOCK, size)
+        yield lo, hi, functools.reduce(operator.mul, (t(lo, hi) for t in tables))
 
 
 class _PacketSum:
@@ -425,7 +444,8 @@ class _PacketSum:
 
     `terms` holds (a, wp_1, ..., wp_P) tuples and `particles` the P tuples of
     each particle's packets. The norm is the coefficients' quadratic form with
-    the elementwise product of the particles' overlap Grams (_overlap_gram).
+    the elementwise product of the particles' overlap Grams (_overlap_rows),
+    summed over row blocks of the Grams.
     """
 
     _packets_per_term = 1
@@ -439,10 +459,10 @@ class _PacketSum:
             raise ValueError(f"each term needs a coefficient and {n} packet(s)")
         coefs, *particles = zip(*self.terms)
         self.particles = tuple(particles)
-        grams = [_overlap_gram(p) for p in self.particles]  # every budget before any Gram
+        grams = [_overlap_rows(p) for p in self.particles]  # every budget before any Gram
         amps = np.array(coefs)
-        g = functools.reduce(operator.mul, (f() for f in grams))
-        nrm2 = float(np.real(np.conj(amps) @ g @ amps))
+        rows = _product_rows(grams, len(amps))
+        nrm2 = float(np.real(sum(np.conj(amps[lo:hi]) @ g @ amps for lo, hi, g in rows)))
         if nrm2 <= 0:
             raise ValueError("state has zero norm")
         self._scale = 1.0 / math.sqrt(nrm2)

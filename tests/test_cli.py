@@ -391,6 +391,26 @@ class TestErrors:
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["criterion", "--lam", "-1"], "--lam"),
+            (["criterion", "--lam", "0"], "--lam"),
+            (["sample", "--lam", "nan"], "--lam"),
+            (["fringes", "--state", "multislit", "--L", "0"], "--L"),
+            (["propagate", "--L", "-1"], "--L"),
+        ],
+        ids=["criterion-negative-lam", "criterion-zero-lam", "sample-nan-lam", "fringes-zero-L",
+             "propagate-negative-L"],
+    )
+    def test_period_is_checked_before_the_default_width(self, argv, name):
+        # the default sigma, 8 lam or L / 10, used to fail first as "sigma_x must be positive"
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name}:") and "sigma_x" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_state_wider_than_the_grid_budget_exits_2(self):
         # the first grid would take 2^33 points; it is refused before any array
         code, out, err = run_cli(["criterion", "--x0", "1e7"])

@@ -1,6 +1,7 @@
 """Tests for seeded measurement sampling and the criterion estimator's interval."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import modint
 from modint import sampling
@@ -41,44 +44,121 @@ from modint.sampling import (
     _envelope_cdf_table,
     _packet_samples,
 )
-from modint.states import TabulatedEnvelope
+from modint.states import TabulatedEnvelope, joint_momentum_density
+
+
+def _reference_beta(wa, wb, kind):
+    """int |psi_a||psi_b| of two packets in closed form, or None without a pair sampler."""
+    ea, eb = wa.envelope, wb.envelope
+    if isinstance(ea, GaussianEnvelope) and isinstance(eb, GaussianEnvelope):
+        sa, sb = ea.sigma_x, eb.sigma_x
+        pre = math.sqrt(2 * sa * sb / (sa**2 + sb**2))
+        if kind == "position":
+            return pre * math.exp(-((wa.x0 - wb.x0) ** 2) / (4 * (sa**2 + sb**2)))
+        return pre * math.exp(-((wa.p0 - wb.p0) ** 2) * sa**2 * sb**2 / (sa**2 + sb**2))
+    if isinstance(ea, SincEnvelope) and isinstance(eb, SincEnvelope) and kind == "momentum":
+        lo, hi = _reference_box(wa, wb)
+        return max(hi - lo, 0.0) * math.sqrt(ea.d * eb.d) / (2 * math.pi)
+    return None
+
+
+def _reference_box(wa, wb):
+    lo = max(wa.p0 - math.pi / wa.envelope.d, wb.p0 - math.pi / wb.envelope.d)
+    hi = min(wa.p0 + math.pi / wa.envelope.d, wb.p0 + math.pi / wb.envelope.d)
+    return lo, hi
+
+
+def _reference_pair_draws(wa, wb, kind, rng, m):
+    """m draws from |psi_a||psi_b| / beta: exp(-w (v - v0)^2) factors, or the boxes' intersection."""
+    if isinstance(wa.envelope, SincEnvelope):
+        return rng.uniform(*_reference_box(wa, wb), size=m)
+    if kind == "position":
+        wgt = [1 / (4 * wp.envelope.sigma_x**2) for wp in (wa, wb)]
+        v0 = [wa.x0, wb.x0]
+    else:
+        wgt = [wp.envelope.sigma_x**2 for wp in (wa, wb)]
+        v0 = [wa.p0, wb.p0]
+    centre = (wgt[0] * v0[0] + wgt[1] * v0[1]) / (wgt[0] + wgt[1])
+    return centre + rng.normal(0.0, 1 / math.sqrt(2 * (wgt[0] + wgt[1])), size=m)
 
 
 def _reference_sample_pure(state, kind, rng, n):
-    """Rejection sampler that evaluates every packet amplitude, for g and for rho."""
+    """Rejection sampler from the pair bound B, with explicit loops over packets and pairs.
+
+    Evaluates every packet amplitude, for B and for rho. Each pair k < l is joined
+    at mass 2 |c_k||c_l| beta1 beta2, split onto the diagonals at |c_k|^2 + |c_l|^2
+    when joining saves less than JOIN_GAIN of that or no beta exists, and dropped
+    at mass 0.
+    """
     terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
-    weights = np.array([abs(c) ** 2 for c, _, _ in terms])
-    s_tot = float(weights.sum())
-    q = weights / s_tot
-    bound = len(terms) * s_tot
+    size = len(terms)
+    mod = [abs(c) for c, _, _ in terms]
+    weights = [abs(c) ** 2 for c, _, _ in terms]
+    mult = [1] * size
+    joined = []  # (k, l, mass)
+    for k in range(size):
+        for l in range(k + 1, size):
+            betas = [_reference_beta(terms[k][j], terms[l][j], kind) for j in (1, 2)]
+            if None in betas:
+                w = math.inf
+            else:
+                w = 2 * mod[k] * mod[l] * betas[0] * betas[1]
+            if w >= (1 - sampling.JOIN_GAIN) * (weights[k] + weights[l]):
+                mult[k] += 1
+                mult[l] += 1
+            elif w > 0:
+                joined.append((k, l, w))
+    if not joined and len(set(mult)) == 1:
+        s_tot = float(np.sum(weights))
+        p = np.array(weights) / s_tot
+        bound = mult[0] * s_tot
+        coefs = list(p)
+    else:
+        mass = np.array([w * m for w, m in zip(weights, mult)] + [w for _, _, w in joined])
+        bound = float(mass.sum())
+        p = mass / bound
+        coefs = list(p[:size]) + [2 * mod[k] * mod[l] / bound for k, l, _ in joined]
 
-    def packet_amplitude(wp, v):
-        return wp.position_amplitude(v) if kind == "position" else wp.momentum_amplitude(v)
-
-    def packet_density(wp, v):
-        return np.abs(packet_amplitude(wp, v)) ** 2
+    def packet_modulus(wp, v):
+        amp = wp.position_amplitude(v) if kind == "position" else wp.momentum_amplitude(v)
+        return np.abs(amp)
 
     def target_density(v1, v2):
-        amp = sum(
-            a * packet_amplitude(w1, v1) * packet_amplitude(w2, v2) for a, w1, w2 in state.terms
-        )
+        amp = 0.0
+        for a, w1, w2 in state.terms:
+            if kind == "position":
+                amp = amp + a * w1.position_amplitude(v1) * w2.position_amplitude(v2)
+            else:
+                amp = amp + a * w1.momentum_amplitude(v1) * w2.momentum_amplitude(v2)
         return np.abs(state._scale * amp) ** 2
 
     out = np.empty((0, 2))
     while len(out) < n:
-        batch = max(2 * (n - len(out)), 1024)
-        ks = rng.choice(len(terms), size=batch, p=q)
+        batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - len(out))), 1024)
+        labels = rng.choice(len(p), size=batch, p=p)
         v1 = np.empty(batch)
         v2 = np.empty(batch)
-        for k, (_, wp1, wp2) in enumerate(terms):
-            sel = ks == k
+        for c in range(len(p)):
+            sel = labels == c
             m = int(sel.sum())
-            if m:
+            if not m:
+                continue
+            if c < size:
+                _, wp1, wp2 = terms[c]
                 v1[sel] = _packet_samples(wp1, kind, rng, m)
                 v2[sel] = _packet_samples(wp2, kind, rng, m)
+            else:
+                k, l, _ = joined[c - size]
+                v1[sel] = _reference_pair_draws(terms[k][1], terms[l][1], kind, rng, m)
+                v2[sel] = _reference_pair_draws(terms[k][2], terms[l][2], kind, rng, m)
         g = np.zeros(batch)
-        for (c, wp1, wp2), qk in zip(terms, q):
-            g += qk * packet_density(wp1, v1) * packet_density(wp2, v2)
+        for (_, wp1, wp2), qk in zip(terms, coefs):
+            g += qk * packet_modulus(wp1, v1) ** 2 * packet_modulus(wp2, v2) ** 2
+        for (k, l, _), ckl in zip(joined, coefs[size:]):
+            g += ckl * (
+                (packet_modulus(terms[k][1], v1) * packet_modulus(terms[l][1], v1))
+                * (packet_modulus(terms[k][2], v2) * packet_modulus(terms[l][2], v2))
+            )
         rho = target_density(v1, v2)
         keep = rng.random(batch) * bound * g < rho
         out = np.concatenate([out, np.column_stack([v1[keep], v2[keep]])])
@@ -97,6 +177,22 @@ def _reference_records(state, kind, n, seed):
         if m
     ]
     return rng.permutation(np.concatenate(parts))
+
+
+def _overlapping(build, *args):
+    """A comb whose packets overlap, built without the builder's overlap warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build(*args)
+
+
+# two terms whose packets differ in x0, p0 and width: each pair joins in both bases
+OFFSET_PAIRS = TwoParticleState(
+    [
+        (1.0, WavePacket(GaussianEnvelope(1.0)), WavePacket(GaussianEnvelope(1.2), -0.3, 0.2)),
+        (0.5j, WavePacket(GaussianEnvelope(1.5), 1.0, 0.3, 0.4), WavePacket(GaussianEnvelope(0.8), -0.5)),
+    ]
+)
 
 
 BOOTSTRAP_RESAMPLES = 2000
@@ -283,23 +379,43 @@ class TestSampling:
             ("mpe N=5", build_mpe(5, 0.0, 1, 1.0, GaussianEnvelope(8.0))),
             ("admixture eps=0.5", admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))),
             ("mpe N=2 sinc", build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0))),
+            ("mpe N=2 sinc d=0.6", _overlapping(build_mpe, 2, 0.0, 1, 1.0, SincEnvelope(0.6))),
         ],
     )
     @pytest.mark.parametrize("kind", ["position", "momentum"])
     def test_records_equal_the_reference_sampler(self, label, state, kind):
-        # the proposal density from envelope moduli accepts exactly the same proposals
+        # the proposal from envelope moduli and closed-form pair overlaps draws and
+        # accepts exactly the same proposals as explicit loops over packets and pairs
         for seed in (0, 3):
             got = sample_measurements(state, kind, 4000, seed=seed)
             want = _reference_records(state, kind, 4000, seed)
             assert np.array_equal(got.records, want), (label, kind, seed)
 
+    @pytest.mark.parametrize(
+        "state",
+        [_overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(0.2)), OFFSET_PAIRS],
+        ids=["mpe N=3 sigma=0.2", "offset pairs"],
+    )
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_joined_gaussian_pairs_match_the_reference_sampler(self, state, kind):
+        # the reference writes a joined pair's centre in other floating-point
+        # steps, so the same proposals are accepted and agree to rounding
+        for seed in (0, 3):
+            got = sample_measurements(state, kind, 4000, seed=seed)
+            want = _reference_records(state, kind, 4000, seed)
+            np.testing.assert_allclose(got.records, want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("N", [2, 5])
     def test_acceptance_rate_is_one_over_n(self, N):
+        # in position every packet of a particle shares x0, so every pair splits
+        # and 1 / M = 1 / (K S); in momentum the packets are 2 pi apart with width
+        # 1/16, every pair drops, and M = S: only the 1.1 M batch goes unused
         st = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
-        for kind in ("position", "momentum"):
-            s = sample_measurements(st, kind, 20_000, seed=N)
-            assert s.proposals >= s.n
-            assert s.n / s.proposals == pytest.approx(1.0 / N, rel=0.2)
+        pos = sample_measurements(st, "position", 20_000, seed=N)
+        assert pos.proposals >= pos.n
+        assert pos.n / pos.proposals == pytest.approx(1.0 / N, rel=0.2)
+        mom = sample_measurements(st, "momentum", 20_000, seed=N)
+        assert mom.n / mom.proposals >= 0.85
 
     def test_tabulated_momentum_table_memory(self):
         # the table evaluates the envelope's quadrature transform at 2**17 momenta;
@@ -355,8 +471,148 @@ class TestSampling:
     def test_mixture_proposals_sum_over_components(self):
         cls = build_classical_correlated(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))
         s = sample_measurements(cls, "position", 5000, seed=4)
-        # one-term components accept every proposal of their first batch, 2 per record
-        assert s.proposals == 2 * s.n
+        # one-term components have M = 1 and accept every proposal of their first
+        # batch, ceil(1.1 m) for m records; each component alone draws about 0.55 n
+        assert s.n < s.proposals <= 1.1 * s.n + 2
+
+
+_GAUSSIAN_PACKET = hst.builds(
+    lambda x0, p0, ref, sigma: WavePacket(GaussianEnvelope(sigma), x0, p0, ref),
+    hst.floats(-4.0, 4.0), hst.floats(-4.0, 4.0), hst.floats(-3.0, 3.0), hst.floats(0.3, 3.0),
+)
+_SINC_PACKET = hst.builds(
+    lambda x0, p0, ref, d: WavePacket(SincEnvelope(d), x0, p0, ref),
+    hst.floats(-4.0, 4.0), hst.floats(-4.0, 4.0), hst.floats(-3.0, 3.0), hst.floats(0.3, 3.0),
+)
+_COEFFICIENT = hst.builds(complex, hst.floats(-1.0, 1.0), hst.floats(-1.0, 1.0)).filter(
+    lambda c: abs(c) > 1e-3
+)
+
+
+def _pair_states(packet):
+    return hst.lists(hst.tuples(_COEFFICIENT, packet, packet), min_size=1, max_size=4)
+
+
+def _bound_holds(terms, kind, seed):
+    try:
+        state = TwoParticleState(terms)
+    except ValueError:  # the coefficients cancel
+        assume(False)
+    rng = np.random.default_rng(seed)
+    v = []
+    for j in (1, 2):
+        packets = [t[j] for t in terms]
+        if kind == "position":
+            centres = [wp.x0 for wp in packets]
+            reach = max(4 * wp.envelope.width for wp in packets)
+        else:
+            centres = [wp.p0 for wp in packets]
+            reach = max(4 / wp.envelope.width for wp in packets)
+        inside = rng.uniform(min(centres) - reach, max(centres) + reach, size=256)
+        v.append(np.concatenate([inside, centres, np.roll(centres, 1)]))
+    density = joint_position_density if kind == "position" else joint_momentum_density
+    v1, v2 = (u.ravel() for u in np.meshgrid(v[0], v[1]))
+    rho = density(state, v1, v2)
+    mix = sampling._proposal_mixture(state, kind)
+    bound = mix.bound * sampling._proposal_density(mix, kind, v1, v2)  # B, as the sampler forms it
+    # 1e-300 absorbs subnormal densities, whose relative rounding is coarse
+    assert np.all(rho <= bound * (1 + 1e-12) + 1e-300)
+
+
+def _trapezoid_beta(wa, wb, kind):
+    """int |psi_a||psi_b| by the trapezoid rule over the product's support."""
+    if isinstance(wa.envelope, SincEnvelope):  # a constant on the boxes' intersection
+        lo = max(wa.p0 - np.pi / wa.envelope.d, wb.p0 - np.pi / wb.envelope.d)
+        hi = min(wa.p0 + np.pi / wa.envelope.d, wb.p0 + np.pi / wb.envelope.d)
+        if not lo < hi:
+            return 0.0
+        inset = 1e-13 * (hi - lo)  # the box edges themselves may round outside
+        v = np.linspace(lo + inset, hi - inset, 101)
+    elif kind == "position":
+        reach = 16 * max(wa.envelope.width, wb.envelope.width)
+        v = np.linspace(min(wa.x0, wb.x0) - reach, max(wa.x0, wb.x0) + reach, 40001)
+    else:
+        reach = 16 / min(wa.envelope.width, wb.envelope.width)
+        v = np.linspace(min(wa.p0, wb.p0) - reach, max(wa.p0, wb.p0) + reach, 40001)
+    if kind == "position":
+        f = np.abs(wa.position_amplitude(v)) * np.abs(wb.position_amplitude(v))
+    else:
+        f = np.abs(wa.momentum_amplitude(v)) * np.abs(wb.momentum_amplitude(v))
+    return float(np.trapezoid(f, v))
+
+
+def _histogram_chi2(a, b, edges):
+    """Two-sample chi-square of equal-size samples over the bins holding 10 or more records."""
+    ha, _ = np.histogram(a, edges)
+    hb, _ = np.histogram(b, edges)
+    full = ha + hb >= 10
+    return float((((ha - hb) ** 2)[full] / (ha + hb)[full]).sum()), int(full.sum()) - 1
+
+
+class TestPairBound:
+    """The proposal B / M bounds rho pointwise and is drawn exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_states(_GAUSSIAN_PACKET), hst.sampled_from(["position", "momentum"]), hst.integers(0, 2**32))
+    def test_gaussian_pair_bound_holds_pointwise(self, terms, kind, seed):
+        _bound_holds(terms, kind, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_pair_states(_SINC_PACKET), hst.integers(0, 2**32))
+    def test_sinc_pair_bound_holds_pointwise_in_momentum(self, terms, seed):
+        _bound_holds(terms, "momentum", seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.lists(_GAUSSIAN_PACKET, min_size=2, max_size=4), hst.sampled_from(["position", "momentum"]))
+    def test_gaussian_betas_match_the_quadrature(self, packets, kind):
+        rows, _ = sampling._pair_overlaps(packets, kind)
+        want = [[_trapezoid_beta(a, b, kind) for b in packets] for a in packets]
+        np.testing.assert_allclose(rows(0, len(packets)), want, rtol=0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.lists(_SINC_PACKET, min_size=2, max_size=4))
+    def test_sinc_betas_match_the_quadrature_in_momentum(self, packets):
+        rows, _ = sampling._pair_overlaps(packets, "momentum")
+        want = [[_trapezoid_beta(a, b, "momentum") for b in packets] for a in packets]
+        np.testing.assert_allclose(rows(0, len(packets)), want, rtol=0, atol=1e-10)
+
+    def test_pairs_join_where_they_save_join_gain(self):
+        # coincident envelopes (beta = 1) with amplitudes a, b save 1 - 2ab / (a^2 + b^2)
+        # of the pair's split mass: 20 % at b = a / 2 joins, 0.005 % at b = 0.99 a does not
+        env = GaussianEnvelope(1.0)
+        for b, joins in ((0.5, True), (0.99, False)):
+            st = TwoParticleState(
+                [(1.0, WavePacket(env), WavePacket(env)), (b, WavePacket(env, p0=1.0), WavePacket(env))]
+            )
+            mix = sampling._proposal_mixture(st, "position")
+            assert (mix.ks.size == 1) is joins
+            s_tot = sum(abs(st._scale * a) ** 2 for a, _, _ in st.terms)
+            assert (mix.bound < 2 * s_tot * (1 - sampling.JOIN_GAIN)) is joins
+
+    def test_sinc_and_tabulated_have_no_pair_sampler_in_position(self):
+        xs = np.linspace(-30.0, 30.0, 64)
+        for env in (SincEnvelope(2.0), TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))):
+            assert sampling._pair_overlaps([WavePacket(env), WavePacket(env, 1.0)], "position") is None
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.2])
+    def test_joined_pairs_draw_the_all_split_distribution(self, sigma, monkeypatch):
+        # overlapping momentum combs join their neighbouring pairs; with no pair
+        # sampler every pair splits, and the proposal is the Cauchy-Schwarz K S g
+        state = _overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(sigma))
+        n = 100_000
+        joined = sample_measurements(state, "momentum", n, seed=11)
+        assert sampling._proposal_mixture(state, "momentum").ks.size == 3
+        monkeypatch.setattr(sampling, "_PAIR_SAMPLERS", {})
+        split = sample_measurements(state, "momentum", n, seed=12)
+        s_tot = sum(abs(state._scale * a) ** 2 for a, _, _ in state.terms)
+        assert sampling._proposal_mixture(state, "momentum").bound == pytest.approx(3 * s_tot, rel=1e-12)
+        assert n / joined.proposals > 0.7 and joined.proposals < 0.6 * split.proposals
+        # unit bins of p1, p2 and p1 + p2; under one distribution each chi-square
+        # has mean dof and sd sqrt(2 dof), so 6 sd is a 1e-6 tail or less
+        edges = np.arange(-40.0, 41.0)
+        for f in (lambda r: r[:, 0], lambda r: r[:, 1], lambda r: r.sum(axis=1)):
+            chi2, dof = _histogram_chi2(f(joined.records), f(split.records), edges)
+            assert chi2 < dof + 6 * math.sqrt(2 * dof), (chi2, dof)
 
 
 class TestBlocks:
@@ -396,10 +652,12 @@ class TestBlocks:
         assert small[2] == default[2]
 
     def test_blocks_past_the_last_record_skip_their_densities(self, monkeypatch):
-        # the admixture's product component accepts every proposal, so its first
-        # batch of 2 m proposals fills all m records halfway through
-        state = admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))
-        want = sample_measurements(state, "position", 100_000, seed=5)
+        # the classical state's two one-term components accept every proposal, so
+        # each fills its m records 1 / 1.1 of the way through its batch of 1.1 m
+        monkeypatch.setattr(sampling, "PROPOSAL_BLOCK", 1000)
+        state = build_classical_correlated(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        n = 100_000
+        want = sample_measurements(state, "position", n, seed=5)
         points = []
 
         def counting(st, v1, v2):
@@ -407,9 +665,10 @@ class TestBlocks:
             return joint_position_density(st, v1, v2)
 
         monkeypatch.setattr(sampling, "joint_position_density", counting)
-        got = sample_measurements(state, "position", 100_000, seed=5)
+        got = sample_measurements(state, "position", n, seed=5)
         assert np.array_equal(got.records, want.records) and got.proposals == want.proposals
-        assert sum(points) < 0.9 * got.proposals, (sum(points), got.proposals)
+        # each component evaluates its densities up to the block that fills it
+        assert sum(points) <= n + 2 * 1000 < 1.05 * n <= got.proposals, (sum(points), got.proposals)
 
 
 class TestEstimator:

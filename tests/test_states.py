@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,17 @@ class TestBuilders:
         # the packets are 2 pi apart in momentum, so each overlap is e^{-(2 pi sigma)^2 / 2} = 0
         assert build_mpe(2000, 0.0, 1, 1.0, WIDE)._scale == pytest.approx(1.0, abs=1e-12)
 
+    def test_2000_packet_mpe_builds_in_bounded_memory(self):
+        # both 2000 x 2000 Grams and their product held at once peaked at 170 MiB;
+        # the norm's row blocks hold OVERLAP_BLOCK rows of each
+        tracemalloc.start()
+        try:
+            build_mpe(2000, 0.0, 1, 1.0, WIDE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, peak
+
     def test_closed_form_gram_over_budget_raises_before_any_entry(self, monkeypatch):
         def no_entries(*args, **kwargs):
             raise AssertionError("computed Gram entries for a state over the budget")
@@ -638,7 +650,7 @@ def _quadrature_gram(packets):
 
 
 def _closed_gram(packets):
-    return states._overlap_gram(packets)()
+    return states._overlap_rows(packets)(0, len(packets))
 
 
 def _box_reference(a, b):
