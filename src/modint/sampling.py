@@ -8,7 +8,6 @@ interval is computed from the records alone and draws no random numbers.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -39,9 +38,6 @@ MAX_PROPOSALS = 1e8
 # Proposals whose densities and acceptance draws are evaluated at a time, which
 # bounds the sampler's temporaries however large a batch is.
 PROPOSAL_BLOCK = 1 << 14
-# Least share of a packet pair's split mass that joining it must save: a joined
-# pair adds a term to every proposal's density, for nothing when M barely moves.
-JOIN_GAIN = 1e-3
 
 
 @dataclass
@@ -136,170 +132,105 @@ def _packet_samples(wp, kind: str, rng, n: int) -> np.ndarray:
     return center + _centered_packet_samples(wp.envelope, kind, rng, n)
 
 
-def _gaussian_pair(kind: str, a: np.ndarray, b: np.ndarray):
-    """Draws from |psi_a||psi_b| / beta of Gaussian packets: a normal at the width-weighted centre.
-
-    A packet's factor is exp(-w (v - v0)^2) with w = 1 / 4 sigma^2 in position
-    and sigma^2 in momentum, so the product's sd is 1 / sqrt(2 (w_a + w_b)),
-    written in ratios to hypot(sigma_a, sigma_b) as the overlaps are.
-    """
-    (xa, pa, _, sa), (xb, pb, _, sb) = a, b
-    s = np.hypot(sa, sb)
-    if kind == "position":
-        centre, sd = xa + (xb - xa) * (sa / s) ** 2, math.sqrt(2.0) * sa * (sb / s)
-    else:
-        centre, sd = pa + (pb - pa) * (sb / s) ** 2, 1.0 / (math.sqrt(2.0) * s)
-    return lambda j, rng, m: centre[j] + rng.normal(0.0, sd[j], size=m)
-
-
-def _sinc_pair(kind: str, a: np.ndarray, b: np.ndarray):
-    """Draws from |psi_a||psi_b| / beta of sinc packets in momentum: uniform on the boxes' intersection."""
-    (_, pa, _, da), (_, pb, _, db) = a, b
-    lo = np.maximum(pa - math.pi / da, pb - math.pi / db)
-    hi = np.minimum(pa + math.pi / da, pb + math.pi / db)
-    return lambda j, rng, m: rng.uniform(lo[j], hi[j], size=m)
-
-
-# Envelopes whose factor in a basis is a positive function: for them
-# beta_kl = int |psi_k||psi_l| is the modulus of the closed-form overlap with the
-# conjugate displacement zeroed (row 1 of the packet table, p0, for position
-# draws; row 0, x0, for momentum draws), and |psi_k||psi_l| / beta_kl has a sampler.
-_PAIR_SAMPLERS = {
-    ("position", GaussianEnvelope): (1, _gaussian_pair),
-    ("momentum", GaussianEnvelope): (0, _gaussian_pair),
-    ("momentum", SincEnvelope): (0, _sinc_pair),
+# Envelopes whose factor in a basis is a positive function, and the packet-table
+# row (p0 for position draws, x0 for momentum draws) zeroed so that the modulus
+# of the closed-form overlap is beta_kl = int |psi_k||psi_l|.
+_PAIR_OVERLAPS = {
+    ("position", GaussianEnvelope): 1,
+    ("momentum", GaussianEnvelope): 0,
+    ("momentum", SincEnvelope): 0,
 }
 
 
 def _pair_overlaps(packets, kind: str):
-    """Row blocks of beta_kl = int |psi_k||psi_l| over one particle's packets, and the
-    pair sampler, or None when the packets have no pair sampler in this basis."""
+    """A function of (lo, hi) returning rows lo:hi of beta_kl = int |psi_k||psi_l| over one
+    particle's packets, or None when the packets have no closed form for it in this basis."""
     kinds = {type(wp.envelope) for wp in packets}
     env = kinds.pop() if len(kinds) == 1 else None
-    if (kind, env) not in _PAIR_SAMPLERS:
+    if (kind, env) not in _PAIR_OVERLAPS:
         return None
-    zeroed, pair = _PAIR_SAMPLERS[kind, env]
     table = _packet_table(packets)
-    table[zeroed] = 0.0
+    table[_PAIR_OVERLAPS[kind, env]] = 0.0
     rows = _closed_form_rows(_CLOSED_FORM_OVERLAPS[env], table)
-    return (lambda lo, hi: np.abs(rows(lo, hi))), lambda k, l: pair(kind, table[:, k], table[:, l])
+    return lambda lo, hi: np.abs(rows(lo, hi))
 
 
-@dataclass(frozen=True)
-class _Proposal:
-    """A pure state's proposal mixture B / M in one basis.
-
-    Component k < K is the k-th term's |psi_1k|^2 |psi_2k|^2, and component K + j
-    the j-th joined pair's |psi_1k||psi_1l| |psi_2k||psi_2l| / (beta1_kl beta2_kl),
-    with (k, l) = (ks[j], ls[j]). `p` are the components' weights, `draws` their
-    per-particle draws (rng, m) -> m values, and `coef` their coefficients in
-    the proposal density g, so that bound * g = B.
-    """
-
-    particles: tuple  # each particle's packets, one per term
-    p: np.ndarray
-    coef: np.ndarray
-    ks: np.ndarray
-    ls: np.ndarray
-    draws: list
-    bound: float  # M, so the sampler accepts 1 / M of its proposals
-
-
-def _proposal_mixture(state: TwoParticleState, kind: str) -> _Proposal:
-    """The pair bound rho <= B = sum_kl |c_k||c_l| |psi_1k||psi_1l| |psi_2k||psi_2l| as a mixture.
-
-    With c_k the normalized nonzero term amplitudes, pair (k, l), k < l, has mass
-    w_kl = 2 |c_k||c_l| beta1_kl beta2_kl. It is split onto the diagonal by
-    2xy <= x^2 + y^2, at mass |c_k|^2 + |c_l|^2, where joining would save less
-    than JOIN_GAIN of that or a particle has no pair sampler; it is dropped
-    where w_kl is 0.0, and joined otherwise. The diagonal k then has mass
-    |c_k|^2 n_k, with n_k - 1 the split pairs that hold k. When no pair joins
-    and every n_k is one n, the weights are written q_k = |c_k|^2 / S with
-    S = sum |c_k|^2 and M = n S: with every pair split, n = K and B = K S g is
-    the Cauchy-Schwarz bound of the incoherent product mixture, in its own
-    expressions.
-    """
-    terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
-    size = len(terms)
-    mod = np.array([abs(c) for c, _, _ in terms])
-    weights = mod**2
-    particles = tuple(zip(*(wps for _, *wps in terms)))
-    overlaps = [_pair_overlaps(packets, kind) for packets in particles]
-    joined = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-    if None in overlaps:
-        n = np.full(size, size)  # every pair splits
-    else:
-        n = np.ones(size, dtype=np.intp)
-        for lo, hi, t in _product_rows([rows for rows, _ in overlaps], size):
-            w = 2.0 * mod[lo:hi, None] * mod * t
-            upper = np.arange(lo, hi)[:, None] < np.arange(size)
-            split = upper & (w >= (1.0 - JOIN_GAIN) * (weights[lo:hi, None] + weights))
-            n[lo:hi] += split.sum(axis=1)
-            n += split.sum(axis=0)
-            k, l = np.nonzero(upper & ~split & (w > 0.0))
-            joined.append((k + lo, l, w[k, l]))
-    ks, ls, ws = (np.concatenate(x) for x in zip(*joined))
-    if not ws.size and np.all(n == n[0]):
-        s_tot = float(weights.sum())
-        p = weights / s_tot
-        bound = int(n[0]) * s_tot
-        coef = p
-    else:
-        mass = np.concatenate([weights * n, ws])
-        bound = float(mass.sum())
-        p = mass / bound
-        coef = np.concatenate([p[:size], 2.0 * mod[ks] * mod[ls] / bound])
-    draws = [
-        [functools.partial(_packet_samples, wp, kind) for wp in packets] for packets in particles
-    ]
-    if ws.size:
-        for per_particle, (_, pair) in zip(draws, overlaps):
-            sampler = pair(ks, ls)
-            per_particle += [functools.partial(sampler, j) for j in range(ws.size)]
-    return _Proposal(particles, p, coef, ks, ls, list(zip(*draws)), bound)
-
-
-def _proposal_density(mix: _Proposal, kind: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """g = B / M at (v1, v2) from the distinct envelope factors of the two particles."""
-    f1, i1 = envelope_values(mix.particles[0], kind, v1)
-    f2, i2 = envelope_values(mix.particles[1], kind, v2)
+def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """g = sum_k q_k |psi_1k(v1)|^2 |psi_2k(v2)|^2 for (c, wp1, wp2) terms."""
+    f1, i1 = envelope_values([wp1 for _, wp1, _ in terms], kind, v1)
+    f2, i2 = envelope_values([wp2 for _, _, wp2 in terms], kind, v2)
     # the plane-wave factors have modulus 1, so a packet's density is its envelope's
-    a1 = [np.abs(f) for f in f1]
-    a2 = [np.abs(f) for f in f2]
-    d1 = [a**2 for a in a1]
-    d2 = [a**2 for a in a2]
+    d1 = [np.abs(f) ** 2 for f in f1]
+    d2 = [np.abs(f) ** 2 for f in f2]
     g = np.zeros(len(v1))
-    for qk, k1, k2 in zip(mix.coef, i1, i2):
+    for qk, k1, k2 in zip(q, i1, i2):
         g += qk * d1[k1] * d2[k2]
-    for c, k, l in zip(mix.coef[len(i1) :], mix.ks, mix.ls):
-        g += c * (a1[i1[k]] * a1[i1[l]]) * (a2[i2[k]] * a2[i2[l]])
     return g
 
 
-def _sample_pure(state: TwoParticleState, mix: _Proposal, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
-    """Rejection sampling from the proposal mixture B / M (_proposal_mixture).
+def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndarray, float]:
+    """The nonzero (c, wp1, wp2) terms, their proposal weights q and the bound M.
 
-    Accepting with probability rho / B reproduces rho exactly. A batch draws
+    With c_k the normalized term amplitudes, the joint density is bounded by
+    B = sum_kl |c_k||c_l| |psi_1k||psi_1l| |psi_2k||psi_2l|. Pair (k, l), k < l, is
+    dropped where |c_k||c_l| beta1_kl beta2_kl is 0.0, with beta_kl the pair's
+    _pair_overlaps: its sup |psi_k||psi_l| underflows with beta. Every other pair
+    is split onto the diagonal by 2xy <= x^2 + y^2. So B = M g with
+    g = sum_k q_k |psi_1k|^2 |psi_2k|^2, q_k = |c_k|^2 n_k / M and
+    M = sum_k |c_k|^2 n_k, where n_k - 1 pairs holding k are kept. Packets with no
+    closed-form beta keep every pair: n_k = K and M = K S, S = sum |c_k|^2, the
+    Cauchy-Schwarz bound of the incoherent product mixture.
+    """
+    terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
+    size = len(terms)
+    overlaps = [_pair_overlaps([t[j] for t in terms], kind) for j in (1, 2)]
+    if None in overlaps:
+        n = np.full(size, size)
+    else:
+        mod = np.array([abs(c) for c, _, _ in terms])
+        n = np.ones(size, dtype=np.intp)
+        for lo, hi, t in _product_rows(overlaps, size):
+            upper = np.arange(lo, hi)[:, None] < np.arange(size)
+            kept = upper & (mod[lo:hi, None] * mod * t > 0.0)
+            n[lo:hi] += kept.sum(axis=1)
+            n += kept.sum(axis=0)
+    weights = np.array([abs(c) ** 2 for c, _, _ in terms])
+    if np.all(n == n[0]):
+        # the general weights below in the K S bound's own expressions, q = |c|^2 / S
+        # and M = n S, kept only so that combs which keep, or drop, every pair draw
+        # bitwise the records of that bound
+        s_tot = float(weights.sum())
+        return terms, weights / s_tot, int(n[0]) * s_tot
+    mass = weights * n
+    bound = float(mass.sum())
+    return terms, mass / bound, bound
+
+
+def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
+    """Rejection sampling with the mixture g of `_proposal_mixture` as the proposal.
+
+    Accepting with probability rho / (M g) reproduces rho exactly. A batch draws
     min(2, 1.1 M) proposals per missing record: with M near 1 that most often
     fills the rest, and combs with M >= 2 keep 2 per record. Returns the n
     records and the number of proposals drawn.
     """
+    terms, q, bound = mix
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((n, 2))
     filled = proposals = 0
     while filled < n:
-        batch = max(math.ceil(min(2.0, 1.1 * mix.bound) * (n - filled)), 1024)
+        batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - filled)), 1024)
         proposals += batch
-        labels = rng.choice(mix.p.size, size=batch, p=mix.p)
+        ks = rng.choice(len(terms), size=batch, p=q)
         v1 = np.empty(batch)
         v2 = np.empty(batch)
-        for c, (draw1, draw2) in enumerate(mix.draws):
-            sel = labels == c
+        for k, (_, wp1, wp2) in enumerate(terms):
+            sel = ks == k
             m = int(sel.sum())
             if m:
-                v1[sel] = draw1(rng, m)
-                v2[sel] = draw2(rng, m)
+                v1[sel] = _packet_samples(wp1, kind, rng, m)
+                v2[sel] = _packet_samples(wp2, kind, rng, m)
         # the blocks' uniforms are those of one random(batch) call; past the n-th
         # record the rest of them is drawn in one call, with no densities, so the
         # generator handed on to the next component is the same
@@ -308,9 +239,9 @@ def _sample_pure(state: TwoParticleState, mix: _Proposal, kind: str, rng, n: int
                 rng.random(batch - lo)
                 break
             b1, b2 = v1[lo : lo + PROPOSAL_BLOCK], v2[lo : lo + PROPOSAL_BLOCK]
-            g = _proposal_density(mix, kind, b1, b2)
+            g = _proposal_density(terms, q, kind, b1, b2)
             rho = dens_fn(state, b1, b2)
-            keep = np.flatnonzero(rng.random(b1.size) * mix.bound * g < rho)[: n - filled]
+            keep = np.flatnonzero(rng.random(b1.size) * bound * g < rho)[: n - filled]
             out[filled : filled + keep.size, 0] = b1[keep]
             out[filled : filled + keep.size, 1] = b2[keep]
             filled += keep.size
@@ -337,8 +268,7 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
     counts = [n] if pure else rng.multinomial(n, state.weights)
     drawn = [(m, st, _proposal_mixture(st, kind)) for m, (_, st) in zip(counts, state.components) if m]
     # the sampler accepts exactly 1 / M, so m records cost about m M proposals
-    for m, _, mix in drawn:
-        bound = mix.bound
+    for m, _, (_, _, bound) in drawn:
         if m * bound > MAX_PROPOSALS:
             raise ValueError(
                 f"rejection sampling accepts {1.0 / bound:.3g} of its proposals here, so "

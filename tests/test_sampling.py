@@ -48,7 +48,7 @@ from modint.states import TabulatedEnvelope, joint_momentum_density
 
 
 def _reference_beta(wa, wb, kind):
-    """int |psi_a||psi_b| of two packets in closed form, or None without a pair sampler."""
+    """int |psi_a||psi_b| of two packets in closed form, or None where the sampler has none."""
     ea, eb = wa.envelope, wb.envelope
     if isinstance(ea, GaussianEnvelope) and isinstance(eb, GaussianEnvelope):
         sa, sb = ea.sigma_x, eb.sigma_x
@@ -57,108 +57,66 @@ def _reference_beta(wa, wb, kind):
             return pre * math.exp(-((wa.x0 - wb.x0) ** 2) / (4 * (sa**2 + sb**2)))
         return pre * math.exp(-((wa.p0 - wb.p0) ** 2) * sa**2 * sb**2 / (sa**2 + sb**2))
     if isinstance(ea, SincEnvelope) and isinstance(eb, SincEnvelope) and kind == "momentum":
-        lo, hi = _reference_box(wa, wb)
+        lo = max(wa.p0 - math.pi / ea.d, wb.p0 - math.pi / eb.d)
+        hi = min(wa.p0 + math.pi / ea.d, wb.p0 + math.pi / eb.d)
         return max(hi - lo, 0.0) * math.sqrt(ea.d * eb.d) / (2 * math.pi)
     return None
 
 
-def _reference_box(wa, wb):
-    lo = max(wa.p0 - math.pi / wa.envelope.d, wb.p0 - math.pi / wb.envelope.d)
-    hi = min(wa.p0 + math.pi / wa.envelope.d, wb.p0 + math.pi / wb.envelope.d)
-    return lo, hi
-
-
-def _reference_pair_draws(wa, wb, kind, rng, m):
-    """m draws from |psi_a||psi_b| / beta: exp(-w (v - v0)^2) factors, or the boxes' intersection."""
-    if isinstance(wa.envelope, SincEnvelope):
-        return rng.uniform(*_reference_box(wa, wb), size=m)
-    if kind == "position":
-        wgt = [1 / (4 * wp.envelope.sigma_x**2) for wp in (wa, wb)]
-        v0 = [wa.x0, wb.x0]
-    else:
-        wgt = [wp.envelope.sigma_x**2 for wp in (wa, wb)]
-        v0 = [wa.p0, wb.p0]
-    centre = (wgt[0] * v0[0] + wgt[1] * v0[1]) / (wgt[0] + wgt[1])
-    return centre + rng.normal(0.0, 1 / math.sqrt(2 * (wgt[0] + wgt[1])), size=m)
-
-
 def _reference_sample_pure(state, kind, rng, n):
-    """Rejection sampler from the pair bound B, with explicit loops over packets and pairs.
+    """Rejection sampler from the pair bound, with explicit loops over packets and pairs.
 
-    Evaluates every packet amplitude, for B and for rho. Each pair k < l is joined
-    at mass 2 |c_k||c_l| beta1 beta2, split onto the diagonals at |c_k|^2 + |c_l|^2
-    when joining saves less than JOIN_GAIN of that or no beta exists, and dropped
-    at mass 0.
+    Evaluates every packet amplitude, for the proposal and for rho. Each pair
+    k < l is dropped where |c_k||c_l| beta1 beta2 is 0, and otherwise, or where no
+    beta exists, split onto the diagonals, where it adds |c_k|^2 and |c_l|^2.
     """
     terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
     size = len(terms)
     mod = [abs(c) for c, _, _ in terms]
-    weights = [abs(c) ** 2 for c, _, _ in terms]
+    weights = np.array([abs(c) ** 2 for c, _, _ in terms])
     mult = [1] * size
-    joined = []  # (k, l, mass)
     for k in range(size):
         for l in range(k + 1, size):
             betas = [_reference_beta(terms[k][j], terms[l][j], kind) for j in (1, 2)]
-            if None in betas:
-                w = math.inf
-            else:
-                w = 2 * mod[k] * mod[l] * betas[0] * betas[1]
-            if w >= (1 - sampling.JOIN_GAIN) * (weights[k] + weights[l]):
+            if None in betas or mod[k] * mod[l] * betas[0] * betas[1] > 0:
                 mult[k] += 1
                 mult[l] += 1
-            elif w > 0:
-                joined.append((k, l, w))
-    if not joined and len(set(mult)) == 1:
-        s_tot = float(np.sum(weights))
-        p = np.array(weights) / s_tot
+    if len(set(mult)) == 1:
+        s_tot = float(weights.sum())
+        q = weights / s_tot
         bound = mult[0] * s_tot
-        coefs = list(p)
     else:
-        mass = np.array([w * m for w, m in zip(weights, mult)] + [w for _, _, w in joined])
+        mass = weights * np.array(mult)
         bound = float(mass.sum())
-        p = mass / bound
-        coefs = list(p[:size]) + [2 * mod[k] * mod[l] / bound for k, l, _ in joined]
+        q = mass / bound
 
-    def packet_modulus(wp, v):
-        amp = wp.position_amplitude(v) if kind == "position" else wp.momentum_amplitude(v)
-        return np.abs(amp)
+    def packet_amplitude(wp, v):
+        return wp.position_amplitude(v) if kind == "position" else wp.momentum_amplitude(v)
+
+    def packet_density(wp, v):
+        return np.abs(packet_amplitude(wp, v)) ** 2
 
     def target_density(v1, v2):
-        amp = 0.0
-        for a, w1, w2 in state.terms:
-            if kind == "position":
-                amp = amp + a * w1.position_amplitude(v1) * w2.position_amplitude(v2)
-            else:
-                amp = amp + a * w1.momentum_amplitude(v1) * w2.momentum_amplitude(v2)
+        amp = sum(
+            a * packet_amplitude(w1, v1) * packet_amplitude(w2, v2) for a, w1, w2 in state.terms
+        )
         return np.abs(state._scale * amp) ** 2
 
     out = np.empty((0, 2))
     while len(out) < n:
         batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - len(out))), 1024)
-        labels = rng.choice(len(p), size=batch, p=p)
+        ks = rng.choice(size, size=batch, p=q)
         v1 = np.empty(batch)
         v2 = np.empty(batch)
-        for c in range(len(p)):
-            sel = labels == c
+        for k, (_, wp1, wp2) in enumerate(terms):
+            sel = ks == k
             m = int(sel.sum())
-            if not m:
-                continue
-            if c < size:
-                _, wp1, wp2 = terms[c]
+            if m:
                 v1[sel] = _packet_samples(wp1, kind, rng, m)
                 v2[sel] = _packet_samples(wp2, kind, rng, m)
-            else:
-                k, l, _ = joined[c - size]
-                v1[sel] = _reference_pair_draws(terms[k][1], terms[l][1], kind, rng, m)
-                v2[sel] = _reference_pair_draws(terms[k][2], terms[l][2], kind, rng, m)
         g = np.zeros(batch)
-        for (_, wp1, wp2), qk in zip(terms, coefs):
-            g += qk * packet_modulus(wp1, v1) ** 2 * packet_modulus(wp2, v2) ** 2
-        for (k, l, _), ckl in zip(joined, coefs[size:]):
-            g += ckl * (
-                (packet_modulus(terms[k][1], v1) * packet_modulus(terms[l][1], v1))
-                * (packet_modulus(terms[k][2], v2) * packet_modulus(terms[l][2], v2))
-            )
+        for (c, wp1, wp2), qk in zip(terms, q):
+            g += qk * packet_density(wp1, v1) * packet_density(wp2, v2)
         rho = target_density(v1, v2)
         keep = rng.random(batch) * bound * g < rho
         out = np.concatenate([out, np.column_stack([v1[keep], v2[keep]])])
@@ -184,15 +142,6 @@ def _overlapping(build, *args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return build(*args)
-
-
-# two terms whose packets differ in x0, p0 and width: each pair joins in both bases
-OFFSET_PAIRS = TwoParticleState(
-    [
-        (1.0, WavePacket(GaussianEnvelope(1.0)), WavePacket(GaussianEnvelope(1.2), -0.3, 0.2)),
-        (0.5j, WavePacket(GaussianEnvelope(1.5), 1.0, 0.3, 0.4), WavePacket(GaussianEnvelope(0.8), -0.5)),
-    ]
-)
 
 
 BOOTSTRAP_RESAMPLES = 2000
@@ -380,34 +329,22 @@ class TestSampling:
             ("admixture eps=0.5", admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))),
             ("mpe N=2 sinc", build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0))),
             ("mpe N=2 sinc d=0.6", _overlapping(build_mpe, 2, 0.0, 1, 1.0, SincEnvelope(0.6))),
+            ("mpe N=3 sigma=4", _overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(4.0))),
         ],
     )
     @pytest.mark.parametrize("kind", ["position", "momentum"])
     def test_records_equal_the_reference_sampler(self, label, state, kind):
         # the proposal from envelope moduli and closed-form pair overlaps draws and
-        # accepts exactly the same proposals as explicit loops over packets and pairs
+        # accepts exactly the same proposals as explicit loops over packets and pairs;
+        # the sigma = 4 comb keeps its neighbouring momentum pairs and drops the outer one
         for seed in (0, 3):
             got = sample_measurements(state, kind, 4000, seed=seed)
             want = _reference_records(state, kind, 4000, seed)
             assert np.array_equal(got.records, want), (label, kind, seed)
 
-    @pytest.mark.parametrize(
-        "state",
-        [_overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(0.2)), OFFSET_PAIRS],
-        ids=["mpe N=3 sigma=0.2", "offset pairs"],
-    )
-    @pytest.mark.parametrize("kind", ["position", "momentum"])
-    def test_joined_gaussian_pairs_match_the_reference_sampler(self, state, kind):
-        # the reference writes a joined pair's centre in other floating-point
-        # steps, so the same proposals are accepted and agree to rounding
-        for seed in (0, 3):
-            got = sample_measurements(state, kind, 4000, seed=seed)
-            want = _reference_records(state, kind, 4000, seed)
-            np.testing.assert_allclose(got.records, want, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("N", [2, 5])
     def test_acceptance_rate_is_one_over_n(self, N):
-        # in position every packet of a particle shares x0, so every pair splits
+        # in position every packet of a particle shares x0, so every pair is kept
         # and 1 / M = 1 / (K S); in momentum the packets are 2 pi apart with width
         # 1/16, every pair drops, and M = S: only the 1.1 M batch goes unused
         st = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
@@ -476,10 +413,15 @@ class TestSampling:
         assert s.n < s.proposals <= 1.1 * s.n + 2
 
 
-_GAUSSIAN_PACKET = hst.builds(
-    lambda x0, p0, ref, sigma: WavePacket(GaussianEnvelope(sigma), x0, p0, ref),
-    hst.floats(-4.0, 4.0), hst.floats(-4.0, 4.0), hst.floats(-3.0, 3.0), hst.floats(0.3, 3.0),
-)
+def _gaussian_packets(spread):
+    """Gaussian packets with x0 and p0 in [-spread, spread]."""
+    return hst.builds(
+        lambda x0, p0, ref, sigma: WavePacket(GaussianEnvelope(sigma), x0, p0, ref),
+        hst.floats(-spread, spread), hst.floats(-spread, spread), hst.floats(-3.0, 3.0),
+        hst.floats(0.3, 3.0),
+    )
+
+
 _SINC_PACKET = hst.builds(
     lambda x0, p0, ref, d: WavePacket(SincEnvelope(d), x0, p0, ref),
     hst.floats(-4.0, 4.0), hst.floats(-4.0, 4.0), hst.floats(-3.0, 3.0), hst.floats(0.3, 3.0),
@@ -503,20 +445,23 @@ def _bound_holds(terms, kind, seed):
     for j in (1, 2):
         packets = [t[j] for t in terms]
         if kind == "position":
-            centres = [wp.x0 for wp in packets]
+            centres = np.array([wp.x0 for wp in packets])
             reach = max(4 * wp.envelope.width for wp in packets)
         else:
-            centres = [wp.p0 for wp in packets]
+            centres = np.array([wp.p0 for wp in packets])
             reach = max(4 / wp.envelope.width for wp in packets)
-        inside = rng.uniform(min(centres) - reach, max(centres) + reach, size=256)
-        v.append(np.concatenate([inside, centres, np.roll(centres, 1)]))
+        inside = rng.uniform(centres.min() - reach, centres.max() + reach, size=256)
+        # a pair's cross term is largest between its centres, where a dropped pair
+        # would show
+        between = [(centres + np.roll(centres, r)) / 2 for r in range(1, len(centres))]
+        v.append(np.concatenate([inside, centres, *between]))
     density = joint_position_density if kind == "position" else joint_momentum_density
     v1, v2 = (u.ravel() for u in np.meshgrid(v[0], v[1]))
     rho = density(state, v1, v2)
-    mix = sampling._proposal_mixture(state, kind)
-    bound = mix.bound * sampling._proposal_density(mix, kind, v1, v2)  # B, as the sampler forms it
+    terms, q, bound = sampling._proposal_mixture(state, kind)
+    pair_bound = bound * sampling._proposal_density(terms, q, kind, v1, v2)  # as the sampler forms it
     # 1e-300 absorbs subnormal densities, whose relative rounding is coarse
-    assert np.all(rho <= bound * (1 + 1e-12) + 1e-300)
+    assert np.all(rho <= pair_bound * (1 + 1e-12) + 1e-300)
 
 
 def _trapezoid_beta(wa, wb, kind):
@@ -541,19 +486,13 @@ def _trapezoid_beta(wa, wb, kind):
     return float(np.trapezoid(f, v))
 
 
-def _histogram_chi2(a, b, edges):
-    """Two-sample chi-square of equal-size samples over the bins holding 10 or more records."""
-    ha, _ = np.histogram(a, edges)
-    hb, _ = np.histogram(b, edges)
-    full = ha + hb >= 10
-    return float((((ha - hb) ** 2)[full] / (ha + hb)[full]).sum()), int(full.sum()) - 1
-
-
 class TestPairBound:
-    """The proposal B / M bounds rho pointwise and is drawn exactly."""
+    """The proposal M g bounds rho pointwise, with pairs dropped only where their mass underflows."""
 
+    # centres up to 80 apart, so that some pairs drop in either basis
     @settings(max_examples=60, deadline=None)
-    @given(_pair_states(_GAUSSIAN_PACKET), hst.sampled_from(["position", "momentum"]), hst.integers(0, 2**32))
+    @given(_pair_states(_gaussian_packets(40.0)), hst.sampled_from(["position", "momentum"]),
+           hst.integers(0, 2**32))
     def test_gaussian_pair_bound_holds_pointwise(self, terms, kind, seed):
         _bound_holds(terms, kind, seed)
 
@@ -563,56 +502,46 @@ class TestPairBound:
         _bound_holds(terms, "momentum", seed)
 
     @settings(max_examples=30, deadline=None)
-    @given(hst.lists(_GAUSSIAN_PACKET, min_size=2, max_size=4), hst.sampled_from(["position", "momentum"]))
+    @given(hst.lists(_gaussian_packets(4.0), min_size=2, max_size=4),
+           hst.sampled_from(["position", "momentum"]))
     def test_gaussian_betas_match_the_quadrature(self, packets, kind):
-        rows, _ = sampling._pair_overlaps(packets, kind)
+        rows = sampling._pair_overlaps(packets, kind)
         want = [[_trapezoid_beta(a, b, kind) for b in packets] for a in packets]
         np.testing.assert_allclose(rows(0, len(packets)), want, rtol=0, atol=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(hst.lists(_SINC_PACKET, min_size=2, max_size=4))
     def test_sinc_betas_match_the_quadrature_in_momentum(self, packets):
-        rows, _ = sampling._pair_overlaps(packets, "momentum")
+        rows = sampling._pair_overlaps(packets, "momentum")
         want = [[_trapezoid_beta(a, b, "momentum") for b in packets] for a in packets]
         np.testing.assert_allclose(rows(0, len(packets)), want, rtol=0, atol=1e-10)
 
-    def test_pairs_join_where_they_save_join_gain(self):
-        # coincident envelopes (beta = 1) with amplitudes a, b save 1 - 2ab / (a^2 + b^2)
-        # of the pair's split mass: 20 % at b = a / 2 joins, 0.005 % at b = 0.99 a does not
-        env = GaussianEnvelope(1.0)
-        for b, joins in ((0.5, True), (0.99, False)):
-            st = TwoParticleState(
-                [(1.0, WavePacket(env), WavePacket(env)), (b, WavePacket(env, p0=1.0), WavePacket(env))]
-            )
-            mix = sampling._proposal_mixture(st, "position")
-            assert (mix.ks.size == 1) is joins
-            s_tot = sum(abs(st._scale * a) ** 2 for a, _, _ in st.terms)
-            assert (mix.bound < 2 * s_tot * (1 - sampling.JOIN_GAIN)) is joins
+    @pytest.mark.parametrize(
+        "env, kind, kept",
+        [
+            # every packet of a particle shares x0: beta = 1 and every pair is kept
+            (GaussianEnvelope(8.0), "position", [3, 3, 3]),
+            # 2 pi apart at momentum width 1/16: every pair's mass underflows
+            (GaussianEnvelope(8.0), "momentum", [1, 1, 1]),
+            # e^{-(2 pi sigma)^2 / 2} is 1e-137 for neighbours and 0.0 for the outer pair
+            (GaussianEnvelope(4.0), "momentum", [2, 3, 2]),
+            # disjoint momentum boxes; sinc packets have no beta in position
+            (SincEnvelope(8.0), "momentum", [1, 1, 1]),
+            (SincEnvelope(8.0), "position", [3, 3, 3]),
+        ],
+    )
+    def test_pairs_drop_only_where_their_mass_underflows(self, env, kind, kept):
+        # term k's weight counts itself and its kept pairs: M = sum |c_k|^2 n_k
+        state = _overlapping(build_mpe, 3, 0.0, 1, 1.0, env)
+        terms, q, bound = sampling._proposal_mixture(state, kind)
+        weights = np.array([abs(c) ** 2 for c, _, _ in terms])
+        assert bound == pytest.approx(float(weights @ kept), rel=1e-12)
+        np.testing.assert_allclose(q, weights * kept / bound, rtol=1e-12)
 
-    def test_sinc_and_tabulated_have_no_pair_sampler_in_position(self):
+    def test_sinc_and_tabulated_have_no_pair_overlaps_in_position(self):
         xs = np.linspace(-30.0, 30.0, 64)
         for env in (SincEnvelope(2.0), TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))):
             assert sampling._pair_overlaps([WavePacket(env), WavePacket(env, 1.0)], "position") is None
-
-    @pytest.mark.parametrize("sigma", [0.5, 0.2])
-    def test_joined_pairs_draw_the_all_split_distribution(self, sigma, monkeypatch):
-        # overlapping momentum combs join their neighbouring pairs; with no pair
-        # sampler every pair splits, and the proposal is the Cauchy-Schwarz K S g
-        state = _overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(sigma))
-        n = 100_000
-        joined = sample_measurements(state, "momentum", n, seed=11)
-        assert sampling._proposal_mixture(state, "momentum").ks.size == 3
-        monkeypatch.setattr(sampling, "_PAIR_SAMPLERS", {})
-        split = sample_measurements(state, "momentum", n, seed=12)
-        s_tot = sum(abs(state._scale * a) ** 2 for a, _, _ in state.terms)
-        assert sampling._proposal_mixture(state, "momentum").bound == pytest.approx(3 * s_tot, rel=1e-12)
-        assert n / joined.proposals > 0.7 and joined.proposals < 0.6 * split.proposals
-        # unit bins of p1, p2 and p1 + p2; under one distribution each chi-square
-        # has mean dof and sd sqrt(2 dof), so 6 sd is a 1e-6 tail or less
-        edges = np.arange(-40.0, 41.0)
-        for f in (lambda r: r[:, 0], lambda r: r[:, 1], lambda r: r.sum(axis=1)):
-            chi2, dof = _histogram_chi2(f(joined.records), f(split.records), edges)
-            assert chi2 < dof + 6 * math.sqrt(2 * dof), (chi2, dof)
 
 
 class TestBlocks:
