@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -32,9 +32,13 @@ from .states import (
 )
 
 MIN_BOOTSTRAP_N = 100
-# Largest expected proposal count of one draw: about a minute at the
-# ~1.7e6 proposals/s the sampler reaches on MPE states.
+# Largest expected proposal count of one draw: 20 to 80 s at the 1.3e6 to 5e6
+# proposals/s the sampler reaches on MPE states of N <= 10 at sigma = 8 (one
+# core of an Intel Xeon, one BLAS thread; momentum draws are the slower ones).
 MAX_PROPOSALS = 1e8
+# Coarsest float spacing of the records, as a fraction of the period they are split
+# by (ell in position, P = 2 pi / ell in momentum), that estimate_criterion accepts.
+RECORD_RESOLUTION = 2.0**-20
 # Proposals whose densities and acceptance draws are evaluated at a time, which
 # bounds the sampler's temporaries however large a batch is.
 PROPOSAL_BLOCK = 1 << 14
@@ -72,6 +76,10 @@ class EstimateReport:
     clamped: bool = False
     n_position: int | None = None  # records used for Var(x_rel)
     n_momentum: int | None = None  # records used for Var(N_tot)
+    # SampleSet.proposals of each kind, None if unknown: how the records were drawn,
+    # not what they say, so reports of equal records compare equal
+    proposals_position: int | None = field(default=None, compare=False)
+    proposals_momentum: int | None = field(default=None, compare=False)
     # the interval draws no resamples; these keys stay in the JSON and read 0
     bootstrap_resamples: int = 0
     bootstrap_bins_rel: int = 0
@@ -206,15 +214,37 @@ def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndar
     return terms, mass / bound, bound
 
 
+def _proposal_components(terms, q, kind: str) -> tuple[list, np.ndarray]:
+    """The distinct packet densities of the proposal g, and their summed weights.
+
+    Terms whose packets share (envelope, x0) in position, or (envelope, p0) in
+    momentum, on both particles have one density |psi_1|^2 |psi_2|^2, so they are
+    one component, drawn and evaluated once, with the sum of their q. The
+    first term of each stands for it.
+    """
+    centre = "x0" if kind == "position" else "p0"
+    index, comps, weights = {}, [], []
+    for term, qk in zip(terms, q):
+        key = tuple((wp.envelope, getattr(wp, centre)) for wp in term[1:])
+        if key not in index:
+            index[key] = len(comps)
+            comps.append(term)
+            weights.append(0.0)
+        weights[index[key]] += qk
+    return comps, np.array(weights)
+
+
 def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
     """Rejection sampling with the mixture g of `_proposal_mixture` as the proposal.
 
     Accepting with probability rho / (M g) reproduces rho exactly. A batch draws
     min(2, 1.1 M) proposals per missing record: with M near 1 that most often
-    fills the rest, and combs with M >= 2 keep 2 per record. Returns the n
-    records and the number of proposals drawn.
+    fills the rest, and combs with M >= 2 keep 2 per record. A proposal with
+    one component (`_proposal_components`) draws no component labels. Returns
+    the n records and the number of proposals drawn.
     """
     terms, q, bound = mix
+    comps, q = _proposal_components(terms, q, kind)
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((n, 2))
@@ -222,15 +252,20 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
     while filled < n:
         batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - filled)), 1024)
         proposals += batch
-        ks = rng.choice(len(terms), size=batch, p=q)
-        v1 = np.empty(batch)
-        v2 = np.empty(batch)
-        for k, (_, wp1, wp2) in enumerate(terms):
-            sel = ks == k
-            m = int(sel.sum())
-            if m:
-                v1[sel] = _packet_samples(wp1, kind, rng, m)
-                v2[sel] = _packet_samples(wp2, kind, rng, m)
+        if len(comps) == 1:
+            _, wp1, wp2 = comps[0]
+            v1 = _packet_samples(wp1, kind, rng, batch)
+            v2 = _packet_samples(wp2, kind, rng, batch)
+        else:
+            ks = rng.choice(len(comps), size=batch, p=q)
+            v1 = np.empty(batch)
+            v2 = np.empty(batch)
+            for k, (_, wp1, wp2) in enumerate(comps):
+                sel = ks == k
+                m = int(sel.sum())
+                if m:
+                    v1[sel] = _packet_samples(wp1, kind, rng, m)
+                    v2[sel] = _packet_samples(wp2, kind, rng, m)
         # the blocks' uniforms are those of one random(batch) call; past the n-th
         # record the rest of them is drawn in one call, with no densities, so the
         # generator handed on to the next component is the same
@@ -239,7 +274,7 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
                 rng.random(batch - lo)
                 break
             b1, b2 = v1[lo : lo + PROPOSAL_BLOCK], v2[lo : lo + PROPOSAL_BLOCK]
-            g = _proposal_density(terms, q, kind, b1, b2)
+            g = _proposal_density(comps, q, kind, b1, b2)
             rho = dens_fn(state, b1, b2)
             keep = np.flatnonzero(rng.random(b1.size) * bound * g < rho)[: n - filled]
             out[filled : filled + keep.size, 0] = b1[keep]
@@ -360,6 +395,13 @@ def estimate_criterion(
 
     The interval is a function of the records alone; a lower end below 0 is
     raised to 0 and marked `clamped`.
+
+    Raises ValueError when the float spacing at the largest |record| of a kind
+    exceeds RECORD_RESOLUTION of that kind's period (ell for positions, P for
+    momenta). Far from the origin the records cannot resolve their position
+    within a period: at |x| = 1e17 the spacing is 16, every modular part is 0,
+    and Var(x_rel) would read 0, a false violation. Records whose statistics
+    overflow are reported as not finite before this check.
     """
     if position_samples.kind != "position" or momentum_samples.kind != "momentum":
         raise ValueError("need one position-kind and one momentum-kind sample set")
@@ -377,6 +419,17 @@ def estimate_criterion(
         var_tot = float(np.var(tot, ddof=1))
         lhs = var_tot + var_rel / scale.ell**2
     ci_low, ci_high = _abc_interval(lhs, [(rel, 1.0 / scale.ell**2), (tot, 1.0)])
+    for samples, period, name in (
+        (position_samples, scale.ell, "ell"),
+        (momentum_samples, scale.momentum_period, "P"),
+    ):
+        top = float(max(samples.records.max(), -samples.records.min()))
+        if np.spacing(top) > RECORD_RESOLUTION * period:
+            raise ValueError(
+                f"{samples.kind} records reach {top:.3g}, where the float spacing "
+                f"{np.spacing(top):.3g} exceeds {RECORD_RESOLUTION:.3g} of the period "
+                f"{name} = {period:.3g}: they cannot resolve their place within a period"
+            )
     clamped = ci_low < 0.0
     ci_low = max(ci_low, 0.0)
 
@@ -399,6 +452,8 @@ def estimate_criterion(
         clamped=clamped,
         n_position=position_samples.n,
         n_momentum=momentum_samples.n,
+        proposals_position=position_samples.proposals,
+        proposals_momentum=momentum_samples.proposals,
     )
 
 

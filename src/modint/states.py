@@ -467,32 +467,136 @@ class _PacketSum:
             raise ValueError("state has zero norm")
         self._scale = 1.0 / math.sqrt(nrm2)
         self.fringe_period = fringe_period
+        self._wave_plans = {}
 
     @property
     def packets(self):
         return [wp for packets in self.particles for wp in packets]
 
-    def _amplitude(self, kind, *vs):
-        """Sum of the terms as envelope factors times one plane wave per wave-number tuple.
+    def _waves(self, kind) -> _Waves:
+        if kind not in self._wave_plans:
+            self._wave_plans[kind] = _wave_plan(self.terms, kind, self.fringe_period)
+        return self._wave_plans[kind]
 
-        Each distinct envelope factor is evaluated once, each distinct tuple of
-        wave numbers gets one complex exponential (none when all are 0), and the
-        constant phases t fold into the term's coefficient.
+    def _amplitude(self, kind, *vs, common=True):
+        """Sum of the terms as envelope factors times plane waves relative to a reference term's.
+
+        Each distinct envelope factor is evaluated once and the constant phases
+        t fold into the terms' coefficients. On a lattice (`_Waves`) the relative
+        waves are powers of one exponential w, built by successive products in
+        the terms' order of power; otherwise each distinct relative tuple gets
+        one complex exponential (none when it is 0). The reference term's
+        own wave multiplies the sum once, when `common` is set and it is not 0:
+        a density, invariant under a common phase, never evaluates it.
         """
         vs = [np.asarray(v, dtype=float) for v in vs]
+        plan = self._waves(kind)
         factors = [envelope_values(p, kind, v) for p, v in zip(self.particles, vs)]
-        waves = {}
+        if plan.lattice is not None:
+            b, d = plan.lattice
+            w = np.exp(1j * (b * _dot(d, vs)))
+        waves, power, at = {}, None, 0  # w^at, None for w^0 = 1
         out = 0.0j
-        for k, (a, *packets) in enumerate(self.terms):
-            s, t = zip(*(_plane_wave(wp, kind) for wp in packets))
+        for k, step in zip(plan.order, plan.steps):
             term = functools.reduce(operator.mul, (f[index[k]] for f, index in factors))
-            if any(s):
-                if s not in waves:
-                    phase = sum((sj * vj for sj, vj in zip(s[1:], vs[1:])), s[0] * vs[0])
-                    waves[s] = np.exp(1j * phase)
-                term = term * waves[s]
-            out = out + a * cmath.exp(1j * sum(t[1:], t[0])) * term
+            wave = None
+            if plan.lattice is not None:
+                for _ in range(at, step):
+                    power = w if power is None else power * w
+                wave, at = power, step
+            elif any(step):
+                if step not in waves:
+                    waves[step] = np.exp(1j * _dot(step, vs))
+                wave = waves[step]
+            if wave is not None:
+                term = term * wave
+            out = out + plan.coefs[k] * term
+        if common and plan.common is not None:
+            out = out * np.exp(1j * _dot(plan.common, vs))
         return self._scale * out
+
+
+def _dot(s, vs):
+    """sum_j s_j v_j over one wave-number tuple and the particles' coordinates."""
+    return sum((sj * vj for sj, vj in zip(s[1:], vs[1:])), s[0] * vs[0])
+
+
+@dataclass(frozen=True)
+class _Waves:
+    """A packet sum's plane waves in one basis, relative to a reference term's.
+
+    The amplitude is e^{i s_ref.v} sum_k coefs[k] * envelope factors * e^{i (s_k - s_ref).v},
+    with s_k the wave-number tuple of term k and coefs[k] = a_k e^{i t_k}.
+    `common` is s_ref, or None when it is 0. The terms are taken in `order`.
+    With `lattice` = (b, d), step j is the power n >= 0 of w = e^{i b d.v} that
+    is term order[j]'s relative wave, and the steps do not decrease; otherwise
+    it is the term's relative tuple s_k - s_ref.
+    """
+
+    common: tuple | None
+    coefs: tuple
+    order: tuple
+    steps: tuple
+    lattice: tuple | None
+
+
+def _wave_plan(terms, kind: str, period: float | None) -> _Waves:
+    waves, coefs = [], []
+    for a, *packets in terms:
+        s, t = zip(*(_plane_wave(wp, kind) for wp in packets))
+        waves.append(s)
+        coefs.append(a * cmath.exp(1j * sum(t[1:], t[0])))
+    lattice = _lattice_powers(waves, period)
+    if lattice is None:
+        ref, order = 0, range(len(waves))
+        steps = [tuple(sj - rj for sj, rj in zip(s, waves[ref])) for s in waves]
+    else:
+        b, d, powers = lattice
+        ref = powers.index(0)
+        order = sorted(range(len(waves)), key=powers.__getitem__)
+        steps = [powers[k] for k in order]
+        lattice = (b, d)
+    common = waves[ref] if any(waves[ref]) else None
+    return _Waves(common, tuple(coefs), tuple(order), tuple(steps), lattice)
+
+
+def _lattice_powers(waves, period: float | None):
+    """(b, d, n) with the wave-number tuples s_k = s_ref + n_k b d, or None.
+
+    b = h / period. Each wave number must be an integer multiple of b exactly,
+    round(s / b) * b == s bitwise, and the integer tuples' differences must be
+    multiples n_k d of one integer tuple d. The n_k are shifted to start at 0,
+    and the walk from w^0 to the highest power may visit at most twice as many
+    powers as the terms use, which bounds its products and their rounding.
+    None when any of this fails, or when every term has one tuple.
+    """
+    b = H_PLANCK / period if period else 0.0
+    if not 0.0 < b < math.inf:
+        return None
+    ints = []
+    for s in waves:
+        row = []
+        for sj in s:
+            r = sj / b
+            if not math.isfinite(r) or round(r) * b != sj:
+                return None
+            row.append(round(r))
+        ints.append(row)
+    rel = [[i - j for i, j in zip(row, ints[0])] for row in ints]
+    first = next((r for r in rel if any(r)), None)
+    if first is None:
+        return None
+    g = math.gcd(*first)
+    d = [x // g for x in first]
+    j = next(i for i, x in enumerate(d) if x)
+    n = [r[j] // d[j] for r in rel]
+    if any([nk * x for x in d] != r for nk, r in zip(n, rel)):
+        return None
+    lo = min(n)
+    n = [nk - lo for nk in n]
+    if max(n) + 1 > 2 * len(set(n)):
+        return None
+    return b, tuple(d), n
 
 
 class SuperposedState(_PacketSum):
@@ -684,23 +788,26 @@ def admixture_state(
 
 def position_density(state, x):
     if isinstance(state, SuperposedState):
-        return np.abs(state.position_amplitude(x)) ** 2
+        return np.abs(state._amplitude("position", x, common=False)) ** 2
     raise TypeError("position_density expects a single-particle state")
 
 
 def momentum_density(state, p):
     if isinstance(state, SuperposedState):
-        return np.abs(state.momentum_amplitude(p)) ** 2
+        return np.abs(state._amplitude("momentum", p, common=False)) ** 2
     raise TypeError("momentum_density expects a single-particle state")
 
 
 def _joint_density(state, kind, v1, v2):
-    """Weighted sum of |amplitude|^2 over the ensemble; a pure state is one component."""
+    """Weighted sum of |amplitude|^2 over the ensemble; a pure state is one component.
+
+    The amplitudes leave out their common plane wave, which has modulus 1.
+    """
     if not hasattr(state, "components"):
         raise TypeError("joint densities expect a two-particle state or mixture")
     out = 0.0
     for w, st in state.components:
-        out = out + w * np.abs(st._amplitude(kind, v1, v2)) ** 2
+        out = out + w * np.abs(st._amplitude(kind, v1, v2, common=False)) ** 2
     return out
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modint import sampling
+from modint import sampling, states
 from modint.cli import _state_descriptor, build_parser, main
 from modint.modvar import squeezing_s2
 
@@ -124,6 +124,38 @@ class TestSample:
         d = json.loads(out)
         assert d["n"] == 5000
         assert d["verdict"] == "violated"
+
+    def test_estimate_json_reports_the_proposals(self):
+        # keys are only added; each kind's proposals come from its SampleSet
+        argv = ["sample", "--state", "mpe", "--n", "20000", "--seed", "3"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        d = json.loads(out)
+        assert set(d) == {
+            "bootstrap_bins_rel", "bootstrap_bins_tot", "bootstrap_resamples", "bound",
+            "ci_halfwidth", "ci_high", "ci_low", "clamped", "interval", "lhs_hat", "n",
+            "n_momentum", "n_position", "proposals_momentum", "proposals_position",
+            "var_N_tot_hat", "var_mod_rel_hat", "verdict",
+        }
+        state = states.state_from_descriptor(_state_descriptor(build_parser().parse_args(argv)))
+        for kind in ("position", "momentum"):
+            # 1 / M is accepted; the unused rest of the last batch, at most 0.1 M
+            # per missing record or 1024, counts too
+            bound = sampling._proposal_mixture(state, kind)[2]
+            rate = d["n"] / d[f"proposals_{kind}"]
+            assert 0.85 / bound < rate < 1.02 / bound, kind
+
+    def test_records_too_far_out_to_resolve_a_period_exit_2(self):
+        # at x0 = 1e17 the float spacing is 16 > ell: every modular part was 0 and
+        # the verdict a false "violated"
+        code, out, err = run_cli(["sample", "--x0", "1e17", "--n", "1000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float spacing" in err
+        assert len(err.strip().splitlines()) == 1
+        code, out, _ = run_cli(["sample", "--x0", "1e6", "--n", "1000"])
+        assert code == 0
+        assert json.loads(out)["verdict"] in ("violated", "not_violated", "inconclusive")
 
 
 class TestPropagate:

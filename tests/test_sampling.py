@@ -1,5 +1,6 @@
 """Tests for seeded measurement sampling and the criterion estimator's interval."""
 
+import hashlib
 import json
 import math
 import os
@@ -69,6 +70,9 @@ def _reference_sample_pure(state, kind, rng, n):
     Evaluates every packet amplitude, for the proposal and for rho. Each pair
     k < l is dropped where |c_k||c_l| beta1 beta2 is 0, and otherwise, or where no
     beta exists, split onto the diagonals, where it adds |c_k|^2 and |c_l|^2.
+    Terms whose packets have the same envelope and centre (x0 in position, p0
+    in momentum) on both particles are one proposal component with the sum of
+    their weights; a proposal of one component draws no labels.
     """
     terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
     size = len(terms)
@@ -90,6 +94,20 @@ def _reference_sample_pure(state, kind, rng, n):
         bound = float(mass.sum())
         q = mass / bound
 
+    def same_density(wa, wb):
+        centre = (wa.x0 == wb.x0) if kind == "position" else (wa.p0 == wb.p0)
+        return wa.envelope == wb.envelope and centre
+
+    comps, comp_q = [], []
+    for (_, wp1, wp2), qk in zip(terms, q):
+        for j, (u1, u2) in enumerate(comps):
+            if same_density(u1, wp1) and same_density(u2, wp2):
+                comp_q[j] += qk
+                break
+        else:
+            comps.append((wp1, wp2))
+            comp_q.append(0.0 + qk)
+
     def packet_amplitude(wp, v):
         return wp.position_amplitude(v) if kind == "position" else wp.momentum_amplitude(v)
 
@@ -105,17 +123,21 @@ def _reference_sample_pure(state, kind, rng, n):
     out = np.empty((0, 2))
     while len(out) < n:
         batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - len(out))), 1024)
-        ks = rng.choice(size, size=batch, p=q)
-        v1 = np.empty(batch)
-        v2 = np.empty(batch)
-        for k, (_, wp1, wp2) in enumerate(terms):
-            sel = ks == k
-            m = int(sel.sum())
-            if m:
-                v1[sel] = _packet_samples(wp1, kind, rng, m)
-                v2[sel] = _packet_samples(wp2, kind, rng, m)
+        if len(comps) == 1:
+            v1 = _packet_samples(comps[0][0], kind, rng, batch)
+            v2 = _packet_samples(comps[0][1], kind, rng, batch)
+        else:
+            ks = rng.choice(len(comps), size=batch, p=comp_q)
+            v1 = np.empty(batch)
+            v2 = np.empty(batch)
+            for k, (wp1, wp2) in enumerate(comps):
+                sel = ks == k
+                m = int(sel.sum())
+                if m:
+                    v1[sel] = _packet_samples(wp1, kind, rng, m)
+                    v2[sel] = _packet_samples(wp2, kind, rng, m)
         g = np.zeros(batch)
-        for (c, wp1, wp2), qk in zip(terms, q):
+        for (wp1, wp2), qk in zip(comps, comp_q):
             g += qk * packet_density(wp1, v1) * packet_density(wp2, v2)
         rho = target_density(v1, v2)
         keep = rng.random(batch) * bound * g < rho
@@ -405,6 +427,37 @@ class TestSampling:
         with pytest.raises(ValueError, match="over the budget"):
             sample_measurements(mixed, "momentum", 10_000, seed=0)
 
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_mpe_proposal_has_one_component_in_position_and_k_in_momentum(self, N):
+        # the packets of a particle share x0 but not p0: in position the K terms
+        # have one density and are drawn without labels
+        st = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        for kind, count in (("position", 1), ("momentum", N)):
+            terms, q, _ = sampling._proposal_mixture(st, kind)
+            comps, comp_q = sampling._proposal_components(terms, q, kind)
+            assert len(comps) == count, kind
+            assert comp_q.sum() == pytest.approx(1.0, rel=1e-15)
+        # a classical component is one term: one component in both bases
+        for _, part in build_classical_correlated(N, 0.0, 1, 1.0, GaussianEnvelope(8.0)).components:
+            for kind in ("position", "momentum"):
+                comps, _ = sampling._proposal_components(*sampling._proposal_mixture(part, kind)[:2], kind)
+                assert len(comps) == 1
+
+    @pytest.mark.parametrize(
+        "N, digest",
+        [
+            (2, "b4798c7ce28a6bce3dbdd10e89b8ab0b340cabb6530a00b9c9e57535aae8d293"),
+            (5, "fabdf662fe062ece7b6051daddb1c66e3e589a44a28f2a02c5cafe89713eb4a8"),
+        ],
+    )
+    def test_mpe_momentum_records_equal_a_stored_draw(self, N, digest):
+        # momentum terms keep their own components, so these records are bitwise
+        # those drawn before terms of one density were merged into one component
+        st = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        s = sample_measurements(st, "momentum", 3000, seed=11)
+        assert s.proposals == 3301
+        assert hashlib.sha256(s.records.astype("<f8").tobytes()).hexdigest() == digest
+
     def test_mixture_proposals_sum_over_components(self):
         cls = build_classical_correlated(2, 0.0, 1, 1.0, GaussianEnvelope(8.0))
         s = sample_measurements(cls, "position", 5000, seed=4)
@@ -646,6 +699,23 @@ class TestEstimator:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="not finite"):
                 estimate_criterion(pos, mom, ModularScale(ell=1.0))
+
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_records_too_coarse_for_the_period_raise(self, kind):
+        # 2**-20 of the period: ell = 1 in position, P = 2 pi in momentum. At 1e12
+        # the float spacing is 1.2e-4, over both; at 1e6 it is 1.2e-10, under both
+        rng = np.random.default_rng(0)
+        scale = ModularScale(ell=1.0)
+        for offset, raises in ((1e12, True), (1e6, False)):
+            records = {k: rng.normal(size=(500, 2)) for k in ("position", "momentum")}
+            records[kind] += offset
+            pos = SampleSet(records=records["position"], seed=0, kind="position")
+            mom = SampleSet(records=records["momentum"], seed=1, kind="momentum")
+            if raises:
+                with pytest.raises(ValueError, match=f"{kind} records reach 1e\\+12"):
+                    estimate_criterion(pos, mom, scale)
+            else:
+                assert estimate_criterion(pos, mom, scale).n == 500
 
     def test_report_json_fields(self, mpe2):
         pos = sample_measurements(mpe2, "position", 2000, seed=1)

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -442,6 +444,18 @@ DENSITY_CASES = {
     "mpe complex tabulated": lambda: build_mpe(2, 0.2, 1, 1.0, _complex_tabulated()),
     "hand-built": _hand_built,
     "admixture": lambda: admixture_state(0.4, 3, 1.0, WIDE),
+    # a fringe period whose lattice the wave numbers miss by 1e-9: no snapping
+    "off the lattice by 1e-9": lambda: TwoParticleState(
+        [
+            (1.0, WavePacket(WIDE, p0=H_PLANCK), WavePacket(WIDE, p0=-H_PLANCK)),
+            (0.6, WavePacket(WIDE, p0=2 * H_PLANCK + 1e-9), WavePacket(WIDE, p0=-2 * H_PLANCK)),
+            (0.3j, WavePacket(WIDE, p0=3 * H_PLANCK), WavePacket(WIDE, p0=-3 * H_PLANCK)),
+        ],
+        fringe_period=1.0,
+    ),
+    "one term": lambda: TwoParticleState(
+        [(0.7j, WavePacket(WIDE, x0=0.5, p0=3.0, phase_ref=0.2), WavePacket(WIDE, x0=-1.0, p0=-2.0))]
+    ),
 }
 
 
@@ -484,6 +498,101 @@ class TestJointDensities:
         want = _per_packet_density(state, kind, v1, v2)
         assert want.max() > 0
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("N0", [10**6, 10**9])
+    def test_far_comb_matches_the_exact_per_packet_sum(self, N0):
+        # a float p0 ~ 2 pi N0 times x ~ 16 rounds by ~1e-8 (N0 = 1e6) to 1e-5 (1e9)
+        # radians; summing such packet waves put rho off by 4.4e-9 and 1.3e-7 of its
+        # maximum on these points. The lattice waves round b (x1 - x2) once, and w^n
+        # carries that n-fold: one coherent shift of the fringes by about an ulp of
+        # x1 - x2, which near a peak of this comb moves rho by up to 1.2e-12 of max
+        # rho (median 1.5e-13 over 40 point sets). 4e-12 sits above that floor.
+        state = build_mpe(100, 0.0, N0, 1.0, WIDE)
+        v1, v2 = _near_packets(state, "position", 200, seed=N0 % 97)
+        got = joint_position_density(state, v1, v2)
+        want = _exact_comb_density(state, N0, 1.0, v1, v2)
+        assert np.max(np.abs(got - want)) <= 4e-12 * want.max()
+
+    @pytest.mark.parametrize("N", [2, 5, 100])
+    def test_comb_density_does_not_depend_on_n0(self, N):
+        # the packets' wave numbers differ by n h / lambda whatever N0 is, so at
+        # x0 = 0 the density is the same function of (x1, x2)
+        near = build_mpe(N, 0.0, 1, 1.0, WIDE)
+        v1, v2 = _near_packets(near, "position", 400, seed=N)
+        want = joint_position_density(near, v1, v2)
+        for N0 in (10**6, 10**9):
+            got = joint_position_density(build_mpe(N, 0.0, N0, 1.0, WIDE), v1, v2)
+            assert np.max(np.abs(got - want)) <= 1e-15 * want.max(), N0
+
+    def test_comb_waves_lie_on_one_lattice_line(self):
+        # position: p0 = +-(N0 + n) h / lambda, one exponential w = e^{i b (x1 - x2)} and
+        # its powers; momentum: every term has the wave (-x0, x0), so none at all
+        state = build_mpe(5, 0.37, 2, 1.0, WIDE)
+        pos = state._waves("position")
+        assert pos.lattice == (H_PLANCK, (1, -1))
+        assert (pos.order, pos.steps) == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
+        assert pos.common == (2 * H_PLANCK, -2 * H_PLANCK)
+        mom = state._waves("momentum")
+        assert mom.lattice is None
+        assert mom.common == (-0.37, 0.37)
+        assert not any(any(s) for s in mom.steps)
+
+    @pytest.mark.parametrize("powers, lattice", [((0, 1, 3), True), ((0, 9), False)])
+    def test_walk_visits_at_most_twice_the_powers_it_uses(self, powers, lattice):
+        # w^0, w^1, w^3 walk through 4 powers for 3 terms; w^9 would take 9 products
+        # for 2 terms, so those terms take one exponential each
+        state = TwoParticleState(
+            [(1.0, WavePacket(WIDE, p0=n * H_PLANCK), WavePacket(WIDE, p0=-n * H_PLANCK)) for n in powers],
+            fringe_period=1.0,
+        )
+        waves = state._waves("position")
+        assert (waves.lattice is not None) == lattice
+        v1, v2 = _near_packets(state, "position", 400, seed=len(powers))
+        want = _per_packet_density(state, "position", v1, v2)
+        assert np.max(np.abs(joint_position_density(state, v1, v2) - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_off_lattice_and_one_term_states_take_one_wave_per_relative_tuple(self, kind):
+        # the hand-built state has no fringe period, and the other off-lattice state
+        # misses its lattice: each relative tuple gets its own exponential; a
+        # one-term state has no relative wave
+        waves = _hand_built()._waves(kind)
+        assert waves.lattice is None
+        assert waves.steps[0] == (0.0, 0.0) and all(any(s) for s in waves.steps[1:])
+        assert DENSITY_CASES["off the lattice by 1e-9"]()._waves(kind).lattice is None
+        one = DENSITY_CASES["one term"]()._waves(kind)
+        assert one.lattice is None and one.steps == ((0.0, 0.0),)
+        assert one.common is not None
+
+    def test_amplitude_keeps_the_common_wave(self):
+        state = build_mpe(3, 0.37, 2, 1.0, WIDE)
+        v1, v2 = _near_packets(state, "position", 400, seed=5)
+        got = state.joint_position_amplitude(v1, v2)
+        want = state._scale * sum(
+            a * wp1.position_amplitude(v1) * wp2.position_amplitude(v2) for a, wp1, wp2 in state.terms
+        )
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+# 2 pi to 62 digits, so that a phase near 1e12 reduces exactly to double precision
+TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021164194988918")
+
+
+def _exact_comb_density(state, N0, lam, x1, x2):
+    """|scale sum_n a_n psi_1n(x1) psi_2n(x2)|^2 of an MPE at x0 = 0, packet by packet.
+
+    Packet n carries e^{+-i (N0 + n) b x} with b = h / lam, whose phase is
+    reduced modulo 2 pi in exact rationals before its exponential.
+    """
+    b = Fraction(H_PLANCK / lam)
+    total = np.zeros(len(x1), dtype=complex)
+    for n, (a, wp1, wp2) in enumerate(state.terms):
+        amp = a * wp1.envelope(x1 - wp1.x0) * wp2.envelope(x2 - wp2.x0)
+        for sign, x in ((1, x1), (-1, x2)):
+            wave = (N0 + n) * b * sign
+            amp = amp * np.array([cmath.exp(1j * float(wave * Fraction(u) % TWO_PI_EXACT)) for u in x])
+        total += amp
+    return np.abs(state._scale * total) ** 2
 
 
 SINGLE_CASES = {
