@@ -33,6 +33,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _csv_columns(header, *columns) -> str:
+    """CSV text of a header row and whole columns of Python floats, each written as its repr.
+
+    A float's repr needs no quoting, so the rows are one %-format per row: the
+    bytes csv.writer would write, in about two thirds of its time.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)
+    row = ",".join(["%r"] * len(columns)) + "\r\n"
+    buf.write("".join(map(row.__mod__, zip(*columns))))
+    return buf.getvalue()
+
+
 def _write_output(text: str, output: str | None):
     if output:
         with open(output, "w") as fh:
@@ -113,16 +126,13 @@ def cmd_fringes(args) -> str:
         raise CliError(f"--periods must be positive and finite, got {args.periods}")
     desc = _state_descriptor(args)
     state = states.state_from_descriptor(desc)
-    buf = io.StringIO()
-    w = csv.writer(buf)
     if isinstance(state, states.SuperposedState):
         if args.state == "multislit":
             # momentum-space fringe profile, period h/L
             per = H_PLANCK / args.L
             p = np.linspace(-args.periods / 2 * per, args.periods / 2 * per, args.grid_points)
             dens = states.momentum_density(state, p)
-            w.writerow(["p [hbar=1]", "density"])
-            rows = zip(p, dens)
+            header, axis = ["p [hbar=1]", "density"], p
         else:
             x = np.linspace(
                 args.x0 - args.periods / 2 * args.lam,
@@ -130,17 +140,13 @@ def cmd_fringes(args) -> str:
                 args.grid_points,
             )
             dens = states.position_density(state, x)
-            w.writerow(["x [length]", "density"])
-            rows = zip(x, dens)
+            header, axis = ["x [length]", "density"], x
     else:
         # relative-coordinate cut through the joint density at the envelope centers
         r = np.linspace(-args.periods / 2 * args.lam, args.periods / 2 * args.lam, args.grid_points)
         dens = states.joint_position_density(state, args.x0 + r / 2, -args.x0 - r / 2)
-        w.writerow(["x1_minus_x2_offset [length]", "joint_density"])
-        rows = zip(r, dens)
-    for a, b in rows:
-        w.writerow([repr(float(a)), repr(float(b))])
-    return buf.getvalue()
+        header, axis = ["x1_minus_x2_offset [length]", "joint_density"], r
+    return _csv_columns(header, axis.tolist(), dens.tolist())
 
 
 def _two_particle_state(args):
@@ -187,22 +193,23 @@ def cmd_propagate(args) -> str:
     gs = states.discretize(state, spec)
     params = dynamics.PropagationParams(mass=args.mass, time=args.time)
     moved = dynamics.free_propagate(gs, params)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["x [length]", "re", "im", "density"])
-    for xv, amp in zip(moved.spec.x, moved.psi):
-        w.writerow([repr(float(xv)), repr(float(amp.real)), repr(float(amp.imag)), repr(float(abs(amp) ** 2))])
-    return buf.getvalue()
+    psi = moved.psi.tolist()
+    # abs(z) ** 2 of each Python complex: np.abs(psi) ** 2 differs from it in the last ulp
+    return _csv_columns(
+        ["x [length]", "re", "im", "density"],
+        moved.spec.x.tolist(),
+        [z.real for z in psi],
+        [z.imag for z in psi],
+        [abs(z) ** 2 for z in psi],
+    )
 
 
 def cmd_protocol(args) -> str:
     if args.steps < 1:
         raise CliError(f"--steps must be >= 1, got {args.steps}")
     env = states.GaussianEnvelope(sigma_x=args.sigma)
-    staggers = np.linspace(0.0, args.max_stagger, args.steps)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["stagger [time]", "visibility"])
+    staggers = np.linspace(0.0, args.max_stagger, args.steps).tolist()
+    visibilities = []
     for s in staggers:
         spec = dynamics.ProtocolSpec(
             N=args.N,
@@ -211,9 +218,8 @@ def cmd_protocol(args) -> str:
             envelope=env,
             mass=args.mass,
         )
-        vis = dynamics.protocol_visibility(spec, args.meeting_time)
-        w.writerow([repr(float(s)), repr(float(vis))])
-    return buf.getvalue()
+        visibilities.append(float(dynamics.protocol_visibility(spec, args.meeting_time)))
+    return _csv_columns(["stagger [time]", "visibility"], staggers, visibilities)
 
 
 # ---------------------------------------------------------------------------

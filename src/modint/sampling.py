@@ -24,6 +24,7 @@ from .states import (
     SincEnvelope,
     TwoParticleState,
     _closed_form_rows,
+    _dot,
     _packet_table,
     _product_rows,
     envelope_values,
@@ -32,9 +33,10 @@ from .states import (
 )
 
 MIN_BOOTSTRAP_N = 100
-# Largest expected proposal count of one draw: 20 to 80 s at the 1.3e6 to 5e6
+# Largest expected proposal count of one draw: 10 to 90 s at the 1.1e6 to 1e7
 # proposals/s the sampler reaches on MPE states of N <= 10 at sigma = 8 (one
-# core of an Intel Xeon, one BLAS thread; momentum draws are the slower ones).
+# core of an Intel Xeon, one BLAS thread; momentum draws are the slower ones,
+# position draws reach 8e6 to 1e7 with the squeeze).
 MAX_PROPOSALS = 1e8
 # Coarsest float spacing of the records, as a fraction of the period they are split
 # by (ell in position, P = 2 pi / ell in momentum), that estimate_criterion accepts.
@@ -42,6 +44,12 @@ RECORD_RESOLUTION = 2.0**-20
 # Proposals whose densities and acceptance draws are evaluated at a time, which
 # bounds the sampler's temporaries however large a batch is.
 PROPOSAL_BLOCK = 1 << 14
+# Bins of theta mod 2 pi per degree of the fringe polynomial in the squeeze's table
+# (`_fringe_squeeze`): its Bernstein slack is then at most pi / 256 of the peak.
+SQUEEZE_BINS_PER_DEGREE = 256
+# Largest |theta| J / 2 pi whose bin index is trusted: its rounding, about 2**-52 of
+# it, then moves the index by at most 2**-11 of a bin.
+SQUEEZE_REACH = 2.0**41
 
 
 @dataclass
@@ -234,17 +242,54 @@ def _proposal_components(terms, q, kind: str) -> tuple[list, np.ndarray]:
     return comps, np.array(weights)
 
 
+def _fringe_squeeze(state: TwoParticleState, comps, q, kind: str):
+    """(b, d, J / 2 pi, h): a table h over J bins of theta mod 2 pi with h >= rho / g, or None.
+
+    With one proposal component every term shares its envelope factors, and on
+    a lattice plan (`_Waves`) the terms' relative waves are w^n_k with
+    w = e^{i theta}, theta = b d.v. Then rho / g = P(theta) / q =
+    scale^2 |sum_k coefs_k e^{i n_k theta}|^2 / q, a trigonometric polynomial of
+    degree D = max n_k. One length-J FFT of the coefficients at their powers
+    gives P at the bin edges 2 pi j / J, J a power of two >= 256 D. Bin j's
+    entry is the largest edge value of bins j - 1 to j + 1, so an index off by
+    one still bounds, plus D P^ pi / J for the half bin to the nearest edge
+    (Bernstein: |P'| <= D max P <= D P^, with P^ = scale^2 (sum |coefs|)^2 / q)
+    and 1e-9 P^ for the rounding of rho, g and the FFT. None for any other
+    proposal.
+    """
+    plan = state._waves(kind)
+    if len(comps) != 1 or plan.lattice is None:
+        return None
+    coefs = np.array([plan.coefs[k] for k in plan.order])
+    degree = plan.steps[-1]
+    bins = 1 << (SQUEEZE_BINS_PER_DEGREE * degree - 1).bit_length()
+    spectrum = np.zeros(bins, dtype=complex)
+    np.add.at(spectrum, np.array(plan.steps), coefs)
+    top = state._scale**2 / q[0]
+    edges = top * np.abs(np.fft.ifft(spectrum) * bins) ** 2
+    peak = top * float(np.abs(coefs).sum()) ** 2
+    ring = np.concatenate([edges[-1:], edges, edges[:2]])  # edges j - 1 to j + 2 of bin j
+    h = np.maximum(np.maximum(ring[:-3], ring[1:-2]), np.maximum(ring[2:-1], ring[3:]))
+    h += degree * peak * math.pi / bins + 1e-9 * peak
+    b, d = plan.lattice
+    return b, d, bins / (2.0 * math.pi), h
+
+
 def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
     """Rejection sampling with the mixture g of `_proposal_mixture` as the proposal.
 
     Accepting with probability rho / (M g) reproduces rho exactly. A batch draws
     min(2, 1.1 M) proposals per missing record: with M near 1 that most often
     fills the rest, and combs with M >= 2 keep 2 per record. A proposal with
-    one component (`_proposal_components`) draws no component labels. Returns
-    the n records and the number of proposals drawn.
+    one component (`_proposal_components`) draws no component labels. Where
+    `_fringe_squeeze` gives a table h >= rho / g, a proposal with u M >= h at
+    its bin is rejected before any density is evaluated: the full test
+    u M g < rho would reject it too, so records and proposals are unchanged.
+    Returns the n records and the number of proposals drawn.
     """
     terms, q, bound = mix
     comps, q = _proposal_components(terms, q, kind)
+    squeeze = _fringe_squeeze(state, comps, q, kind)
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((n, 2))
@@ -274,9 +319,19 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
                 rng.random(batch - lo)
                 break
             b1, b2 = v1[lo : lo + PROPOSAL_BLOCK], v2[lo : lo + PROPOSAL_BLOCK]
+            limit = rng.random(b1.size) * bound
+            if squeeze is not None:
+                b, d, per_bin, h = squeeze
+                # theta as the density computes it; far out its bin is not trusted
+                t = b * _dot(d, (b1, b2)) * per_bin
+                near = np.abs(t) < SQUEEZE_REACH
+                # floor, & (J - 1) for the bin mod J: np.mod takes 17 times as long per value
+                at = np.floor(t, out=np.zeros_like(t), where=near).astype(np.intp) & (h.size - 1)
+                pending = np.flatnonzero((limit < h[at]) | ~near)
+                b1, b2, limit = b1[pending], b2[pending], limit[pending]
             g = _proposal_density(comps, q, kind, b1, b2)
             rho = dens_fn(state, b1, b2)
-            keep = np.flatnonzero(rng.random(b1.size) * bound * g < rho)[: n - filled]
+            keep = np.flatnonzero(limit * g < rho)[: n - filled]
             out[filled : filled + keep.size, 0] = b1[keep]
             out[filled : filled + keep.size, 1] = b2[keep]
             filled += keep.size

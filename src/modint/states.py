@@ -12,6 +12,7 @@ import cmath
 import csv
 import functools
 import math
+import numbers
 import operator
 import sys
 import warnings
@@ -838,10 +839,15 @@ def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
     partition edge falls on a grid point. Takes the smallest power-of-two
     multiple of points_per_ell at which every packet's momentum reach lies
     below the lattice's end pi / dx; raises ValueError, before any grid is
-    returned, when that needs more than MAX_GRID_POINTS points.
+    returned, when that needs more than MAX_GRID_POINTS points, and when
+    points_per_ell is not a positive integer.
     """
     if not hasattr(state, "packets"):
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    integral = isinstance(points_per_ell, numbers.Integral) and not isinstance(points_per_ell, bool)
+    if not integral or points_per_ell < 1:
+        raise ValueError(f"points_per_ell must be a positive integer, got {points_per_ell!r}")
+    points_per_ell = int(points_per_ell)
     lo, hi = _reach(state.packets, GRID_PAD)
     periods = 1 << (max(2, math.ceil((hi - lo) / ell)) - 1).bit_length()
     center = 0.5 * (lo + hi)

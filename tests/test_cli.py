@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modint import sampling, states
+from modint import dynamics, sampling, states
+from modint.grids import GridSpec
 from modint.cli import _state_descriptor, build_parser, main
 from modint.modvar import squeezing_s2
 
@@ -228,6 +229,66 @@ class TestProtocol:
         vis = [float(r[1]) for r in rows[1:]]
         assert vis[0] == pytest.approx(1.0, abs=1e-9)
         assert vis[0] > vis[1] > vis[2]
+
+
+def _row_by_row_csv(header, rows):
+    """The CSV the subcommands wrote one row at a time, each value as repr(float(v))."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+class TestCsvBytes:
+    """Whole-column CSV output is byte for byte the row-by-row writer's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--state", "mpe", "--N", "3", "--x0", "0.37"],
+            ["--state", "smp", "--N", "3", "--x0", "0.37"],
+            ["--state", "multislit", "--N", "2", "--sigma", "0.05"],
+        ],
+    )
+    def test_fringes(self, argv):
+        code, out, _ = run_cli(["fringes", *argv, "--grid-points", "257"])
+        args = build_parser().parse_args(["fringes", *argv, "--grid-points", "257"])
+        state = states.state_from_descriptor(_state_descriptor(args))
+        half = args.periods / 2
+        if args.state == "multislit":
+            p = np.linspace(-half * 2 * np.pi, half * 2 * np.pi, 257)
+            want = _row_by_row_csv(["p [hbar=1]", "density"], zip(p, states.momentum_density(state, p)))
+        elif args.state == "smp":
+            x = np.linspace(args.x0 - half, args.x0 + half, 257)
+            want = _row_by_row_csv(["x [length]", "density"], zip(x, states.position_density(state, x)))
+        else:
+            r = np.linspace(-half, half, 257)
+            dens = states.joint_position_density(state, args.x0 + r / 2, -args.x0 - r / 2)
+            want = _row_by_row_csv(["x1_minus_x2_offset [length]", "joint_density"], zip(r, dens))
+        assert code == 0 and out == want
+
+    def test_propagate(self):
+        # the density is abs(z) ** 2 of numpy's complex scalar, which np.abs(psi) ** 2
+        # misses in the last ulp for some values
+        argv = ["propagate", "--state", "multislit", "--N", "2", "--sigma", "0.1", "--time", "2.0"]
+        code, out, _ = run_cli(argv)
+        state = states.build_multislit(2, 1.0, states.GaussianEnvelope(0.1))
+        spec = GridSpec(points=16384, xmin=-128.0, xmax=128.0)
+        moved = dynamics.free_propagate(states.discretize(state, spec), dynamics.PropagationParams(1.0, 2.0))
+        rows = ((x, z.real, z.imag, abs(z) ** 2) for x, z in zip(moved.spec.x, moved.psi))
+        assert code == 0 and out == _row_by_row_csv(["x [length]", "re", "im", "density"], rows)
+
+    def test_protocol(self):
+        code, out, _ = run_cli(["protocol", "--N", "2", "--max-stagger", "10", "--steps", "3"])
+        rows = []
+        for s in np.linspace(0.0, 10.0, 3):
+            spec = dynamics.ProtocolSpec(
+                N=2, emission_times=(0.0, s), lam=1.0, envelope=states.GaussianEnvelope(8.0), mass=1.0
+            )
+            rows.append((s, dynamics.protocol_visibility(spec, 60.0)))
+        assert code == 0 and out == _row_by_row_csv(["stagger [time]", "visibility"], rows)
 
 
 class TestConfig:

@@ -10,6 +10,7 @@ from modint.criterion import (
     _AXES,
     admixture_state,
     criterion_bound,
+    criterion_stats,
     evaluate_criterion,
     robustness_threshold,
     visibility_of_admixture,
@@ -167,6 +168,26 @@ class TestEvaluate:
         # default_grid builds no array, so asking allocates nothing
         with pytest.raises(ValueError, match="grid too large"):
             default_grid(build_mpe(2, x0, 1, 1.0, WIDE), 1.0)
+
+    @pytest.mark.parametrize("points_per_ell", [-4, 0, 1.5, 256.0, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st, p: default_grid(st, 1.0, points_per_ell=p),
+            lambda st, p: evaluate_criterion(st, SCALE, points_per_ell=p),
+            lambda st, p: criterion_stats(st, SCALE, "momentum", points_per_ell=p),
+        ],
+        ids=["default_grid", "evaluate_criterion", "criterion_stats"],
+    )
+    def test_points_per_ell_must_be_a_positive_integer(self, call, points_per_ell):
+        # -4 once gave a verdict on a 1024-point grid, 1.5 an AttributeError and 0
+        # "points must be a power of two >= 16, got 2"
+        with pytest.raises(ValueError, match="points_per_ell must be a positive integer"):
+            call(build_mpe(2, 0.0, 1, 1.0, WIDE), points_per_ell)
+
+    def test_points_per_ell_takes_numpy_integers(self):
+        st = build_mpe(2, 0.0, 1, 1.0, WIDE)
+        assert default_grid(st, 1.0, points_per_ell=np.int64(128)) == default_grid(st, 1.0, 128)
 
     def test_off_centre_grids_converge_at_second_order(self):
         # a power-of-two count of periods puts every partition edge on a grid point,

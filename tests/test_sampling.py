@@ -597,6 +597,139 @@ class TestPairBound:
             assert sampling._pair_overlaps([WavePacket(env), WavePacket(env, 1.0)], "position") is None
 
 
+def _squeeze(state, kind="position"):
+    terms, q, _ = sampling._proposal_mixture(state, kind)
+    comps, q = sampling._proposal_components(terms, q, kind)
+    return comps, q, sampling._fringe_squeeze(state, comps, q, kind)
+
+
+def _density_ratio(state, comps, q, theta):
+    """theta = b (x1 - x2) as the sampler rounds it, and rho / g, at points along x1 - x2."""
+    _, wp1, wp2 = comps[0]
+    b = state._waves("position").lattice[0]
+    s = (theta / b - (wp1.x0 - wp2.x0)) / 2
+    x1, x2 = wp1.x0 + s, wp2.x0 - s
+    g = sampling._proposal_density(comps, q, "position", x1, x2)
+    return b * (x1 - x2), joint_position_density(state, x1, x2) / g
+
+
+def _hand_built_comb():
+    """Unequal complex coefficients at wave powers 0, 1 and 3 of one lattice."""
+    env, w = GaussianEnvelope(8.0), 2 * np.pi
+    return TwoParticleState(
+        [
+            (0.3, WavePacket(env, 0.1, 0.0), WavePacket(env, -0.1, 0.0)),
+            (0.9 - 0.2j, WavePacket(env, 0.1, w), WavePacket(env, -0.1, -w)),
+            (0.5j, WavePacket(env, 0.1, 3 * w), WavePacket(env, -0.1, -3 * w)),
+        ],
+        fringe_period=1.0,
+    )
+
+
+SQUEEZED = [
+    *[(f"mpe N={N}", build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))) for N in (2, 3, 5, 10, 30)],
+    ("mpe N=2 sinc", build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0))),
+    ("mpe N=3 x0=0.37 N0=2", build_mpe(3, 0.37, 2, 1.0, GaussianEnvelope(8.0))),
+    ("hand-built", _hand_built_comb()),
+]
+
+
+class TestSqueeze:
+    """The fringe-bin table rejects proposals before any density, and changes no record."""
+
+    @pytest.mark.parametrize("label, state", SQUEEZED, ids=[label for label, _ in SQUEEZED])
+    def test_table_bounds_the_density_ratio_on_a_finer_grid(self, label, state):
+        # 64 points per bin: every bin's entry, and both neighbours' entries (an
+        # index may be off by one), bound rho / g; interior fringe maxima need the
+        # Bernstein slack
+        comps, q, (_, d, _, h) = _squeeze(state)
+        assert d == (1, -1)
+        bins = h.size
+        theta, ratio = _density_ratio(state, comps, q, 2 * np.pi * np.arange(64 * bins) / (64 * bins))
+        at = np.floor(theta * bins / (2 * np.pi)).astype(int) % bins
+        for shift in (-1, 0, 1):
+            assert np.all(ratio <= h[(at + shift) % bins]), (label, shift)
+        assert bins >= 256 * max(state._waves("position").steps)
+
+    @pytest.mark.parametrize("label, state", SQUEEZED, ids=[label for label, _ in SQUEEZED])
+    def test_entries_hold_the_edges_of_their_bin_and_both_neighbours(self, label, state):
+        # before its constant slack, entry j is the largest of rho / g at the edges of
+        # bins j - 1 to j + 1, so an index off by one does not lean on the slack
+        comps, q, (_, _, _, h) = _squeeze(state)
+        bins = h.size
+        _, edge = _density_ratio(state, comps, q, 2 * np.pi * np.arange(bins) / bins)
+        held = np.max([np.roll(edge, 1 - k) for k in range(4)], axis=0)
+        slack = h - held
+        assert np.ptp(slack) <= 1e-12 * h.max(), label
+        assert 0 < slack.min() <= 0.013 * h.max(), label
+
+    @pytest.mark.parametrize(
+        "state, proposals, digest",
+        [
+            (build_mpe(2, 0.0, 1, 1.0, GaussianEnvelope(8.0)), 7024,
+             "d13144af71a87e1961250326fe4df8b668ecb8fc70eadaf9bd8ccd157c3e6d3f"),
+            (build_mpe(5, 0.0, 1, 1.0, GaussianEnvelope(8.0)), 15192,
+             "30e9c9795de4db14d8198e4dd0a795bd67ef7c008856f3ad83e1e3397b0a9510"),
+            (admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0)), 4990,
+             "4b03988729e5e4da757984d3a05e5e9a4c40a84d5f64b6d027f01a38a440dbda"),
+            (build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0)), 6000,
+             "c388d347946b9f6039136b65809fbafa6097b1b13a441f9febfac11fa6a34242"),
+        ],
+        ids=["mpe N=2", "mpe N=5", "admixture eps=0.5", "mpe N=2 sinc"],
+    )
+    def test_position_records_equal_a_stored_draw(self, state, proposals, digest):
+        # the sampled-verdict states: records and proposal counts drawn before the squeeze
+        s = sample_measurements(state, "position", 3000, seed=11)
+        assert s.proposals == proposals
+        assert hashlib.sha256(s.records.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("x0", [1e15, 1e17])
+    def test_proposals_too_far_out_for_their_bin_take_the_full_test(self, x0, monkeypatch):
+        # at |theta| J / 2 pi ~ 5e17 rounding moves the bin by hundreds, and at 5e19
+        # the index overflows: such proposals skip the table
+        state = build_mpe(2, x0, 1, 1.0, GaussianEnvelope(8.0))
+        got = sample_measurements(state, "position", 2000, seed=1)
+        monkeypatch.setattr(sampling, "_fringe_squeeze", lambda *args: None)
+        want = sample_measurements(state, "position", 2000, seed=1)
+        assert np.array_equal(got.records, want.records) and got.proposals == want.proposals
+
+    def test_densities_are_evaluated_only_past_the_table(self, monkeypatch):
+        # MPE N=5 accepts 1/5 of its proposals, and the table passes 0.22 of them
+        # on to the densities
+        state = build_mpe(5, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        points = []
+
+        def counting(st, v1, v2):
+            points.append(v1.size)
+            return joint_position_density(st, v1, v2)
+
+        monkeypatch.setattr(sampling, "joint_position_density", counting)
+        s = sample_measurements(state, "position", 20_000, seed=2)
+        assert s.n < sum(points) < 0.3 * s.proposals, (sum(points), s.proposals)
+
+    def test_only_lattice_proposals_of_one_component_get_a_table(self):
+        mpe = build_mpe(3, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        assert _squeeze(mpe, "position")[2] is not None
+        assert _squeeze(mpe, "momentum")[2] is None  # K components
+        for _, part in build_classical_correlated(3, 0.0, 1, 1.0, GaussianEnvelope(8.0)).components:
+            assert _squeeze(part, "position")[2] is None  # one term, no lattice
+
+    def test_table_memory_is_linear_in_its_bins(self):
+        # MPE N=1000 has degree 999 and 2**18 bins; a K x J matrix of its waves
+        # would be 2.6e8 complex values
+        state = build_mpe(1000, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        terms, q, _ = sampling._proposal_mixture(state, "position")
+        comps, q = sampling._proposal_components(terms, q, "position")
+        tracemalloc.start()
+        try:
+            h = sampling._fringe_squeeze(state, comps, q, "position")[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.size == 2**18
+        assert peak < 128 * h.size, peak
+
+
 class TestBlocks:
     """The sampler works in fixed blocks, in bounded memory."""
 
