@@ -47,25 +47,94 @@ class ModularValue:
         return self.integer_part * period + self.modular_part
 
 
+# Values split at a time, which bounds the split's temporaries however many there are.
+SPLIT_BLOCK = 1 << 14
+# Veltkamp's constant 2**27 + 1: it splits a double into two halves of at most 26
+# bits, so an integer k with |k| < SPLIT_REACH times either half is exact.
+_VELTKAMP = 134217729.0
+SPLIT_REACH = 2.0**26
+# Periods whose halves and multiples neither overflow nor fall below the subnormal
+# spacing, so that the products of the exact split hold every bit.
+_EXACT_PERIODS = (2.0**-960, 2.0**960)
+
+
+def _split(values, period, integer=True, modular=True):
+    """(integer, modular) parts of values at period, as float arrays of their shape.
+
+    A part not asked for is None, and no array is allocated for it. With
+    t = fl(v + p/2) and k = floor(t/p), the modular part is
+    fl(fl(t - k p) - p/2), bit for bit that of (v + p/2) % p - p/2, but
+    in [-p/2, p/2) where that rounds up to p/2 (t just below 0, where
+    fl(t + p) = p). floor(fl(t/p)) is never below k, since rounding keeps
+    t/p >= k + 1 at the float k + 1, and while |k| < SPLIT_REACH it is at
+    most k + 1. t - k p is formed as s - e with P = fl(k p), e = k p - P by
+    Dekker's two-product (1971) and s = t - P, which is exact by Sterbenz
+    except at k = -1, where s = fl(t + p) is what % rounds to as well. So
+    r = fl(s - e) is the remainder, rounded once, and r < 0 means the
+    quotient was one too large; r + p is then exact. A block with a
+    non-finite value or |t/p| >= SPLIT_REACH, and every period outside
+    _EXACT_PERIODS, takes the % expression and round((v - m)/p), with their
+    values and warnings.
+    """
+    p = float(period)
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"period must be positive and finite, got {period}")
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel()
+    half = p / 2
+    below = np.nextafter(half, -math.inf)
+    reach = 0.0  # no block is split exactly
+    if _EXACT_PERIODS[0] <= p <= _EXACT_PERIODS[1]:
+        # |t| < reach is |t/p| < SPLIT_REACH, tested before the division can overflow
+        reach = SPLIT_REACH * p
+        big = _VELTKAMP * p
+        p_hi = big - (big - p)
+        p_lo = p - p_hi
+    whole = np.empty(flat.size) if integer else None
+    mod = np.empty(flat.size) if modular else None
+    for lo in range(0, flat.size, SPLIT_BLOCK):
+        v = flat[lo : lo + SPLIT_BLOCK]
+        at = slice(lo, lo + v.size)
+        t = v + half
+        if not (-reach < t.min() and t.max() < reach):  # NaN fails too
+            r = t % p - half
+            if integer:
+                whole[at] = np.round((v - r) / p)
+        else:
+            k = np.floor(t / p)
+            prod = k * p
+            err = (k * p_hi - prod) + k * p_lo
+            s = t - prod
+            r = s - err
+            if r.min() < 0.0:
+                off = np.flatnonzero(r < 0.0)
+                k[off] -= 1.0
+                r[off] += p
+            if integer:
+                whole[at] = k
+            r -= half
+        if modular:
+            # r = p/2 only where fl(t + p) rounds up to p, at k = -1
+            np.minimum(r, below, out=mod[at])
+    return tuple(None if a is None else a.reshape(values.shape)[()] for a in (whole, mod))
+
+
 def modular_part(values, period):
     """Symmetric remainder in [-period/2, period/2). Works on arrays."""
-    return (np.asarray(values) + period / 2) % period - period / 2
+    return _split(values, period, integer=False)[1]
 
 
 def integer_part(values, period):
-    """Integer quotient of the symmetric split. Works on arrays."""
-    values = np.asarray(values)
-    return np.round((values - modular_part(values, period)) / period)
+    """Integer quotient of the symmetric split, as floats. Works on arrays."""
+    return _split(values, period, modular=False)[0]
 
 
 def modular_decompose(value: float, scale: ModularScale, axis: str = "position") -> ModularValue:
     """Split value into integer and modular parts at the scale's period."""
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {value}")
-    period = scale.period(axis)
-    frac = float(modular_part(value, period))
-    n = int(round((value - frac) / period))
-    return ModularValue(integer_part=n, modular_part=frac)
+    n, frac = _split(value, scale.period(axis))
+    return ModularValue(integer_part=int(n), modular_part=float(frac))
 
 
 def _check_rank(N: int) -> int:

@@ -33,10 +33,10 @@ from .states import (
 )
 
 MIN_BOOTSTRAP_N = 100
-# Largest expected proposal count of one draw: 10 to 90 s at the 1.1e6 to 1e7
+# Largest expected proposal count of one draw: 14 to 25 s at the 4e6 to 7e6
 # proposals/s the sampler reaches on MPE states of N <= 10 at sigma = 8 (one
-# core of an Intel Xeon, one BLAS thread; momentum draws are the slower ones,
-# position draws reach 8e6 to 1e7 with the squeeze).
+# core of an Intel Xeon, one BLAS thread): 5e6 to 7e6 in position, 4e6 to
+# 5.6e6 in momentum, where a record takes about 1.1 proposals against N.
 MAX_PROPOSALS = 1e8
 # Coarsest float spacing of the records, as a fraction of the period they are split
 # by (ell in position, P = 2 pi / ell in momentum), that estimate_criterion accepts.
@@ -47,6 +47,10 @@ PROPOSAL_BLOCK = 1 << 14
 # Bins of theta mod 2 pi per degree of the fringe polynomial in the squeeze's table
 # (`_fringe_squeeze`): its Bernstein slack is then at most pi / 256 of the peak.
 SQUEEZE_BINS_PER_DEGREE = 256
+# Share of rho that the rounding of rho and g, and of the squeeze's FFT, stays far
+# below. The squeeze adds it to its table; where the proposal keeps no pair,
+# rho = M g up to rounding, so u < 1 - DENSITY_SLACK accepts without either density.
+DENSITY_SLACK = 1e-9
 # Largest |theta| J / 2 pi whose bin index is trusted: its rounding, about 2**-52 of
 # it, then moves the index by at most 2**-11 of a bin.
 SQUEEZE_REACH = 2.0**41
@@ -58,6 +62,7 @@ class SampleSet:
     seed: int
     kind: str  # "position" | "momentum"
     proposals: int | None = None  # proposals drawn by the sampler, None if unknown
+    evaluated: int | None = None  # proposals whose densities were evaluated, None if unknown
 
     def __post_init__(self):
         self.records = np.asarray(self.records, dtype=float)
@@ -88,6 +93,9 @@ class EstimateReport:
     # not what they say, so reports of equal records compare equal
     proposals_position: int | None = field(default=None, compare=False)
     proposals_momentum: int | None = field(default=None, compare=False)
+    # SampleSet.evaluated of each kind, None if unknown
+    evaluated_position: int | None = field(default=None, compare=False)
+    evaluated_momentum: int | None = field(default=None, compare=False)
     # the interval draws no resamples; these keys stay in the JSON and read 0
     bootstrap_resamples: int = 0
     bootstrap_bins_rel: int = 0
@@ -184,8 +192,9 @@ def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np
     return g
 
 
-def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndarray, float]:
-    """The nonzero (c, wp1, wp2) terms, their proposal weights q and the bound M.
+def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndarray, float, bool]:
+    """The nonzero (c, wp1, wp2) terms, their proposal weights q, the bound M, and
+    whether the proposal keeps no pair.
 
     With c_k the normalized term amplitudes, the joint density is bounded by
     B = sum_kl |c_k||c_l| |psi_1k||psi_1l| |psi_2k||psi_2l|. Pair (k, l), k < l, is
@@ -195,7 +204,10 @@ def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndar
     g = sum_k q_k |psi_1k|^2 |psi_2k|^2, q_k = |c_k|^2 n_k / M and
     M = sum_k |c_k|^2 n_k, where n_k - 1 pairs holding k are kept. Packets with no
     closed-form beta keep every pair: n_k = K and M = K S, S = sum |c_k|^2, the
-    Cauchy-Schwarz bound of the incoherent product mixture.
+    Cauchy-Schwarz bound of the incoherent product mixture. A proposal with a
+    closed-form beta on both particles and every n_k = 1 keeps no pair: then
+    M g = sum_k |c_k|^2 |psi_1k|^2 |psi_2k|^2 and rho - M g holds only the cross
+    terms of dropped pairs, which the bound already takes as 0.
     """
     terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
     size = len(terms)
@@ -211,15 +223,16 @@ def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndar
             n[lo:hi] += kept.sum(axis=1)
             n += kept.sum(axis=0)
     weights = np.array([abs(c) ** 2 for c, _, _ in terms])
+    pair_free = None not in overlaps and bool(np.all(n == 1))
     if np.all(n == n[0]):
         # the general weights below in the K S bound's own expressions, q = |c|^2 / S
         # and M = n S, kept only so that combs which keep, or drop, every pair draw
         # bitwise the records of that bound
         s_tot = float(weights.sum())
-        return terms, weights / s_tot, int(n[0]) * s_tot
+        return terms, weights / s_tot, int(n[0]) * s_tot, pair_free
     mass = weights * n
     bound = float(mass.sum())
-    return terms, mass / bound, bound
+    return terms, mass / bound, bound, pair_free
 
 
 def _proposal_components(terms, q, kind: str) -> tuple[list, np.ndarray]:
@@ -254,7 +267,7 @@ def _fringe_squeeze(state: TwoParticleState, comps, q, kind: str):
     entry is the largest edge value of bins j - 1 to j + 1, so an index off by
     one still bounds, plus D P^ pi / J for the half bin to the nearest edge
     (Bernstein: |P'| <= D max P <= D P^, with P^ = scale^2 (sum |coefs|)^2 / q)
-    and 1e-9 P^ for the rounding of rho, g and the FFT. None for any other
+    and DENSITY_SLACK P^ for the rounding of rho, g and the FFT. None for any other
     proposal.
     """
     plan = state._waves(kind)
@@ -270,12 +283,12 @@ def _fringe_squeeze(state: TwoParticleState, comps, q, kind: str):
     peak = top * float(np.abs(coefs).sum()) ** 2
     ring = np.concatenate([edges[-1:], edges, edges[:2]])  # edges j - 1 to j + 2 of bin j
     h = np.maximum(np.maximum(ring[:-3], ring[1:-2]), np.maximum(ring[2:-1], ring[3:]))
-    h += degree * peak * math.pi / bins + 1e-9 * peak
+    h += degree * peak * math.pi / bins + DENSITY_SLACK * peak
     b, d = plan.lattice
     return b, d, bins / (2.0 * math.pi), h
 
 
-def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int]:
+def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int, int]:
     """Rejection sampling with the mixture g of `_proposal_mixture` as the proposal.
 
     Accepting with probability rho / (M g) reproduces rho exactly. A batch draws
@@ -284,16 +297,20 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
     one component (`_proposal_components`) draws no component labels. Where
     `_fringe_squeeze` gives a table h >= rho / g, a proposal with u M >= h at
     its bin is rejected before any density is evaluated: the full test
-    u M g < rho would reject it too, so records and proposals are unchanged.
-    Returns the n records and the number of proposals drawn.
+    u M g < rho would reject it too. A proposal that keeps no pair has
+    rho = M g up to rounding, so one with u < 1 - DENSITY_SLACK is accepted
+    before any density: the full test would accept it too. Only the rest
+    evaluates g and rho, and records and proposals are unchanged.
+    Returns the n records, the number of proposals drawn and the number whose
+    densities were evaluated.
     """
-    terms, q, bound = mix
+    terms, q, bound, pair_free = mix
     comps, q = _proposal_components(terms, q, kind)
     squeeze = _fringe_squeeze(state, comps, q, kind)
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((n, 2))
-    filled = proposals = 0
+    filled = proposals = evaluated = 0
     while filled < n:
         batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - filled)), 1024)
         proposals += batch
@@ -327,15 +344,24 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
                 near = np.abs(t) < SQUEEZE_REACH
                 # floor, & (J - 1) for the bin mod J: np.mod takes 17 times as long per value
                 at = np.floor(t, out=np.zeros_like(t), where=near).astype(np.intp) & (h.size - 1)
+                accept = np.zeros(b1.size, dtype=bool)
                 pending = np.flatnonzero((limit < h[at]) | ~near)
-                b1, b2, limit = b1[pending], b2[pending], limit[pending]
-            g = _proposal_density(comps, q, kind, b1, b2)
-            rho = dens_fn(state, b1, b2)
-            keep = np.flatnonzero(limit * g < rho)[: n - filled]
+            elif pair_free:
+                accept = limit < bound * (1.0 - DENSITY_SLACK)
+                pending = np.flatnonzero(~accept)
+            else:
+                accept = np.zeros(b1.size, dtype=bool)
+                pending = np.arange(b1.size)
+            if pending.size:
+                p1, p2 = b1[pending], b2[pending]
+                g = _proposal_density(comps, q, kind, p1, p2)
+                accept[pending] = limit[pending] * g < dens_fn(state, p1, p2)
+                evaluated += pending.size
+            keep = np.flatnonzero(accept)[: n - filled]
             out[filled : filled + keep.size, 0] = b1[keep]
             out[filled : filled + keep.size, 1] = b2[keep]
             filled += keep.size
-    return out, proposals
+    return out, proposals, evaluated
 
 
 def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
@@ -358,7 +384,7 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
     counts = [n] if pure else rng.multinomial(n, state.weights)
     drawn = [(m, st, _proposal_mixture(st, kind)) for m, (_, st) in zip(counts, state.components) if m]
     # the sampler accepts exactly 1 / M, so m records cost about m M proposals
-    for m, _, (_, _, bound) in drawn:
+    for m, _, (_, _, bound, _) in drawn:
         if m * bound > MAX_PROPOSALS:
             raise ValueError(
                 f"rejection sampling accepts {1.0 / bound:.3g} of its proposals here, so "
@@ -366,9 +392,14 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
                 f"{MAX_PROPOSALS:.3g}"
             )
     parts = [_sample_pure(st, mix, kind, rng, m) for m, st, mix in drawn]
-    records = parts[0][0] if pure else rng.permutation(np.concatenate([r for r, _ in parts]))
-    proposals = sum(p for _, p in parts)
-    return SampleSet(records=records, seed=int(seed), kind=kind, proposals=proposals)
+    records = parts[0][0] if pure else rng.permutation(np.concatenate([r for r, _, _ in parts]))
+    return SampleSet(
+        records=records,
+        seed=int(seed),
+        kind=kind,
+        proposals=sum(p for _, p, _ in parts),
+        evaluated=sum(e for _, _, e in parts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +540,8 @@ def estimate_criterion(
         n_momentum=momentum_samples.n,
         proposals_position=position_samples.proposals,
         proposals_momentum=momentum_samples.proposals,
+        evaluated_position=position_samples.evaluated,
+        evaluated_momentum=momentum_samples.evaluated,
     )
 
 
@@ -530,6 +563,7 @@ def sampleset_to_csv(samples: SampleSet, path, descriptor_hash: str = ""):
                 "kind": samples.kind,
                 "state": descriptor_hash,
                 "proposals": samples.proposals,
+                "evaluated": samples.evaluated,
             },
             fh,
             sort_keys=True,
@@ -543,5 +577,9 @@ def sampleset_from_csv(path) -> SampleSet:
         rows = list(csv.reader(fh))[1:]
     rec = np.array([[float(r[1]), float(r[2])] for r in rows])
     return SampleSet(
-        records=rec, seed=int(meta["seed"]), kind=meta["kind"], proposals=meta.get("proposals")
+        records=rec,
+        seed=int(meta["seed"]),
+        kind=meta["kind"],
+        proposals=meta.get("proposals"),
+        evaluated=meta.get("evaluated"),
     )

@@ -134,9 +134,10 @@ class TestSample:
         d = json.loads(out)
         assert set(d) == {
             "bootstrap_bins_rel", "bootstrap_bins_tot", "bootstrap_resamples", "bound",
-            "ci_halfwidth", "ci_high", "ci_low", "clamped", "interval", "lhs_hat", "n",
-            "n_momentum", "n_position", "proposals_momentum", "proposals_position",
-            "var_N_tot_hat", "var_mod_rel_hat", "verdict",
+            "ci_halfwidth", "ci_high", "ci_low", "clamped", "evaluated_momentum",
+            "evaluated_position", "interval", "lhs_hat", "n", "n_momentum", "n_position",
+            "proposals_momentum", "proposals_position", "var_N_tot_hat", "var_mod_rel_hat",
+            "verdict",
         }
         state = states.state_from_descriptor(_state_descriptor(build_parser().parse_args(argv)))
         for kind in ("position", "momentum"):

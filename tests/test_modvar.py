@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import tracemalloc
+import warnings
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +68,119 @@ class TestModularSplit:
         frac = modular_part(x, ell)
         assert -ell / 2 <= frac < ell / 2
         assert modular_part(x + ell, ell) == pytest.approx(frac, abs=1e-9 * max(1, abs(x)))
+
+
+def _remainder_split(values, period):
+    """The split by numpy's float %, with the value below p/2 rounded up to p/2 mended."""
+    values = np.asarray(values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        frac = (values + period / 2) % period - period / 2
+        whole = np.round((values - frac) / period)
+    return whole, np.minimum(frac, np.nextafter(period / 2, -np.inf))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _stepped(values, ulps=6):
+    """The values and their neighbours 1 to `ulps` floats either way."""
+    out, up, down = [values], values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+SPLIT_PERIODS = [1.0, 2 * math.pi, 2 * math.pi / 3, 0.3, 1 / 3, 1e-3, 3.0]
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]
+
+
+def _adversarial(period):
+    """Cell edges j p - p/2 and centres j p, for k in {-2, ..., 1} and near +-2**26."""
+    j = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 2**26 - 2, 2**26 - 1, 2**26, 1 - 2**26, -(2**26), -(2**26) - 1])
+    return _stepped(np.concatenate([j * period - period / 2, j * period]))
+
+
+class TestExactSplit:
+    """The split agrees with numpy's % bit for bit, in [-p/2, p/2)."""
+
+    @pytest.mark.parametrize("period", SPLIT_PERIODS)
+    def test_matches_the_remainder_on_adversarial_values(self, period):
+        values = np.concatenate([_adversarial(period), SPECIAL_VALUES])
+        whole, frac = _remainder_split(values, period)
+        assert _same_bits(modular_part(values, period), frac)
+        # integer parts agree as values; the sign of a zero may differ
+        assert np.array_equal(integer_part(values, period), whole)
+        # the exact split, blocks of it and the % fallback of one with a non-finite value
+        mixed = np.concatenate([values, [np.inf, -np.inf, np.nan]])
+        with pytest.warns(RuntimeWarning):
+            got = modular_part(mixed, period)
+        assert np.array_equal(got, _remainder_split(mixed, period)[1], equal_nan=True)
+
+    @pytest.mark.parametrize("period", SPLIT_PERIODS)
+    def test_zero_d_and_pair_records(self, period):
+        values = _adversarial(period)[:64]
+        pairs = values.reshape(32, 2)
+        whole, frac = _remainder_split(pairs, period)
+        assert _same_bits(modular_part(pairs, period), frac)
+        assert np.array_equal(integer_part(pairs, period), whole)
+        for v in values[:8]:
+            got = modular_part(float(v), period)
+            assert isinstance(got, np.float64) and np.ndim(got) == 0
+            assert _same_bits(got, _remainder_split(v, period)[1])
+            assert integer_part(float(v), period) == _remainder_split(v, period)[0]
+
+    @pytest.mark.parametrize("period", [3.0, 2 * math.pi, 0.7, 1e-3])
+    def test_one_float_below_the_lower_edge_stays_inside(self, period):
+        # t = x + p/2 is just below 0, and t % p + p rounds up to p: % gives p/2; a
+        # split that took fl(t + p) = p for a quotient one too small read integer 0
+        x = np.nextafter(-period / 2, -np.inf)
+        below = np.nextafter(period / 2, -np.inf)
+        assert (x + period / 2) % period - period / 2 == period / 2
+        assert modular_part(x, period) == below
+        assert integer_part(x, period) == -1.0
+        mv = modular_decompose(x, ModularScale(period))
+        assert (mv.integer_part, mv.modular_part) == (-1, below)
+        assert modular_part(np.full((3, 2), x), period).max() == below
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_period_must_be_positive_and_finite(self, period):
+        for split in (modular_part, integer_part):
+            with pytest.raises(ValueError, match="period"):
+                split(0.7, period)
+
+    @given(
+        st.floats(-1e300, 1e300),
+        st.sampled_from(SPLIT_PERIODS) | st.floats(1e-6, 1e6),
+        st.integers(-6, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_the_remainder(self, x, period, step):
+        # x, and x moved to the cell edge or centre nearest it, stepped by a few ulps
+        j = math.floor(x / period) if abs(x / period) < 2**60 else 0
+        values = np.array([x, j * period - period / 2, j * period, x])
+        for _ in range(abs(step)):
+            values[1:] = np.nextafter(values[1:], math.copysign(math.inf, step))
+        whole, frac = _remainder_split(values, period)
+        assert _same_bits(modular_part(values, period), frac)
+        assert np.array_equal(integer_part(values, period), whole)
+        assert np.all(frac >= -period / 2) and np.all(frac < period / 2)
+
+    def test_memory_is_blocked(self):
+        # 2**20 values: the result takes 8 MiB, and whole-array temporaries
+        # would take several times that
+        values = np.random.default_rng(0).normal(0.0, 50.0, 1 << 20)
+        modular_part(values[:10], 1.0)
+        tracemalloc.start()
+        try:
+            frac = modular_part(values, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frac.nbytes + 4 * 2**20, peak
 
 
 class TestFringeFunction:

@@ -433,7 +433,7 @@ class TestSampling:
         # have one density and are drawn without labels
         st = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
         for kind, count in (("position", 1), ("momentum", N)):
-            terms, q, _ = sampling._proposal_mixture(st, kind)
+            terms, q, _, _ = sampling._proposal_mixture(st, kind)
             comps, comp_q = sampling._proposal_components(terms, q, kind)
             assert len(comps) == count, kind
             assert comp_q.sum() == pytest.approx(1.0, rel=1e-15)
@@ -511,7 +511,7 @@ def _bound_holds(terms, kind, seed):
     density = joint_position_density if kind == "position" else joint_momentum_density
     v1, v2 = (u.ravel() for u in np.meshgrid(v[0], v[1]))
     rho = density(state, v1, v2)
-    terms, q, bound = sampling._proposal_mixture(state, kind)
+    terms, q, bound, _ = sampling._proposal_mixture(state, kind)
     pair_bound = bound * sampling._proposal_density(terms, q, kind, v1, v2)  # as the sampler forms it
     # 1e-300 absorbs subnormal densities, whose relative rounding is coarse
     assert np.all(rho <= pair_bound * (1 + 1e-12) + 1e-300)
@@ -586,7 +586,7 @@ class TestPairBound:
     def test_pairs_drop_only_where_their_mass_underflows(self, env, kind, kept):
         # term k's weight counts itself and its kept pairs: M = sum |c_k|^2 n_k
         state = _overlapping(build_mpe, 3, 0.0, 1, 1.0, env)
-        terms, q, bound = sampling._proposal_mixture(state, kind)
+        terms, q, bound, _ = sampling._proposal_mixture(state, kind)
         weights = np.array([abs(c) ** 2 for c, _, _ in terms])
         assert bound == pytest.approx(float(weights @ kept), rel=1e-12)
         np.testing.assert_allclose(q, weights * kept / bound, rtol=1e-12)
@@ -598,7 +598,7 @@ class TestPairBound:
 
 
 def _squeeze(state, kind="position"):
-    terms, q, _ = sampling._proposal_mixture(state, kind)
+    terms, q, _, _ = sampling._proposal_mixture(state, kind)
     comps, q = sampling._proposal_components(terms, q, kind)
     return comps, q, sampling._fringe_squeeze(state, comps, q, kind)
 
@@ -718,7 +718,7 @@ class TestSqueeze:
         # MPE N=1000 has degree 999 and 2**18 bins; a K x J matrix of its waves
         # would be 2.6e8 complex values
         state = build_mpe(1000, 0.0, 1, 1.0, GaussianEnvelope(8.0))
-        terms, q, _ = sampling._proposal_mixture(state, "position")
+        terms, q, _, _ = sampling._proposal_mixture(state, "position")
         comps, q = sampling._proposal_components(terms, q, "position")
         tracemalloc.start()
         try:
@@ -728,6 +728,88 @@ class TestSqueeze:
             tracemalloc.stop()
         assert h.size == 2**18
         assert peak < 128 * h.size, peak
+
+
+class TestPairFree:
+    """A proposal that keeps no pair accepts u < 1 - DENSITY_SLACK before any density."""
+
+    def test_which_proposals_keep_no_pair(self):
+        mpe = build_mpe(3, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        assert sampling._proposal_mixture(mpe, "momentum")[3]
+        assert not sampling._proposal_mixture(mpe, "position")[3]  # beta = 1: every pair kept
+        sinc = build_mpe(3, 0.0, 1, 1.0, SincEnvelope(8.0))
+        assert sampling._proposal_mixture(sinc, "momentum")[3]
+        # neighbouring momentum pairs are kept at sigma = 4
+        assert not sampling._proposal_mixture(_overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(4.0)),
+                                              "momentum")[3]
+        for _, part in build_classical_correlated(3, 0.0, 1, 1.0, GaussianEnvelope(8.0)).components:
+            for kind in ("position", "momentum"):
+                assert sampling._proposal_mixture(part, kind)[3], kind
+        # one term without a closed-form beta keeps the full test
+        xs = np.linspace(-30.0, 30.0, 64)
+        env = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
+        product = TwoParticleState([(1.0, WavePacket(env), WavePacket(env))])
+        assert not sampling._proposal_mixture(product, "momentum")[3]
+        one_sinc = TwoParticleState([(1.0, WavePacket(SincEnvelope(8.0)), WavePacket(SincEnvelope(8.0)))])
+        assert not sampling._proposal_mixture(one_sinc, "position")[3]
+
+    @pytest.mark.parametrize(
+        "state, proposals, digest",
+        [
+            (admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0)), 3667,
+             "3e4bf090d4b5c1a3a9bb6acd2c6c87d8afde236a10deacb99d7abd5b127932b5"),
+            (build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0)), 3301,
+             "d9641450d9ee56945f1f9a46b27ee9461d137e73a116be658573ac69f70e8da8"),
+        ],
+        ids=["admixture eps=0.5", "mpe N=2 sinc"],
+    )
+    def test_momentum_records_equal_a_stored_draw(self, state, proposals, digest):
+        # the sampled-verdict states: records and proposal counts drawn with every
+        # proposal's densities evaluated
+        s = sample_measurements(state, "momentum", 3000, seed=11)
+        assert s.proposals == proposals
+        assert hashlib.sha256(s.records.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_mpe_momentum_draws_evaluate_almost_no_density(self, N, monkeypatch):
+        # every proposal's densities were evaluated before: 110001 points for 1e5 records
+        state = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
+        points = []
+
+        def counting(st, v1, v2):
+            points.append(v1.size)
+            return joint_momentum_density(st, v1, v2)
+
+        monkeypatch.setattr(sampling, "joint_momentum_density", counting)
+        s = sample_measurements(state, "momentum", 100_000, seed=N)
+        assert s.evaluated == sum(points) < 1e-3 * s.proposals, (s.evaluated, s.proposals)
+
+    def test_an_overlapping_comb_evaluates_every_proposal(self):
+        # sigma = 1: the momentum packets overlap and every pair is kept; the last
+        # record falls in the last block, so every proposal took the full test
+        state = _overlapping(build_mpe, 2, 0.0, 1, 1.0, GaussianEnvelope(1.0))
+        assert not sampling._proposal_mixture(state, "momentum")[3]
+        s = sample_measurements(state, "momentum", 5000, seed=1)
+        assert s.evaluated == s.proposals > 2 * s.n
+
+    def test_the_full_test_decides_past_the_slack(self, monkeypatch):
+        # with the slack at 1 every uniform takes the full test, which accepts the
+        # same proposals
+        state = admixture_state(0.5, 2, 1.0, GaussianEnvelope(8.0))
+        want = sample_measurements(state, "momentum", 20_000, seed=7)
+        monkeypatch.setattr(sampling, "DENSITY_SLACK", 1.0)
+        got = sample_measurements(state, "momentum", 20_000, seed=7)
+        assert np.array_equal(got.records, want.records) and got.proposals == want.proposals
+        assert want.evaluated < 100 < got.evaluated
+
+    def test_reports_carry_the_evaluated_counts_outside_equality(self, mpe2):
+        pos = sample_measurements(mpe2, "position", 2000, seed=1)
+        mom = sample_measurements(mpe2, "momentum", 2000, seed=2)
+        rep = estimate_criterion(pos, mom, ModularScale(ell=1.0))
+        assert (rep.evaluated_position, rep.evaluated_momentum) == (pos.evaluated, mom.evaluated)
+        bare = [SampleSet(records=s.records, seed=s.seed, kind=s.kind) for s in (pos, mom)]
+        other = estimate_criterion(*bare, ModularScale(ell=1.0))
+        assert other.evaluated_position is None and other == rep
 
 
 class TestBlocks:
@@ -975,14 +1057,18 @@ class TestRoundTrip:
         assert back.seed == s.seed
         assert back.proposals == s.proposals > 0
         np.testing.assert_array_equal(back.records, s.records)
+        s = sample_measurements(mpe2, "position", 300, seed=17)
+        sampleset_to_csv(s, path)
+        assert sampleset_from_csv(path).evaluated == s.evaluated > 0
 
     def test_sidecar_without_proposals(self, mpe2, tmp_path):
         path = tmp_path / "samples.csv"
         sampleset_to_csv(sample_measurements(mpe2, "position", 10, seed=1), path)
         meta = json.loads(Path(str(path) + ".json").read_text())
-        del meta["proposals"]
+        del meta["proposals"], meta["evaluated"]
         Path(str(path) + ".json").write_text(json.dumps(meta))
-        assert sampleset_from_csv(path).proposals is None
+        back = sampleset_from_csv(path)
+        assert back.proposals is None and back.evaluated is None
 
 
 def test_import_leaves_slow_scipy_submodules_unloaded():
