@@ -95,21 +95,16 @@ def cmd_constant(args) -> str:
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
-def _sigma(args) -> float:
-    """--sigma, or the family default: 8 lambda for momentum combs, L / 10 for slits."""
-    if args.sigma is not None:
-        return args.sigma
-    return 0.1 * args.L if args.state == "multislit" else 8.0 * args.lam
-
-
 def _state_descriptor(args) -> dict:
-    # the default width is built from --L or --lam, so they are checked first
+    # without --sigma the default width is built from --L or --lam, so they are checked first
     if args.state == "multislit":
         if not 0 < args.L < math.inf:
             raise CliError(f"--L: the slit separation must be positive and finite, got {args.L}")
     elif not 0 < args.lam < math.inf:
         raise CliError(f"--lam: the fringe period lambda must be positive and finite, got {args.lam}")
-    d = {"kind": args.state, "N": args.N, "envelope": {"kind": "gaussian", "sigma_x": _sigma(args)}}
+    d = {"kind": args.state, "N": args.N}
+    if args.sigma is not None:
+        d["envelope"] = {"kind": "gaussian", "sigma_x": args.sigma}
     if args.state == "multislit":
         d["L"] = args.L
     else:
@@ -120,8 +115,8 @@ def _state_descriptor(args) -> dict:
 
 
 def cmd_fringes(args) -> str:
-    if args.grid_points < 2:
-        raise CliError(f"--grid-points must be >= 2, got {args.grid_points}")
+    if not 2 <= args.grid_points <= states.MAX_GRID_POINTS:
+        raise CliError(f"--grid-points must lie in [2, {states.MAX_GRID_POINTS}], got {args.grid_points}")
     if not 0 < args.periods < math.inf:
         raise CliError(f"--periods must be positive and finite, got {args.periods}")
     desc = _state_descriptor(args)
@@ -185,6 +180,9 @@ def cmd_sample(args) -> str:
 
 
 def cmd_propagate(args) -> str:
+    # past the largest grid the package builds, refused before any array is allocated
+    if args.grid_points > states.MAX_GRID_POINTS:
+        raise CliError(f"--grid-points must be at most {states.MAX_GRID_POINTS}, got {args.grid_points}")
     desc = _state_descriptor(args)
     state = states.state_from_descriptor(desc)
     if not isinstance(state, states.SuperposedState):

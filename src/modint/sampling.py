@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
@@ -18,16 +19,15 @@ import numpy as np
 from .modvar import ModularScale, integer_part, modular_part
 from .criterion import criterion_bound
 from .states import (
-    _CLOSED_FORM_OVERLAPS,
     GaussianEnvelope,
     MixtureState,
     SincEnvelope,
     TwoParticleState,
-    _closed_form_rows,
     _dot,
-    _packet_table,
+    _pair_overlaps,
     _product_rows,
     envelope_values,
+    factor_key,
     joint_momentum_density,
     joint_position_density,
 )
@@ -49,7 +49,8 @@ PROPOSAL_BLOCK = 1 << 14
 SQUEEZE_BINS_PER_DEGREE = 256
 # Share of rho that the rounding of rho and g, and of the squeeze's FFT, stays far
 # below. The squeeze adds it to its table; where the proposal keeps no pair,
-# rho = M g up to rounding, so u < 1 - DENSITY_SLACK accepts without either density.
+# rho = M g up to rounding, so u < 1 - DENSITY_SLACK accepts without either density
+# (`_Proposal.sure`).
 DENSITY_SLACK = 1e-9
 # Largest |theta| J / 2 pi whose bin index is trusted: its rounding, about 2**-52 of
 # it, then moves the index by at most 2**-11 of a bin.
@@ -139,50 +140,24 @@ def _envelope_cdf_table(env, kind: str):
     return xs, cdf
 
 
-def _centered_packet_samples(env, kind: str, rng, n: int) -> np.ndarray:
-    """Draws from |envelope|^2 (position) or |fourier|^2 (momentum), centered at 0."""
+def _packet_samples(wp, kind: str, rng, n: int) -> np.ndarray:
+    """Draws from the packet's density, its envelope factor's (`factor_key`): |envelope|^2
+    about x0 in position, |fourier|^2 about p0 in momentum."""
+    env, centre = factor_key(wp, kind)
     if isinstance(env, GaussianEnvelope):
         sd = env.sigma_x if kind == "position" else 0.5 / env.sigma_x
-        return rng.normal(0.0, sd, size=n)
+        return centre + rng.normal(0.0, sd, size=n)
     if isinstance(env, SincEnvelope) and kind == "momentum":
         half = math.pi / env.d  # flat band
-        return rng.uniform(-half, half, size=n)
+        return centre + rng.uniform(-half, half, size=n)
     xs, cdf = _envelope_cdf_table(env, kind)
-    return np.interp(rng.random(n) * cdf[-1], cdf, xs)
+    return centre + np.interp(rng.random(n) * cdf[-1], cdf, xs)
 
 
-def _packet_samples(wp, kind: str, rng, n: int) -> np.ndarray:
-    center = wp.x0 if kind == "position" else wp.p0
-    return center + _centered_packet_samples(wp.envelope, kind, rng, n)
-
-
-# Envelopes whose factor in a basis is a positive function, and the packet-table
-# row (p0 for position draws, x0 for momentum draws) zeroed so that the modulus
-# of the closed-form overlap is beta_kl = int |psi_k||psi_l|.
-_PAIR_OVERLAPS = {
-    ("position", GaussianEnvelope): 1,
-    ("momentum", GaussianEnvelope): 0,
-    ("momentum", SincEnvelope): 0,
-}
-
-
-def _pair_overlaps(packets, kind: str):
-    """A function of (lo, hi) returning rows lo:hi of beta_kl = int |psi_k||psi_l| over one
-    particle's packets, or None when the packets have no closed form for it in this basis."""
-    kinds = {type(wp.envelope) for wp in packets}
-    env = kinds.pop() if len(kinds) == 1 else None
-    if (kind, env) not in _PAIR_OVERLAPS:
-        return None
-    table = _packet_table(packets)
-    table[_PAIR_OVERLAPS[kind, env]] = 0.0
-    rows = _closed_form_rows(_CLOSED_FORM_OVERLAPS[env], table)
-    return lambda lo, hi: np.abs(rows(lo, hi))
-
-
-def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """g = sum_k q_k |psi_1k(v1)|^2 |psi_2k(v2)|^2 for (c, wp1, wp2) terms."""
-    f1, i1 = envelope_values([wp1 for _, wp1, _ in terms], kind, v1)
-    f2, i2 = envelope_values([wp2 for _, _, wp2 in terms], kind, v2)
+def _proposal_density(comps, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """g = sum_k q_k |psi_1k(v1)|^2 |psi_2k(v2)|^2 for (c, wp1, wp2) components."""
+    f1, i1 = envelope_values([wp1 for _, wp1, _ in comps], kind, v1)
+    f2, i2 = envelope_values([wp2 for _, _, wp2 in comps], kind, v2)
     # the plane-wave factors have modulus 1, so a packet's density is its envelope's
     d1 = [np.abs(f) ** 2 for f in f1]
     d2 = [np.abs(f) ** 2 for f in f2]
@@ -192,67 +167,60 @@ def _proposal_density(terms, q, kind: str, v1: np.ndarray, v2: np.ndarray) -> np
     return g
 
 
-def _proposal_mixture(state: TwoParticleState, kind: str) -> tuple[list, np.ndarray, float, bool]:
-    """The nonzero (c, wp1, wp2) terms, their proposal weights q, the bound M, and
-    whether the proposal keeps no pair.
+def _pair_counts(terms, kind: str) -> np.ndarray | None:
+    """n_k, one more than the number of kept pairs that hold term k, for (c, wp1, wp2)
+    terms; None when a particle's packets have no closed-form beta, so every pair is kept.
 
-    With c_k the normalized term amplitudes, the joint density is bounded by
-    B = sum_kl |c_k||c_l| |psi_1k||psi_1l| |psi_2k||psi_2l|. Pair (k, l), k < l, is
-    dropped where |c_k||c_l| beta1_kl beta2_kl is 0.0, with beta_kl the pair's
-    _pair_overlaps: its sup |psi_k||psi_l| underflows with beta. Every other pair
-    is split onto the diagonal by 2xy <= x^2 + y^2. So B = M g with
-    g = sum_k q_k |psi_1k|^2 |psi_2k|^2, q_k = |c_k|^2 n_k / M and
-    M = sum_k |c_k|^2 n_k, where n_k - 1 pairs holding k are kept. Packets with no
-    closed-form beta keep every pair: n_k = K and M = K S, S = sum |c_k|^2, the
-    Cauchy-Schwarz bound of the incoherent product mixture. A proposal with a
-    closed-form beta on both particles and every n_k = 1 keeps no pair: then
-    M g = sum_k |c_k|^2 |psi_1k|^2 |psi_2k|^2 and rho - M g holds only the cross
-    terms of dropped pairs, which the bound already takes as 0.
+    Pair (k, l) is dropped where |c_k||c_l| beta1_kl beta2_kl is 0.0, with beta_kl
+    the pair's `_pair_overlaps`: its sup |psi_k||psi_l| underflows with beta.
     """
-    terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
-    size = len(terms)
     overlaps = [_pair_overlaps([t[j] for t in terms], kind) for j in (1, 2)]
     if None in overlaps:
-        n = np.full(size, size)
-    else:
-        mod = np.array([abs(c) for c, _, _ in terms])
-        n = np.ones(size, dtype=np.intp)
-        for lo, hi, t in _product_rows(overlaps, size):
-            upper = np.arange(lo, hi)[:, None] < np.arange(size)
-            kept = upper & (mod[lo:hi, None] * mod * t > 0.0)
-            n[lo:hi] += kept.sum(axis=1)
-            n += kept.sum(axis=0)
-    weights = np.array([abs(c) ** 2 for c, _, _ in terms])
-    pair_free = None not in overlaps and bool(np.all(n == 1))
-    if np.all(n == n[0]):
-        # the general weights below in the K S bound's own expressions, q = |c|^2 / S
-        # and M = n S, kept only so that combs which keep, or drop, every pair draw
-        # bitwise the records of that bound
-        s_tot = float(weights.sum())
-        return terms, weights / s_tot, int(n[0]) * s_tot, pair_free
-    mass = weights * n
-    bound = float(mass.sum())
-    return terms, mass / bound, bound, pair_free
+        return None
+    size = len(terms)
+    mod = np.array([abs(c) for c, _, _ in terms])
+    n = np.ones(size, dtype=np.intp)
+    for lo, hi, t in _product_rows(overlaps, size):
+        upper = np.arange(lo, hi)[:, None] < np.arange(size)
+        kept = upper & (mod[lo:hi, None] * mod * t > 0.0)
+        n[lo:hi] += kept.sum(axis=1)
+        n += kept.sum(axis=0)
+    return n
 
 
-def _proposal_components(terms, q, kind: str) -> tuple[list, np.ndarray]:
-    """The distinct packet densities of the proposal g, and their summed weights.
+# `_proposal`'s components (c, wp1, wp2) and their weights q, the bound M, the level
+# u M < sure that accepts without densities, and `_fringe_squeeze`'s table or None
+_Proposal = namedtuple("_Proposal", "comps q bound sure squeeze")
 
-    Terms whose packets share (envelope, x0) in position, or (envelope, p0) in
-    momentum, on both particles have one density |psi_1|^2 |psi_2|^2, so they are
-    one component, drawn and evaluated once, with the sum of their q. The
-    first term of each stands for it.
+
+def _proposal(state: TwoParticleState, kind: str) -> _Proposal:
+    """The mixture g, its bound M and its pre-density tests for one pure state and basis.
+
+    With c_k the normalized term amplitudes, the joint density is bounded by
+    B = sum_kl |c_k||c_l| |psi_1k||psi_1l| |psi_2k||psi_2l|. The pairs that
+    `_pair_counts` keeps, and every pair of packets with no closed-form beta, are
+    split onto the diagonal by 2xy <= x^2 + y^2. So B = M g with
+    g = sum_k q_k |psi_1k|^2 |psi_2k|^2, q_k = |c_k|^2 n_k / M and
+    M = sum_k |c_k|^2 n_k, at most K S, S = sum |c_k|^2, the Cauchy-Schwarz
+    bound of the incoherent product mixture. Terms of one `factor_key` on both
+    particles have one density |psi_1|^2 |psi_2|^2, so they are one component,
+    drawn and evaluated once, with the sum of their q; the first term of each
+    stands for it. Where both particles have a closed-form beta and every
+    n_k = 1 the proposal keeps no pair: M g = sum_k |c_k|^2 |psi_1k|^2 |psi_2k|^2
+    and rho - M g holds only the cross terms of dropped pairs, which the bound
+    already takes as 0, so `sure` is M (1 - DENSITY_SLACK); elsewhere it is 0.
     """
-    centre = "x0" if kind == "position" else "p0"
-    index, comps, weights = {}, [], []
-    for term, qk in zip(terms, q):
-        key = tuple((wp.envelope, getattr(wp, centre)) for wp in term[1:])
-        if key not in index:
-            index[key] = len(comps)
-            comps.append(term)
-            weights.append(0.0)
-        weights[index[key]] += qk
-    return comps, np.array(weights)
+    terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms if a != 0]
+    n = _pair_counts(terms, kind)
+    mass = np.array([abs(c) ** 2 for c, _, _ in terms]) * (len(terms) if n is None else n)
+    bound = float(mass.sum())
+    merged = {}  # the first term of each component, and the component's weight
+    for term, qk in zip(terms, mass / bound):
+        merged.setdefault(tuple(factor_key(wp, kind) for wp in term[1:]), [term, 0.0])[1] += qk
+    comps = [term for term, _ in merged.values()]
+    q = np.array([qk for _, qk in merged.values()])
+    sure = bound * (1.0 - DENSITY_SLACK) if n is not None and n.max() == 1 else 0.0
+    return _Proposal(comps, q, bound, sure, _fringe_squeeze(state, comps, q, kind))
 
 
 def _fringe_squeeze(state: TwoParticleState, comps, q, kind: str):
@@ -288,46 +256,45 @@ def _fringe_squeeze(state: TwoParticleState, comps, q, kind: str):
     return b, d, bins / (2.0 * math.pi), h
 
 
-def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[np.ndarray, int, int]:
-    """Rejection sampling with the mixture g of `_proposal_mixture` as the proposal.
+def _sample_pure(state: TwoParticleState, prop: _Proposal, kind: str, rng, n: int) -> tuple[np.ndarray, int, int]:
+    """Rejection sampling with the mixture g of `_proposal` as the proposal.
 
     Accepting with probability rho / (M g) reproduces rho exactly. A batch draws
     min(2, 1.1 M) proposals per missing record: with M near 1 that most often
     fills the rest, and combs with M >= 2 keep 2 per record. A proposal with
-    one component (`_proposal_components`) draws no component labels. Where
-    `_fringe_squeeze` gives a table h >= rho / g, a proposal with u M >= h at
-    its bin is rejected before any density is evaluated: the full test
-    u M g < rho would reject it too. A proposal that keeps no pair has
-    rho = M g up to rounding, so one with u < 1 - DENSITY_SLACK is accepted
-    before any density: the full test would accept it too. Only the rest
-    evaluates g and rho, and records and proposals are unchanged.
+    u M < `sure` is accepted before any density, as the full test u M g < rho
+    would accept it too. Where `_fringe_squeeze` gives a table h >= rho / g, one
+    with u M >= h at its bin is rejected before any density: the full test
+    would reject it too. Only the rest evaluates g and rho, and records and
+    proposals are those of the full test.
     Returns the n records, the number of proposals drawn and the number whose
     densities were evaluated.
     """
-    terms, q, bound, pair_free = mix
-    comps, q = _proposal_components(terms, q, kind)
-    squeeze = _fringe_squeeze(state, comps, q, kind)
     dens_fn = joint_position_density if kind == "position" else joint_momentum_density
 
     out = np.empty((n, 2))
     filled = proposals = evaluated = 0
     while filled < n:
-        batch = max(math.ceil(min(2.0, 1.1 * bound) * (n - filled)), 1024)
+        batch = max(math.ceil(min(2.0, 1.1 * prop.bound) * (n - filled)), 1024)
         proposals += batch
-        if len(comps) == 1:
-            _, wp1, wp2 = comps[0]
+        if len(prop.comps) == 1:
+            _, wp1, wp2 = prop.comps[0]
             v1 = _packet_samples(wp1, kind, rng, batch)
             v2 = _packet_samples(wp2, kind, rng, batch)
         else:
-            ks = rng.choice(len(comps), size=batch, p=q)
-            v1 = np.empty(batch)
-            v2 = np.empty(batch)
-            for k, (_, wp1, wp2) in enumerate(comps):
-                sel = ks == k
-                m = int(sel.sum())
-                if m:
-                    v1[sel] = _packet_samples(wp1, kind, rng, m)
-                    v2[sel] = _packet_samples(wp2, kind, rng, m)
+            ks = rng.choice(len(prop.comps), size=batch, p=prop.q)
+            # each component draws its samples in turn, v1 then v2, and they go to its
+            # labels' indices in increasing order: those of a stable (radix) sort
+            order = np.argsort(ks.astype(np.min_scalar_type(len(prop.comps) - 1)), kind="stable")
+            counts = np.bincount(ks, minlength=len(prop.comps))
+            draws = [
+                (_packet_samples(wp1, kind, rng, m), _packet_samples(wp2, kind, rng, m))
+                for (_, wp1, wp2), m in zip(prop.comps, counts)
+                if m
+            ]
+            v1, v2 = np.empty(batch), np.empty(batch)
+            for v, parts in zip((v1, v2), zip(*draws)):
+                v[order] = np.concatenate(parts)
         # the blocks' uniforms are those of one random(batch) call; past the n-th
         # record the rest of them is drawn in one call, with no densities, so the
         # generator handed on to the next component is the same
@@ -336,25 +303,21 @@ def _sample_pure(state: TwoParticleState, mix, kind: str, rng, n: int) -> tuple[
                 rng.random(batch - lo)
                 break
             b1, b2 = v1[lo : lo + PROPOSAL_BLOCK], v2[lo : lo + PROPOSAL_BLOCK]
-            limit = rng.random(b1.size) * bound
-            if squeeze is not None:
-                b, d, per_bin, h = squeeze
+            limit = rng.random(b1.size) * prop.bound
+            accept = limit < prop.sure
+            pending = ~accept
+            if prop.squeeze is not None:
+                b, d, per_bin, h = prop.squeeze
                 # theta as the density computes it; far out its bin is not trusted
                 t = b * _dot(d, (b1, b2)) * per_bin
                 near = np.abs(t) < SQUEEZE_REACH
                 # floor, & (J - 1) for the bin mod J: np.mod takes 17 times as long per value
                 at = np.floor(t, out=np.zeros_like(t), where=near).astype(np.intp) & (h.size - 1)
-                accept = np.zeros(b1.size, dtype=bool)
-                pending = np.flatnonzero((limit < h[at]) | ~near)
-            elif pair_free:
-                accept = limit < bound * (1.0 - DENSITY_SLACK)
-                pending = np.flatnonzero(~accept)
-            else:
-                accept = np.zeros(b1.size, dtype=bool)
-                pending = np.arange(b1.size)
+                pending &= (limit < h[at]) | ~near
+            pending = np.flatnonzero(pending)
             if pending.size:
                 p1, p2 = b1[pending], b2[pending]
-                g = _proposal_density(comps, q, kind, p1, p2)
+                g = _proposal_density(prop.comps, prop.q, kind, p1, p2)
                 accept[pending] = limit[pending] * g < dens_fn(state, p1, p2)
                 evaluated += pending.size
             keep = np.flatnonzero(accept)[: n - filled]
@@ -382,16 +345,16 @@ def sample_measurements(state, kind: str, n: int, seed: int) -> SampleSet:
     # a pure state is a one-component ensemble; it draws no component counts
     pure = isinstance(state, TwoParticleState)
     counts = [n] if pure else rng.multinomial(n, state.weights)
-    drawn = [(m, st, _proposal_mixture(st, kind)) for m, (_, st) in zip(counts, state.components) if m]
+    drawn = [(m, st, _proposal(st, kind)) for m, (_, st) in zip(counts, state.components) if m]
     # the sampler accepts exactly 1 / M, so m records cost about m M proposals
-    for m, _, (_, _, bound, _) in drawn:
-        if m * bound > MAX_PROPOSALS:
+    for m, _, prop in drawn:
+        if m * prop.bound > MAX_PROPOSALS:
             raise ValueError(
-                f"rejection sampling accepts {1.0 / bound:.3g} of its proposals here, so "
-                f"{m} records need about {m * bound:.3g} proposals, over the budget of "
+                f"rejection sampling accepts {1.0 / prop.bound:.3g} of its proposals here, so "
+                f"{m} records need about {m * prop.bound:.3g} proposals, over the budget of "
                 f"{MAX_PROPOSALS:.3g}"
             )
-    parts = [_sample_pure(st, mix, kind, rng, m) for m, st, mix in drawn]
+    parts = [_sample_pure(st, prop, kind, rng, m) for m, st, prop in drawn]
     records = parts[0][0] if pure else rng.permutation(np.concatenate([r for r, _, _ in parts]))
     return SampleSet(
         records=records,

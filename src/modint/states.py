@@ -255,18 +255,23 @@ def _plane_wave(wp: WavePacket, kind: str) -> tuple[float, float]:
     return -wp.x0, wp.p0 * (wp.x0 - wp.phase_ref)
 
 
+def factor_key(wp: WavePacket, kind: str) -> tuple:
+    """(envelope, x0) in position, (envelope, p0) in momentum: packets of one key share one factor."""
+    return wp.envelope, wp.x0 if kind == "position" else wp.p0
+
+
 def envelope_values(packets, kind: str, v, memo=None) -> tuple[list, list[int]]:
     """Distinct envelope factors of the packets at v, and each packet's index into them.
 
     The factor is phi(x - x0) in position and phi_hat(p - p0) in momentum; the
-    rest of a packet's amplitude is a plane wave of modulus 1. Packets sharing
-    (envelope, x0) or (envelope, p0) share one evaluation, and calls given one
-    `memo` dict at the same v share the factor objects themselves.
+    rest of a packet's amplitude is a plane wave of modulus 1. Packets of one
+    `factor_key` share one evaluation, and calls given one `memo` dict at the
+    same v share the factor objects themselves.
     """
     memo = {} if memo is None else memo
     values, index, seen = [], [], {}
     for wp in packets:
-        key = (wp.envelope, wp.x0 if kind == "position" else wp.p0)
+        key = factor_key(wp, kind)
         if key not in seen:
             seen[key] = len(values)
             if key not in memo:
@@ -390,6 +395,28 @@ def _sinc_overlaps(rows, cols) -> np.ndarray:
 
 # each envelope kind's closed form of <a|b> over two packet tables
 _CLOSED_FORM_OVERLAPS = {GaussianEnvelope: _gaussian_overlaps, SincEnvelope: _sinc_overlaps}
+
+# Envelopes whose factor in a basis is a positive function, and the packet-table
+# row (p0 for position draws, x0 for momentum draws) zeroed so that the modulus
+# of the closed-form overlap is beta_kl = int |psi_k||psi_l|.
+_PAIR_OVERLAPS = {
+    ("position", GaussianEnvelope): 1,
+    ("momentum", GaussianEnvelope): 0,
+    ("momentum", SincEnvelope): 0,
+}
+
+
+def _pair_overlaps(packets, kind: str):
+    """A function of (lo, hi) returning rows lo:hi of beta_kl = int |psi_k||psi_l| over one
+    particle's packets, or None when the packets have no closed form for it in this basis."""
+    kinds = {type(wp.envelope) for wp in packets}
+    env = kinds.pop() if len(kinds) == 1 else None
+    if (kind, env) not in _PAIR_OVERLAPS:
+        return None
+    table = _packet_table(packets)
+    table[_PAIR_OVERLAPS[kind, env]] = 0.0
+    rows = _closed_form_rows(_CLOSED_FORM_OVERLAPS[env], table)
+    return lambda lo, hi: np.abs(rows(lo, hi))
 
 
 def _overlap_rows(packets):
@@ -957,19 +984,25 @@ def gridstate_from_csv(path) -> GridState:
 
 
 def state_from_descriptor(d: dict):
-    """Build a state from the JSON descriptor used by the CLI."""
+    """Build a state from the JSON descriptor used by the CLI.
+
+    Without an "envelope" the packets are Gaussian, of width 8 lambda in a comb
+    and L / 10 in a multislit, where the builders do not warn of overlap.
+    """
     kind = d.get("kind")
-    env = envelope_from_descriptor(d.get("envelope", {"kind": "gaussian", "sigma_x": 3.0}))
+    env = envelope_from_descriptor(d["envelope"]) if "envelope" in d else None
     known = {"kind", "N", "L", "x0", "N0", "lambda", "envelope", "epsilon"}
     extra = set(d) - known
     if extra:
         raise ValueError(f"unknown descriptor keys: {sorted(extra)}")
     N = int(d.get("N", 2))
     if kind == "multislit":
-        return build_multislit(N, float(d["L"]), env)
+        L = float(d["L"])
+        return build_multislit(N, L, env or GaussianEnvelope(sigma_x=0.1 * L))
     x0 = float(d.get("x0", 0.0))
     N0 = int(d.get("N0", 1))
     lam = float(d.get("lambda", 1.0))
+    env = env or GaussianEnvelope(sigma_x=8.0 * lam)
     if kind == "smp":
         return build_smp(N, x0, N0, lam, env)
     if kind == "mpe":

@@ -143,7 +143,7 @@ class TestSample:
         for kind in ("position", "momentum"):
             # 1 / M is accepted; the unused rest of the last batch, at most 0.1 M
             # per missing record or 1024, counts too
-            bound = sampling._proposal_mixture(state, kind)[2]
+            bound = sampling._proposal(state, kind).bound
             rate = d["n"] / d[f"proposals_{kind}"]
             assert 0.85 / bound < rate < 1.02 / bound, kind
 
@@ -376,8 +376,17 @@ class TestDefaultWidth:
         ],
     )
     def test_width_resolves_per_state_family(self, argv, sigma):
-        args = build_parser().parse_args(argv)
-        assert _state_descriptor(args)["envelope"]["sigma_x"] == pytest.approx(sigma, rel=1e-15)
+        # --sigma goes into the descriptor; without it the descriptor's state takes
+        # its family's width
+        d = _state_descriptor(build_parser().parse_args(argv))
+        if "--sigma" in argv:
+            assert d["envelope"]["sigma_x"] == sigma
+            return
+        assert "envelope" not in d
+        state = states.state_from_descriptor(d)
+        pure = state.components[0][1] if hasattr(state, "components") else state
+        widths = {wp.envelope.sigma_x for wp in pure.packets}
+        assert len(widths) == 1 and widths.pop() == pytest.approx(sigma, rel=1e-15)
 
 
 class TestErrors:
@@ -442,6 +451,12 @@ class TestErrors:
         "argv, name",
         [
             (["fringes", "--grid-points", "0"], "--grid-points"),
+            # past MAX_GRID_POINTS = 2^22, refused before any array: 1e11 points asked
+            # numpy for 745 GiB, and 2^40 took propagate to a traceback
+            (["fringes", "--grid-points", "4194305"], "--grid-points"),
+            (["fringes", "--grid-points", "100000000000"], "--grid-points"),
+            (["propagate", "--grid-points", "4194305"], "--grid-points"),
+            (["propagate", "--grid-points", "1099511627776"], "--grid-points"),
             (["fringes", "--periods", "0"], "--periods"),
             (["protocol", "--steps", "0"], "--steps"),
             (["criterion", "--x0", "inf"], "x0"),
@@ -455,7 +470,8 @@ class TestErrors:
             (["protocol", "--steps", "2", "--lam", "1e200"], "not finite"),
         ],
         ids=[
-            "grid-points", "periods", "steps", "x0", "criterion-sigma", "sample-sigma",
+            "grid-points", "fringes-grid-past-max", "fringes-grid-1e11", "propagate-grid-past-max",
+            "propagate-grid-2^40", "periods", "steps", "x0", "criterion-sigma", "sample-sigma",
             "fringes-sigma", "protocol-sigma", "lam", "overlap-budget", "protocol-tiny-sigma",
             "protocol-huge-lam",
         ],

@@ -45,7 +45,7 @@ from modint.sampling import (
     _envelope_cdf_table,
     _packet_samples,
 )
-from modint.states import TabulatedEnvelope, joint_momentum_density
+from modint.states import TabulatedEnvelope, _pair_overlaps, joint_momentum_density
 
 
 def _reference_beta(wa, wb, kind):
@@ -85,14 +85,9 @@ def _reference_sample_pure(state, kind, rng, n):
             if None in betas or mod[k] * mod[l] * betas[0] * betas[1] > 0:
                 mult[k] += 1
                 mult[l] += 1
-    if len(set(mult)) == 1:
-        s_tot = float(weights.sum())
-        q = weights / s_tot
-        bound = mult[0] * s_tot
-    else:
-        mass = weights * np.array(mult)
-        bound = float(mass.sum())
-        q = mass / bound
+    mass = weights * np.array(mult)
+    bound = float(mass.sum())
+    q = mass / bound
 
     def same_density(wa, wb):
         centre = (wa.x0 == wb.x0) if kind == "position" else (wa.p0 == wb.p0)
@@ -352,13 +347,19 @@ class TestSampling:
             ("mpe N=2 sinc", build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0))),
             ("mpe N=2 sinc d=0.6", _overlapping(build_mpe, 2, 0.0, 1, 1.0, SincEnvelope(0.6))),
             ("mpe N=3 sigma=4", _overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(4.0))),
+            ("swapped pair", TwoParticleState([
+                (1.0, WavePacket(GaussianEnvelope(1.0), 5.0), WavePacket(GaussianEnvelope(1.0), -5.0)),
+                (1.0, WavePacket(GaussianEnvelope(1.0), -5.0), WavePacket(GaussianEnvelope(1.0), 5.0)),
+            ])),
         ],
     )
     @pytest.mark.parametrize("kind", ["position", "momentum"])
     def test_records_equal_the_reference_sampler(self, label, state, kind):
         # the proposal from envelope moduli and closed-form pair overlaps draws and
         # accepts exactly the same proposals as explicit loops over packets and pairs;
-        # the sigma = 4 comb keeps its neighbouring momentum pairs and drops the outer one
+        # the sigma = 4 comb keeps its neighbouring momentum pairs and drops the outer one;
+        # the swapped pair draws two position components and keeps their pair, with no
+        # fringe table, so every proposal takes the full test
         for seed in (0, 3):
             got = sample_measurements(state, kind, 4000, seed=seed)
             want = _reference_records(state, kind, 4000, seed)
@@ -433,15 +434,13 @@ class TestSampling:
         # have one density and are drawn without labels
         st = build_mpe(N, 0.0, 1, 1.0, GaussianEnvelope(8.0))
         for kind, count in (("position", 1), ("momentum", N)):
-            terms, q, _, _ = sampling._proposal_mixture(st, kind)
-            comps, comp_q = sampling._proposal_components(terms, q, kind)
-            assert len(comps) == count, kind
-            assert comp_q.sum() == pytest.approx(1.0, rel=1e-15)
+            prop = sampling._proposal(st, kind)
+            assert len(prop.comps) == count, kind
+            assert prop.q.sum() == pytest.approx(1.0, rel=1e-15)
         # a classical component is one term: one component in both bases
         for _, part in build_classical_correlated(N, 0.0, 1, 1.0, GaussianEnvelope(8.0)).components:
             for kind in ("position", "momentum"):
-                comps, _ = sampling._proposal_components(*sampling._proposal_mixture(part, kind)[:2], kind)
-                assert len(comps) == 1
+                assert len(sampling._proposal(part, kind).comps) == 1
 
     @pytest.mark.parametrize(
         "N, digest",
@@ -511,8 +510,9 @@ def _bound_holds(terms, kind, seed):
     density = joint_position_density if kind == "position" else joint_momentum_density
     v1, v2 = (u.ravel() for u in np.meshgrid(v[0], v[1]))
     rho = density(state, v1, v2)
-    terms, q, bound, _ = sampling._proposal_mixture(state, kind)
-    pair_bound = bound * sampling._proposal_density(terms, q, kind, v1, v2)  # as the sampler forms it
+    prop = sampling._proposal(state, kind)
+    # as the sampler forms it
+    pair_bound = prop.bound * sampling._proposal_density(prop.comps, prop.q, kind, v1, v2)
     # 1e-300 absorbs subnormal densities, whose relative rounding is coarse
     assert np.all(rho <= pair_bound * (1 + 1e-12) + 1e-300)
 
@@ -558,14 +558,14 @@ class TestPairBound:
     @given(hst.lists(_gaussian_packets(4.0), min_size=2, max_size=4),
            hst.sampled_from(["position", "momentum"]))
     def test_gaussian_betas_match_the_quadrature(self, packets, kind):
-        rows = sampling._pair_overlaps(packets, kind)
+        rows = _pair_overlaps(packets, kind)
         want = [[_trapezoid_beta(a, b, kind) for b in packets] for a in packets]
         np.testing.assert_allclose(rows(0, len(packets)), want, rtol=0, atol=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(hst.lists(_SINC_PACKET, min_size=2, max_size=4))
     def test_sinc_betas_match_the_quadrature_in_momentum(self, packets):
-        rows = sampling._pair_overlaps(packets, "momentum")
+        rows = _pair_overlaps(packets, "momentum")
         want = [[_trapezoid_beta(a, b, "momentum") for b in packets] for a in packets]
         np.testing.assert_allclose(rows(0, len(packets)), want, rtol=0, atol=1e-10)
 
@@ -578,29 +578,34 @@ class TestPairBound:
             (GaussianEnvelope(8.0), "momentum", [1, 1, 1]),
             # e^{-(2 pi sigma)^2 / 2} is 1e-137 for neighbours and 0.0 for the outer pair
             (GaussianEnvelope(4.0), "momentum", [2, 3, 2]),
-            # disjoint momentum boxes; sinc packets have no beta in position
+            # disjoint momentum boxes
             (SincEnvelope(8.0), "momentum", [1, 1, 1]),
-            (SincEnvelope(8.0), "position", [3, 3, 3]),
+            # sinc packets have no beta in position: no counts, and every pair is kept
+            (SincEnvelope(8.0), "position", None),
         ],
     )
     def test_pairs_drop_only_where_their_mass_underflows(self, env, kind, kept):
         # term k's weight counts itself and its kept pairs: M = sum |c_k|^2 n_k
         state = _overlapping(build_mpe, 3, 0.0, 1, 1.0, env)
-        terms, q, bound, _ = sampling._proposal_mixture(state, kind)
+        terms = [(state._scale * a, wp1, wp2) for a, wp1, wp2 in state.terms]
+        n = sampling._pair_counts(terms, kind)
+        if kept is None:
+            assert n is None
+            kept = [3, 3, 3]
+        else:
+            assert n.tolist() == kept
         weights = np.array([abs(c) ** 2 for c, _, _ in terms])
-        assert bound == pytest.approx(float(weights @ kept), rel=1e-12)
-        np.testing.assert_allclose(q, weights * kept / bound, rtol=1e-12)
+        assert sampling._proposal(state, kind).bound == pytest.approx(float(weights @ kept), rel=1e-12)
 
     def test_sinc_and_tabulated_have_no_pair_overlaps_in_position(self):
         xs = np.linspace(-30.0, 30.0, 64)
         for env in (SincEnvelope(2.0), TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))):
-            assert sampling._pair_overlaps([WavePacket(env), WavePacket(env, 1.0)], "position") is None
+            assert _pair_overlaps([WavePacket(env), WavePacket(env, 1.0)], "position") is None
 
 
 def _squeeze(state, kind="position"):
-    terms, q, _, _ = sampling._proposal_mixture(state, kind)
-    comps, q = sampling._proposal_components(terms, q, kind)
-    return comps, q, sampling._fringe_squeeze(state, comps, q, kind)
+    prop = sampling._proposal(state, kind)
+    return prop.comps, prop.q, prop.squeeze
 
 
 def _density_ratio(state, comps, q, theta):
@@ -718,11 +723,10 @@ class TestSqueeze:
         # MPE N=1000 has degree 999 and 2**18 bins; a K x J matrix of its waves
         # would be 2.6e8 complex values
         state = build_mpe(1000, 0.0, 1, 1.0, GaussianEnvelope(8.0))
-        terms, q, _, _ = sampling._proposal_mixture(state, "position")
-        comps, q = sampling._proposal_components(terms, q, "position")
+        prop = sampling._proposal(state, "position")
         tracemalloc.start()
         try:
-            h = sampling._fringe_squeeze(state, comps, q, "position")[3]
+            h = sampling._fringe_squeeze(state, prop.comps, prop.q, "position")[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -734,24 +738,28 @@ class TestPairFree:
     """A proposal that keeps no pair accepts u < 1 - DENSITY_SLACK before any density."""
 
     def test_which_proposals_keep_no_pair(self):
+        def sure(state, kind):
+            prop = sampling._proposal(state, kind)
+            assert prop.sure in (0.0, prop.bound * (1.0 - sampling.DENSITY_SLACK))
+            return prop.sure > 0.0
+
         mpe = build_mpe(3, 0.0, 1, 1.0, GaussianEnvelope(8.0))
-        assert sampling._proposal_mixture(mpe, "momentum")[3]
-        assert not sampling._proposal_mixture(mpe, "position")[3]  # beta = 1: every pair kept
+        assert sure(mpe, "momentum")
+        assert not sure(mpe, "position")  # beta = 1: every pair kept
         sinc = build_mpe(3, 0.0, 1, 1.0, SincEnvelope(8.0))
-        assert sampling._proposal_mixture(sinc, "momentum")[3]
+        assert sure(sinc, "momentum")
         # neighbouring momentum pairs are kept at sigma = 4
-        assert not sampling._proposal_mixture(_overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(4.0)),
-                                              "momentum")[3]
+        assert not sure(_overlapping(build_mpe, 3, 0.0, 1, 1.0, GaussianEnvelope(4.0)), "momentum")
         for _, part in build_classical_correlated(3, 0.0, 1, 1.0, GaussianEnvelope(8.0)).components:
             for kind in ("position", "momentum"):
-                assert sampling._proposal_mixture(part, kind)[3], kind
+                assert sure(part, kind), kind
         # one term without a closed-form beta keeps the full test
         xs = np.linspace(-30.0, 30.0, 64)
         env = TabulatedEnvelope(xs, GaussianEnvelope(4.0)(xs))
         product = TwoParticleState([(1.0, WavePacket(env), WavePacket(env))])
-        assert not sampling._proposal_mixture(product, "momentum")[3]
+        assert not sure(product, "momentum")
         one_sinc = TwoParticleState([(1.0, WavePacket(SincEnvelope(8.0)), WavePacket(SincEnvelope(8.0)))])
-        assert not sampling._proposal_mixture(one_sinc, "position")[3]
+        assert not sure(one_sinc, "position")
 
     @pytest.mark.parametrize(
         "state, proposals, digest",
@@ -788,7 +796,7 @@ class TestPairFree:
         # sigma = 1: the momentum packets overlap and every pair is kept; the last
         # record falls in the last block, so every proposal took the full test
         state = _overlapping(build_mpe, 2, 0.0, 1, 1.0, GaussianEnvelope(1.0))
-        assert not sampling._proposal_mixture(state, "momentum")[3]
+        assert sampling._proposal(state, "momentum").sure == 0.0
         s = sample_measurements(state, "momentum", 5000, seed=1)
         assert s.evaluated == s.proposals > 2 * s.n
 

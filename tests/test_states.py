@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -709,6 +710,25 @@ class TestSerialization:
              "envelope": {"kind": "gaussian", "sigma_x": 0.05}}
         )
         assert isinstance(ms, SuperposedState)
+
+    @pytest.mark.parametrize(
+        "d, sigma",
+        [
+            ({"kind": "mpe", "N": 2}, 8.0),
+            ({"kind": "mpe", "N": 2, "lambda": 0.5}, 4.0),
+            ({"kind": "smp", "N": 3, "lambda": 2.0}, 16.0),
+            ({"kind": "admixture", "N": 2, "epsilon": 0.5}, 8.0),
+            ({"kind": "multislit", "N": 3, "L": 2.0}, 0.2),
+        ],
+    )
+    def test_descriptor_without_envelope_takes_the_family_width(self, d, sigma):
+        # 8 lambda for combs and L / 10 for slits, as the CLI documents; the width
+        # was 3.0 for any lambda or L, which warned at lambda = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = state_from_descriptor(d)
+        pure = state.components[0][1] if isinstance(state, MixtureState) else state
+        assert {wp.envelope for wp in pure.packets} == {GaussianEnvelope(sigma)}
 
     def test_descriptor_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
