@@ -62,12 +62,16 @@ def _normalizer(scale: ModularScale, axis: str) -> float:
 
 
 def _component_stats(
-    state: TwoParticleState, scale: ModularScale, axis: str, points_per_ell: int
+    state: TwoParticleState, scale: ModularScale, axis: str, points_per_ell: int, memo: dict
 ):
-    """Both observables' (mean, var) on the state's grid, and (grid points, contained mass)."""
+    """Both observables' (mean, var) on the state's grid, and (grid points, contained mass).
+
+    The components of one call pass one `memo`, so those on one grid share its
+    envelope factors and their transforms (see discretize).
+    """
     n_obs, rel_obs = _AXES[axis]
     grid = default_grid(state, scale.ell, points_per_ell=points_per_ell)
-    gs = discretize(state, grid)
+    gs = discretize(state, grid, _memo=memo)
     return (
         observable_stats(gs, n_obs, scale),
         observable_stats(gs, rel_obs, scale),
@@ -81,7 +85,10 @@ def _ensemble_stats(state, scale: ModularScale, axis: str, points_per_ell: int):
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     if not hasattr(state, "components"):
         raise TypeError(f"cannot evaluate the criterion on {type(state).__name__}")
-    per_comp = [_component_stats(st, scale, axis, points_per_ell) for _, st in state.components]
+    memo = {}
+    per_comp = [
+        _component_stats(st, scale, axis, points_per_ell, memo) for _, st in state.components
+    ]
     _, var_n = mixture_stats(state.weights, [s[0] for s in per_comp])
     _, var_r = mixture_stats(state.weights, [s[1] for s in per_comp])
     points, mass = zip(*(s[2] for s in per_comp))
@@ -145,8 +152,9 @@ def robustness_threshold(N: int, method: str = "closed_form") -> float:
     envelope = GaussianEnvelope(sigma_x=6.0)
     pure = build_mpe(N, 0.0, 1, 1.0, envelope)
     classical = build_classical_correlated(N, 0.0, 1, 1.0, envelope)
+    memo = {}
     stats = [
-        _component_stats(st, scale, "momentum", 128)
+        _component_stats(st, scale, "momentum", 128, memo)
         for st in [pure] + [st for _, st in classical.components]
     ]
     bound = criterion_bound()

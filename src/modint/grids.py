@@ -51,9 +51,12 @@ class GridSpec:
     def dx(self) -> float:
         return self.length / self.points
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return self.xmin + self.dx * np.arange(self.points)
+        """The grid points, computed once per spec and read-only."""
+        x = self.xmin + self.dx * np.arange(self.points)
+        x.flags.writeable = False
+        return x
 
     @property
     def p(self) -> np.ndarray:
@@ -206,12 +209,21 @@ def lattice_gram(
 TAIL_ULP = 2.0**-53  # bound on the momentum sweep's dropped weighted power, as a share of the factor's
 
 
+def _transform(factor: np.ndarray) -> np.ndarray:
+    """The factor's n-point FFT F; of a real factor only its half u <= n / 2, by rfft.
+
+    A real factor's F[u] for u > n / 2 is conj(F[n - u]), so the half holds all of F.
+    """
+    return np.fft.rfft(factor) if np.isrealobj(factor) else np.fft.fft(factor)
+
+
 def support_rows(
     rows: FactoredRows, wmax: float, memo=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(S, fft rows on S, tail bound) of lattice rows for weights bounded by wmax.
 
-    Row k's FFT is phase_k * F[(u - m_k) mod n] with F = fft(factor). The columns
+    Row k's FFT is phase_k * F[(u - m_k) mod n] with F = fft(factor), read from
+    the half spectrum of a real factor (see _transform). The columns
     W = {u : |F[u]|^2 n wmax > TAIL_ULP sum |F|^2} carry the factor's weight, and
     S is the union of W shifted by every m_k. By Cauchy-Schwarz, the columns off S
     change a Gram entry <a_i|w|a_j> by at most the returned tail bound,
@@ -221,28 +233,44 @@ def support_rows(
     m, phase = rows.lattice
     n = rows.spec.points
     factor = rows.factors[0]
-    ft = _cached(memo, factor, "fft", lambda: np.fft.fft(factor))
+    ft = _cached(memo, factor, "fft", lambda: _transform(factor))
+    half = ft.size < n
 
     def support():
         power = ft.real**2 + ft.imag**2
-        keep = power * (n * wmax) > TAIL_ULP * np.sum(power)
-        return keep, wmax * np.sum(power, where=~keep)
+        share = power.copy()  # each stored column's part of sum |F|^2
+        if half:  # the inner columns u of a half stand for u and n - u too
+            share[1:-1] *= 2
+        keep = power * (n * wmax) > TAIL_ULP * np.sum(share)
+        tail = wmax * np.sum(share, where=~keep)
+        return (np.concatenate([keep, keep[-2:0:-1]]) if half else keep), tail
 
     keep, tail = _cached(memo, factor, ("support", wmax), support)
     mask = np.zeros(n, dtype=bool)
     for shift in np.unique(m):
         mask |= np.roll(keep, shift)
     s = np.flatnonzero(mask)
-    out = np.take(ft, s[None, :] - m[:, None], mode="wrap")
-    out *= phase[:, None]
+    out = np.empty((m.size, s.size), dtype=complex)
+    # a row at a time keeps the index arrays short; n is a power of two, and in
+    # mode "clip" take writes into out without a buffer (every index is in range)
+    for row, shift, ph in zip(out, m, phase):
+        u = (s - shift) & (n - 1)
+        if half:
+            np.take(ft, np.minimum(u, n - u), out=row, mode="clip")
+            np.conjugate(row, out=row, where=u > n // 2)
+        else:
+            np.take(ft, u, out=row, mode="clip")
+        row *= ph
     return s, out, tail
 
 
 def _cached(memo: dict | None, factor: np.ndarray, key, compute):
     """compute() of an envelope factor, kept in memo under the factor object and key.
 
-    A grid state's memo lives as long as the state, so its particles' rows that
-    hold one factor object share the factor's transforms, and none outlive it.
+    A memo lives as long as the grid states that hold it: one state's own, or
+    one shared by the components of one criterion call (see discretize). Rows
+    that hold one factor object share the factor's transforms, and none
+    outlive the states.
     """
     if memo is None:
         return compute()
@@ -266,10 +294,11 @@ class TwoParticleGridState:
     materialized only when `a1` or `a2` is read. Each particle's identity Gram
     <a_i|a_j> dx is computed once, here, and reused by the norm, the marginals
     and the observable statistics. Lattice rows' factor transforms are kept in
-    `transforms` for the state's life, once per factor object for both particles.
+    `transforms` for the state's life, once per factor object for both particles;
+    `_transforms` is internal, a memo that states of one ensemble share.
     """
 
-    def __init__(self, spec: GridSpec, coefs, a1, a2):
+    def __init__(self, spec: GridSpec, coefs, a1, a2, *, _transforms=None):
         self.spec = spec
         self.coefs = np.asarray(coefs, dtype=complex)
         self.rows1, self.rows2 = (
@@ -280,7 +309,8 @@ class TwoParticleGridState:
             raise ValueError("two-particle grid state needs at least one term")
         if self.coefs.shape != (k,) or not self.rows1.shape == self.rows2.shape == (k, spec.points):
             raise ValueError("term arrays do not match the grid spec")
-        self.transforms = {}  # the lattice rows' factor transforms, see _cached
+        # the lattice rows' factor transforms, see _cached
+        self.transforms = {} if _transforms is None else _transforms
         self.g1 = _identity_gram(self.rows1, spec, self.transforms)
         self.g2 = _identity_gram(self.rows2, spec, self.transforms)
         self.input_norm = self.norm  # norm of the terms as given
@@ -458,7 +488,8 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
 
     mean = ev(o1, i2) + sign * ev(i1, o2)
     second = ev(o1sq, i2) + ev(i1, o2sq) + 2.0 * sign * ev(o1, o2)
-    return mean, second - mean**2
+    # a vanishing variance cancels to a rounding error of either sign; report it as 0
+    return mean, max(second - mean**2, 0.0)
 
 
 def observable_stats(state, name: str, scale: ModularScale) -> tuple[float, float]:

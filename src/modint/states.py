@@ -718,6 +718,9 @@ def build_multislit(N: int, L: float, envelope: Envelope) -> SuperposedState:
     return SuperposedState(terms)
 
 
+COMB_WIDTH = 8.0  # default Gaussian width of a comb's packets, in fringe periods lambda
+
+
 def _check_comb(N, x0, lam, envelope):
     """Validate a momentum comb; warn once per public builder call on overlap."""
     if int(N) < 1:
@@ -795,10 +798,14 @@ def admixture_state(
     x0: float = 0.0,
     N0: int = 1,
 ):
-    """(1 - eps) * MPE + eps * classically correlated, as a pure-state ensemble."""
+    """(1 - eps) * MPE + eps * classically correlated, as a pure-state ensemble.
+
+    Without an envelope the packets are Gaussian of width COMB_WIDTH * lam, as
+    in state_from_descriptor.
+    """
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
-    envelope = envelope or GaussianEnvelope(sigma_x=6.0 * lam)
+    envelope = envelope or GaussianEnvelope(sigma_x=COMB_WIDTH * lam)
     _check_comb(N, x0, lam, envelope)
     pairs = _pair_packets(N, x0, N0, lam, envelope)
     pure = _mpe(pairs, lam)
@@ -901,11 +908,13 @@ def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
 TAIL_TOL = 1e-8  # mass a grid may miss where its second-order error 10 dx^2 is smaller
 
 
-def discretize(state, grid: GridSpec):
+def discretize(state, grid: GridSpec, *, _memo=None):
     """Sample a state onto the grid, both particles of a pair on the same one.
 
     Raises if the grid misses mass or is coarse for the fringes, the momenta or
-    an envelope.
+    an envelope. `_memo` is internal: one dict for the components of one
+    ensemble, under which those on one grid share that grid's points, envelope
+    factors and factor transforms; it lives only as long as the caller keeps it.
     """
     if not isinstance(state, _PacketSum):
         raise TypeError(f"cannot discretize {type(state).__name__}")
@@ -921,13 +930,15 @@ def discretize(state, grid: GridSpec):
             f"at or above the lattice's end pi/dx = {math.pi / grid.dx:.6g}"
         )
     # particles share the factor object of a common (envelope, x0)
-    memo = {}
-    rows = [_grid_rows(packets, grid, memo) for packets in state.particles]
+    grid, factors, transforms = (
+        (grid, {}, {}) if _memo is None else _memo.setdefault(grid, (grid, {}, {}))
+    )
+    rows = [_grid_rows(packets, grid, factors) for packets in state.particles]
     coefs = np.array([t[0] * state._scale for t in state.terms])
     if len(rows) == 1:
         out = GridState(grid, coefs @ rows[0].array)
     else:
-        out = TwoParticleGridState(grid, coefs, *rows)
+        out = TwoParticleGridState(grid, coefs, *rows, _transforms=transforms)
     contained = out.input_norm  # the analytically normalized state's mass on the grid
     tol = max(TAIL_TOL, 10 * grid.dx**2)
     if contained < 1 - tol:
@@ -1002,7 +1013,7 @@ def state_from_descriptor(d: dict):
     x0 = float(d.get("x0", 0.0))
     N0 = int(d.get("N0", 1))
     lam = float(d.get("lambda", 1.0))
-    env = env or GaussianEnvelope(sigma_x=8.0 * lam)
+    env = env or GaussianEnvelope(sigma_x=COMB_WIDTH * lam)
     if kind == "smp":
         return build_smp(N, x0, N0, lam, env)
     if kind == "mpe":

@@ -269,6 +269,73 @@ class TestRobustness:
             robustness_threshold(2, method="guesswork")
 
 
+def _count_transforms(monkeypatch) -> list:
+    """A list that collects (name, length) of every np.fft.fft and np.fft.rfft call."""
+    calls = []
+    for name in ("fft", "rfft"):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _name=name, _real=real, **kw):
+            calls.append((_name, np.shape(a)[-1]))
+            return _real(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _one_memo_per_component(monkeypatch):
+    # evaluate every component on its own: a fresh memo per discretization
+    from modint import criterion
+
+    own = criterion._component_stats
+    monkeypatch.setattr(
+        criterion, "_component_stats", lambda st, scale, axis, ppl, memo: own(st, scale, axis, ppl, {})
+    )
+
+
+class TestSharedTransforms:
+    def test_one_envelope_and_one_transform_for_an_admixture(self, monkeypatch):
+        st = admixture_state(0.5, 3, 1.0, WIDE)
+        points = default_grid(st.components[0][1], 1.0).points
+        calls, sizes = _count_transforms(monkeypatch), []
+        envelope = GaussianEnvelope.__call__
+        monkeypatch.setattr(
+            GaussianEnvelope, "__call__", lambda self, x: sizes.append(np.size(x)) or envelope(self, x)
+        )
+        shared = evaluate_criterion(st, SCALE)
+        # the MPE and the three classical components share one factor on one grid,
+        # and a second call shares nothing with the first
+        assert evaluate_criterion(st, SCALE).to_json() == shared.to_json()
+        assert [c for c in calls if c[1] == points] == [("rfft", points)] * 2
+        assert sizes.count(points) == 2
+        _one_memo_per_component(monkeypatch)
+        calls.clear()
+        alone = evaluate_criterion(st, SCALE)
+        assert sum(size == points for _, size in calls) == 4
+        assert shared.to_json() == alone.to_json()
+
+    def test_one_transform_for_the_bisection(self, monkeypatch):
+        pure = build_mpe(3, 0.0, 1, 1.0, GaussianEnvelope(6.0))
+        points = default_grid(pure, 1.0, points_per_ell=128).points
+        calls = _count_transforms(monkeypatch)
+        shared = robustness_threshold(3, "bisection")
+        assert [c for c in calls if c[1] == points] == [("rfft", points)]
+        _one_memo_per_component(monkeypatch)
+        assert robustness_threshold(3, "bisection") == shared
+
+
+class TestVarianceFloor:
+    # lhs of MPE sigma = 8 at x0 = 0 before variances were floored at 0, when
+    # var_N_tot read -8.9e-16, -2.8e-14 and -1.1e-13
+    @pytest.mark.parametrize(
+        "N, lhs", [(2, 0.11600098850587601), (10, 0.03929357484270765), (30, 0.016737628124064208)]
+    )
+    def test_vanishing_variance_reads_zero(self, N, lhs):
+        report = evaluate_criterion(build_mpe(N, 0.0, 1, 1.0, WIDE), SCALE)
+        assert report.var_N_tot >= 0.0
+        assert abs(report.lhs - lhs) <= 1e-12
+
+
 class TestAdmixture:
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
@@ -292,6 +359,13 @@ class TestAdmixture:
         via_descriptor = state_from_descriptor(d)
         direct = admixture_state(0.25, 2, envelope=WIDE)
         assert via_descriptor.weights == pytest.approx(direct.weights)
+
+    def test_one_default_width(self):
+        direct = admixture_state(0.5, 2)
+        via_descriptor = state_from_descriptor({"kind": "admixture", "N": 2, "epsilon": 0.5})
+        assert direct.packets == via_descriptor.packets
+        assert direct.weights == via_descriptor.weights
+        assert {wp.envelope for wp in direct.packets} == {GaussianEnvelope(sigma_x=8.0)}
 
     def test_pure_limits(self):
         assert isinstance(admixture_state(0.0, 2, envelope=WIDE), TwoParticleState)

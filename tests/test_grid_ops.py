@@ -16,6 +16,7 @@ from modint.grids import (
     TwoParticleGridState,
     _moments,
     _momentum_bound,
+    _transform,
     apply_modular_operator,
     apply_observable_raw,
     commutator_expectation,
@@ -72,6 +73,14 @@ class TestGridSpec:
         assert spec.x[0] == pytest.approx(-4.0)
         # momentum grid is the FFT dual
         assert np.max(np.abs(spec.p)) == pytest.approx(np.pi / spec.dx, rel=1e-9)
+
+    def test_points_are_built_once_and_read_only(self):
+        spec = GridSpec(points=64, xmin=-4.0, xmax=4.0)
+        assert spec.x is spec.x
+        assert np.array_equal(spec.x, -4.0 + spec.dx * np.arange(64))
+        with pytest.raises(ValueError):
+            spec.x[0] = 0.0
+        assert spec == GridSpec(points=64, xmin=-4.0, xmax=4.0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -488,6 +497,20 @@ def _assert_routes_agree(gs):
         assert got == pytest.approx(observable_stats(ref, name, SCALE), rel=1e-12, abs=1e-12)
 
 
+def _count_transforms(monkeypatch) -> list:
+    """A list that collects (name, length) of every np.fft.fft and np.fft.rfft call."""
+    calls = []
+    for name in ("fft", "rfft"):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _name=name, _real=real, **kw):
+            calls.append((_name, np.shape(a)[-1]))
+            return _real(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestLatticeRoute:
     @pytest.mark.parametrize("N", [2, 3, 5, 10])
     @pytest.mark.parametrize("x0", [0.0, 0.37])
@@ -635,22 +658,51 @@ class TestLatticeRoute:
     def test_one_transform_per_shared_factor(self, monkeypatch, axis):
         st = build_mpe(5, 0.0, 1, 1.0, WIDE)
         grid = default_grid(st, 1.0)
-        calls = []
-        for name in ("fft", "rfft"):
-            real = getattr(np.fft, name)
-
-            def counted(a, *args, _name=name, _real=real, **kw):
-                calls.append((_name, np.shape(a)[-1]))
-                return _real(a, *args, **kw)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = _count_transforms(monkeypatch)
         gs = discretize(st, grid)
         assert gs.rows1.factors[0] is gs.rows2.factors[0]
         for name in {"momentum": ("N_p_tot", "xbar_rel"), "position": ("N_x_tot", "pbar_rel")}[axis]:
             observable_stats(gs, name, SCALE)
-        # one n-point FFT for both particles; the position side folds to n / G = 256 points
-        assert calls.count(("fft", grid.points)) == 1
-        assert set(calls) <= {("fft", grid.points), ("fft", 256)}
+        # one n-point transform for both particles, a real FFT of the real factor;
+        # the position side folds to n / G = 256 points
+        assert sum(size == grid.points for _, size in calls) == 1
+        assert set(calls) <= {("rfft", grid.points), ("fft", 256)}
+
+    @pytest.mark.parametrize("envelope", [WIDE, SincEnvelope(0.5)], ids=["gaussian", "sinc"])
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    def test_real_factor_takes_the_half_spectrum(self, envelope, x0):
+        # the half spectrum read as F[u] = conj(F[n - u]) past n / 2 is the full FFT,
+        # and so are the support rows built from it; off them each row's power is
+        # below the tail bound
+        spec = GridSpec(4096, -64.0, 64.0)
+        factor = envelope(spec.x - x0)
+        n = spec.points
+        half = _transform(factor)
+        full = np.fft.fft(factor)
+        assert half.shape == (n // 2 + 1,)
+        got = np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+        waves = [(TWO_PI * m / spec.length, t) for m, t in ((0, 0.3), (64, -1.1), (-128, 2.0))]
+        rows = FactoredRows(spec, [factor], [0, 0, 0], waves)
+        cols, got, tail = support_rows(rows, 1.0)
+        want = np.fft.fft(rows.array, axis=1)
+        assert np.array_equal(cols, np.unique(cols)) and 0 < cols.size <= n
+        assert np.max(np.abs(got - want[:, cols])) <= 1e-13 * np.max(np.abs(want))
+        off = np.delete(want, cols, axis=1)
+        assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
+        assert 0 <= tail <= 2.0**-53 * np.sum(np.abs(full) ** 2)
+        if envelope is WIDE:  # the sinc's 1/x tails keep every column; the Gaussian's do not
+            assert cols.size < n and tail > 0
+
+    def test_complex_factor_takes_the_full_fft(self, monkeypatch):
+        st = build_mpe(2, 0.0, 1, 1.0, _wide_complex_tabulated())
+        gs = discretize(st, default_grid(st, 1.0))
+        factor = gs.rows1.factors[0]
+        assert np.iscomplexobj(factor) and gs.rows1.lattice is not None
+        assert _transform(factor).shape == (gs.spec.points,)
+        calls = _count_transforms(monkeypatch)
+        observable_stats(gs, "N_p_tot", SCALE)
+        assert calls == [("fft", gs.spec.points)]
 
     @pytest.mark.parametrize(
         "spec", [GridSpec(16, -1.0, 1.0), GridSpec(32768, -64.0, 64.0), GridSpec(65536, -80.63, 47.37)]
