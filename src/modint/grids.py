@@ -58,10 +58,12 @@ class GridSpec:
         x.flags.writeable = False
         return x
 
-    @property
+    @functools.cached_property
     def p(self) -> np.ndarray:
-        """Momentum lattice of the periodic box (hbar = 1)."""
-        return TWO_PI * np.fft.fftfreq(self.points, d=self.dx)
+        """Momentum lattice of the periodic box (hbar = 1), computed once per spec and read-only."""
+        p = TWO_PI * np.fft.fftfreq(self.points, d=self.dx)
+        p.flags.writeable = False
+        return p
 
     def check_commensurate(self, scale: ModularScale) -> int:
         ratio = self.length / scale.ell
@@ -190,20 +192,103 @@ def lattice_gram(
     row G = n and the fold is the plain sum. The spectra are kept in `memo` (see
     _cached) under `key`, which names the weight, None for none.
     """
+    factor = rows.factors[0]
+
+    def folded(width):
+        dens = np.abs(factor) ** 2
+        d = dens if weight is None else dens * weight
+        return _fold(d, width)
+
+    return _lag_gram(rows, folded, memo, key)
+
+
+def _fold(d: np.ndarray, width: int) -> np.ndarray:
+    """fold(d)[r] = sum_q d[r + q width] over the last axis."""
+    return d.reshape(*d.shape[:-1], -1, width).sum(axis=-2)
+
+
+def _lag_gram(rows: FactoredRows, folded, memo, key) -> np.ndarray:
+    """lattice_gram's Grams from folded(n / G), the weighted density folded on to n / G points."""
     m, phase = rows.lattice
     n = rows.spec.points
     g = int(np.gcd.reduce(np.append(m - m[0], n)))
-    factor = rows.factors[0]
 
-    def folded():
-        dens = np.abs(factor) ** 2
-        d = dens if weight is None else dens * weight
-        fold = d.reshape(*d.shape[:-1], g, n // g).sum(axis=-2)
+    def spectra():
+        fold = folded(n // g)
         return fold if g == n else np.fft.fft(fold, axis=-1)
 
-    spectra = _cached(memo, factor, ("fold", g, key), folded)
+    spectra = _cached(memo, rows.factors[0], ("fold", g, key), spectra)
     lags = (m[:, None] - m[None, :]) // g % (n // g)
     return spectra[..., lags] * (np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx)
+
+
+def _period_points(spec: GridSpec, scale: ModularScale) -> int | None:
+    """P, the grid points per period ell, where the position values repeat every P points.
+
+    That holds where the grid arithmetic is exact: dx is a power of two, xmin is
+    an integer multiple of it, ell = P dx with P dividing n, and every x + ell / 2
+    is a multiple of dx / 2 below 2^53 of them. Then every grid point and every
+    split of it at ell is exact, so xbar at point j + P is xbar at j, bit for bit,
+    and N_x there is N_x at j plus 1. None for any other grid.
+    """
+    dx = spec.dx
+    start, period = spec.xmin / dx, scale.ell / dx
+    if math.frexp(dx)[0] != 0.5 or start != math.floor(start) or period != math.floor(period):
+        return None
+    n, period = spec.points, int(period)
+    if not 0 < period <= n or n % period or abs(start) + n + period >= 2.0**52:
+        return None
+    return period
+
+
+def _period_tables(factor: np.ndarray, size: int) -> np.ndarray:
+    """(3, size) D_k[r] = sum_q (q - c)^k |factor|^2[r + q size], c = blocks // 2 the middle block.
+
+    Centring q on the middle block keeps the N_x moments' terms near the
+    result's size on a grid centred near x = 0.
+    """
+    blocks = factor.size // size
+    q = np.arange(blocks, dtype=float) - blocks // 2
+    return np.stack([np.ones(blocks), q, q * q]) @ (np.abs(factor) ** 2).reshape(blocks, size)
+
+
+def _position_values(spec: GridSpec, name: str, scale: ModularScale, size: int, memo=None):
+    """A position observable's values on the grid's first `size` points, kept in memo under spec."""
+
+    def values():
+        if size == spec.points:
+            return observable_values(spec, name, scale)[1]
+        return (modular_part if name == "xbar" else integer_part)(spec.x[:size], scale.ell)
+
+    return _cached(memo, spec, (name, scale, size), values)
+
+
+def _period_moments(rows: FactoredRows, name: str, scale: ModularScale, period: int, memo=None):
+    """_moments of xbar or N_x on lattice rows, from one period's values.
+
+    With L = max(n / G, P) and s = L / P, xbar at r + q L is xbar at r < L and
+    N_x there is N_x(r) + s q. So |factor|^2 v folded on to L points is
+    xbar_L D_0, and N_L D_0 + s D_1 for N_x, with D_k from _period_tables
+    (N_L taken at the middle block); the squares expand likewise. The L-point
+    folds fold on to n / G points as in lattice_gram.
+    """
+    spec = rows.spec
+    factor = rows.factors[0]
+
+    def folded(width):
+        size = max(width, period)
+        d0, d1, d2 = _cached(memo, factor, ("period", size), lambda: _period_tables(factor, size))
+        v = _position_values(spec, name, scale, size, memo)
+        if name == "xbar":
+            first, second = v * d0, v * v * d0
+        else:
+            s = size // period
+            v = v + s * (spec.points // size // 2)
+            first = v * d0 + s * d1
+            second = v * v * d0 + 2 * s * v * d1 + s * s * d2
+        return _fold(np.stack([first, second]), width)
+
+    return _lag_gram(rows, folded, memo, (name, scale, spec))
 
 
 TAIL_ULP = 2.0**-53  # bound on the momentum sweep's dropped weighted power, as a share of the factor's
@@ -264,20 +349,20 @@ def support_rows(
     return s, out, tail
 
 
-def _cached(memo: dict | None, factor: np.ndarray, key, compute):
-    """compute() of an envelope factor, kept in memo under the factor object and key.
+def _cached(memo: dict | None, owner, key, compute):
+    """compute() of an envelope factor or a grid spec, kept in memo under the object and key.
 
     A memo lives as long as the grid states that hold it: one state's own, or
     one shared by the components of one criterion call (see discretize). Rows
-    that hold one factor object share the factor's transforms, and none
-    outlive the states.
+    that hold one factor object share the factor's transforms, states on one
+    spec object share its position values, and none outlive the states.
     """
     if memo is None:
         return compute()
-    entry = memo.get((id(factor), key))
+    entry = memo.get((id(owner), key))
     if entry is None:
-        # the entry holds its factor, so no other array can take the factor's id
-        entry = memo[id(factor), key] = (factor, compute())
+        # the entry holds its owner, so no other object can take the owner's id
+        entry = memo[id(owner), key] = (owner, compute())
     return entry[1]
 
 
@@ -438,13 +523,14 @@ _REL_TOT = {
 }
 
 
-def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None, vals=None):
+def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None):
     """(<a|O|b>, <a|O^2|b>) over the rows for the diagonal observable O named.
 
     Lattice rows keep their factor's transforms in memo (see lattice_gram) and
-    take the momentum values on their support columns only; other rows are
-    swept in full. `vals` may give the full position values, computed once for
-    particles on one grid.
+    take the momentum values on their support columns only, and xbar and N_x
+    from one period where the grid has one (see _period_moments); other rows
+    are swept in full. Full position values are kept in memo, so particles and
+    components on one grid compute them once.
     """
     lattice = _lattice(rows) is not None
     dx = spec.dx
@@ -459,7 +545,10 @@ def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None, va
             vals = observable_values(spec, name, scale)[1]
             arrs = np.fft.fft(_array(rows), axis=1)
     else:
-        vals = observable_values(spec, name, scale)[1] if vals is None else vals
+        period = _period_points(spec, scale) if lattice and name in ("xbar", "N_x") else None
+        if period is not None:
+            return _period_moments(rows, name, scale, period, memo)
+        vals = _position_values(spec, name, scale, spec.points, memo)
         if lattice:
             return lattice_gram(rows, np.stack([vals, vals**2]), memo, (name, scale, spec))
         arrs = _array(rows)
@@ -477,10 +566,8 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
     c = state.coefs
     cc = np.conj(c)[:, None] * c[None, :]
     memo = state.transforms
-    # both particles' position values are one array on the one grid
-    vals = observable_values(state.spec, base, scale)[1] if base in _POSITION_OBS else None
-    o1, o1sq = _moments(state.spec, state.rows1, base, scale, memo, vals)
-    o2, o2sq = _moments(state.spec, state.rows2, base, scale, memo, vals)
+    o1, o1sq = _moments(state.spec, state.rows1, base, scale, memo)
+    o2, o2sq = _moments(state.spec, state.rows2, base, scale, memo)
     i1, i2 = state.g1, state.g2
 
     def ev(e1, e2):

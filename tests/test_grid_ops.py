@@ -16,6 +16,7 @@ from modint.grids import (
     TwoParticleGridState,
     _moments,
     _momentum_bound,
+    _period_points,
     _transform,
     apply_modular_operator,
     apply_observable_raw,
@@ -28,6 +29,7 @@ from modint.grids import (
     observable_variance,
     support_rows,
 )
+from modint import grids
 from modint.modvar import (
     TWO_PI,
     ModularScale,
@@ -36,7 +38,7 @@ from modint.modvar import (
     smp_integer_momentum_variance,
     smp_modular_position_variance,
 )
-from modint.criterion import evaluate_criterion
+from modint.criterion import evaluate_criterion, robustness_threshold
 from modint.states import (
     GaussianEnvelope,
     SincEnvelope,
@@ -80,6 +82,14 @@ class TestGridSpec:
         assert np.array_equal(spec.x, -4.0 + spec.dx * np.arange(64))
         with pytest.raises(ValueError):
             spec.x[0] = 0.0
+        assert spec == GridSpec(points=64, xmin=-4.0, xmax=4.0)
+
+    def test_momenta_are_built_once_and_read_only(self):
+        spec = GridSpec(points=64, xmin=-4.0, xmax=4.0)
+        assert spec.p is spec.p
+        assert spec.p.tobytes() == (TWO_PI * np.fft.fftfreq(64, d=spec.dx)).tobytes()
+        with pytest.raises(ValueError):
+            spec.p[0] = 1.0
         assert spec == GridSpec(points=64, xmin=-4.0, xmax=4.0)
 
     def test_rejects_bad_sizes(self):
@@ -735,6 +745,121 @@ class TestLatticeRoute:
                     assert np.array_equal(_moments(gs.spec, rows, name, SCALE), want)
                 else:  # pbar's bound P/2 may keep a few more columns below the tail bound
                     assert np.allclose(_moments(gs.spec, rows, name, SCALE), want, rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# lattice rows on exact grids: position moments from one period
+
+
+def _full_fold_moments(spec, rows, name, scale=SCALE):
+    """The position moments of lattice rows from the values on every grid point."""
+    vals = observable_values(spec, name, scale)[1]
+    return lattice_gram(rows, np.stack([vals, vals**2]))
+
+
+def _assert_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _count_position_splits(monkeypatch, ell) -> list:
+    """A list that collects the size of every array grids splits at the position period ell."""
+    sizes = []
+    for name in ("modular_part", "integer_part"):
+        real = getattr(grids, name)
+
+        def counted(values, period, _real=real):
+            if period == ell:
+                sizes.append(np.size(values))
+            return _real(values, period)
+
+        monkeypatch.setattr(grids, name, counted)
+    return sizes
+
+
+class TestPeriodRoute:
+    @pytest.mark.parametrize("lam, x0", [(1.0, 0.0), (1.0, 0.37), (1.0, -1.3), (0.5, 0.2), (0.25, 0.0)])
+    def test_exact_grids_have_a_period(self, lam, x0):
+        st = build_mpe(3, x0, 1, lam, GaussianEnvelope(8.0 * lam))
+        grid = default_grid(st, lam)
+        assert _period_points(grid, ModularScale(lam)) == 256
+
+    @pytest.mark.parametrize(
+        "spec, ell",
+        [
+            (GridSpec(32768, -44.8, 44.8), 0.7),  # the lambda = 0.7 default grid: dx is not a power of two
+            (GridSpec(64, -4.0, 4.0), 0.375),  # 3 points per ell do not divide n
+            (GridSpec(64, -4.0, 4.0), 16.0),  # a period longer than the grid
+            (GridSpec(64, -4.05, 3.95), 1.0),  # xmin is not a multiple of dx
+            (GridSpec(64, 2.0**53, 2.0**53 + 8.0), 1.0),  # too far out for the split to be exact
+        ],
+    )
+    def test_other_grids_have_none(self, spec, ell):
+        assert _period_points(spec, ModularScale(ell)) is None
+
+    @pytest.mark.parametrize("kind", ["mpe", "classical"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("x0, N0, sigma", [(0.0, 1, 8.0), (0.37, 3, 4.0), (-1.3, 1, 16.0)])
+    @pytest.mark.filterwarnings("ignore:envelope width")
+    def test_agrees_with_the_full_fold(self, kind, N, x0, N0, sigma):
+        # the MPE state's N rows per particle (n / G = P) and every classical
+        # component's one row (G = n)
+        envelope = GaussianEnvelope(sigma)
+        if kind == "mpe":
+            comps = [build_mpe(N, x0, N0, 1.0, envelope)]
+        else:
+            comps = [c for _, c in build_classical_correlated(N, x0, N0, 1.0, envelope).components]
+        for comp in comps[:3]:
+            gs = discretize(comp, default_grid(comp, 1.0))
+            assert _period_points(gs.spec, SCALE) == 256
+            for rows in (gs.rows1, gs.rows2):
+                assert rows.lattice is not None
+                for name in ("xbar", "N_x"):
+                    want = _full_fold_moments(gs.spec, rows, name)
+                    _assert_close(_moments(gs.spec, rows, name, SCALE), want, 1e-13)
+
+    @pytest.mark.parametrize("xmin", [-4.0, -3.0])
+    @pytest.mark.parametrize("ell", [0.5, 2.0, 8.0])
+    def test_agrees_on_a_small_exact_lattice(self, xmin, ell):
+        # 64 points at dx = 1/8, P = 4, 16 or 64 points per ell; odd shifts give
+        # n / G = 64 and 8, and one row n / G = 1, so n / G is above, below and at P
+        spec = GridSpec(64, xmin, xmin + 8.0)
+        scale = ModularScale(ell)
+        assert _period_points(spec, scale) == int(ell * 8)
+        factor = np.exp(-0.5 * (spec.x - 0.3) ** 2) * (1 + 0.2j * spec.x)
+        for shifts in (((0, 0.3), (47, -1.1), (-21, 2.0)), ((3, 0.0), (11, 0.5), (-5, 1.0)), ((7, 0.3),)):
+            waves = [(TWO_PI * m / spec.length, t) for m, t in shifts]
+            rows = FactoredRows(spec, [factor], [0] * len(shifts), waves)
+            assert rows.lattice is not None
+            for name in ("xbar", "N_x"):
+                want = _full_fold_moments(spec, rows, name, scale)
+                _assert_close(_moments(spec, rows, name, scale), want, 1e-13)
+
+    @pytest.mark.parametrize("lam", [0.7, 0.3])
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    def test_inexact_grids_keep_the_full_fold_bitwise(self, lam, x0):
+        st = build_mpe(3, x0, 1, lam, GaussianEnvelope(8.0 * lam))
+        scale = ModularScale(lam)
+        gs = discretize(st, default_grid(st, lam))
+        assert _period_points(gs.spec, scale) is None
+        for rows in (gs.rows1, gs.rows2):
+            for name in ("xbar", "N_x"):
+                want = _full_fold_moments(gs.spec, rows, name, scale)
+                assert np.array_equal(_moments(gs.spec, rows, name, scale), want)
+
+    def test_ensembles_split_one_period(self, monkeypatch):
+        # no position split is longer than one period, L = P = 256 points at the
+        # default 256 per ell and the bisection's 128, and the components of one
+        # call share their grid's values: one split of xbar per call
+        sizes = _count_position_splits(monkeypatch, SCALE.ell)
+        st = admixture_state(0.3, 2, 1.0, GaussianEnvelope(8.0))
+        evaluate_criterion(st, SCALE)
+        assert sizes == [256]
+        sizes.clear()
+        robustness_threshold(2, "bisection")
+        assert sizes == [128]
+        sizes.clear()
+        evaluate_criterion(st, SCALE, axis="position")
+        assert sizes == [256]
 
 
 # ---------------------------------------------------------------------------
