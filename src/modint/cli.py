@@ -114,6 +114,20 @@ def _state_descriptor(args) -> dict:
     return d
 
 
+def _check_window(top: float, period: float, what: str):
+    """Refuse a profile whose largest |coordinate| top the float grid cannot resolve.
+
+    The rule estimate_criterion applies to records: the float spacing at top
+    must not exceed sampling.RECORD_RESOLUTION of the period.
+    """
+    if not np.spacing(top) <= sampling.RECORD_RESOLUTION * period:
+        raise CliError(
+            f"the profile window reaches |{what}| = {top:.3g}, where the float spacing "
+            f"exceeds {sampling.RECORD_RESOLUTION:.3g} of the period {period:.3g}; "
+            + ("narrow --periods" if what == "p" else "narrow --periods or bring --x0 nearer 0")
+        )
+
+
 def cmd_fringes(args) -> str:
     if not 2 <= args.grid_points <= states.MAX_GRID_POINTS:
         raise CliError(f"--grid-points must lie in [2, {states.MAX_GRID_POINTS}], got {args.grid_points}")
@@ -121,24 +135,26 @@ def cmd_fringes(args) -> str:
         raise CliError(f"--periods must be positive and finite, got {args.periods}")
     desc = _state_descriptor(args)
     state = states.state_from_descriptor(desc)
+    half = args.periods / 2
     if isinstance(state, states.SuperposedState):
         if args.state == "multislit":
             # momentum-space fringe profile, period h/L
             per = H_PLANCK / args.L
-            p = np.linspace(-args.periods / 2 * per, args.periods / 2 * per, args.grid_points)
+            _check_window(half * per, per, "p")
+            p = np.linspace(-half * per, half * per, args.grid_points)
             dens = states.momentum_density(state, p)
             header, axis = ["p [hbar=1]", "density"], p
         else:
-            x = np.linspace(
-                args.x0 - args.periods / 2 * args.lam,
-                args.x0 + args.periods / 2 * args.lam,
-                args.grid_points,
-            )
+            lo, hi = args.x0 - half * args.lam, args.x0 + half * args.lam
+            _check_window(max(-lo, hi), args.lam, "x")
+            x = np.linspace(lo, hi, args.grid_points)
             dens = states.position_density(state, x)
             header, axis = ["x [length]", "density"], x
     else:
         # relative-coordinate cut through the joint density at the envelope centers
-        r = np.linspace(-args.periods / 2 * args.lam, args.periods / 2 * args.lam, args.grid_points)
+        reach = half * args.lam
+        _check_window(max(reach, abs(args.x0) + reach / 2), args.lam, "x")
+        r = np.linspace(-reach, reach, args.grid_points)
         dens = states.joint_position_density(state, args.x0 + r / 2, -args.x0 - r / 2)
         header, axis = ["x1_minus_x2_offset [length]", "joint_density"], r
     return _csv_columns(header, axis.tolist(), dens.tolist())

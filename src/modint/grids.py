@@ -19,7 +19,6 @@ from .modvar import TWO_PI, ModularScale, integer_part, modular_part
 
 DENSE_CAP = 2**11  # per-axis cap when materializing full 2-D arrays
 GRAM_BLOCK = 4096  # grid columns per block in gram()
-WAVE_BLOCK = 256  # grid points per fine plane-wave factor in FactoredRows.array
 LATTICE_ULPS = 4  # how far, in ulps, s L / 2 pi may sit from an integer for a lattice wave
 
 _POSITION_OBS = {"x", "xbar", "N_x"}
@@ -127,9 +126,7 @@ def gram(A: np.ndarray, dx: float, weight: np.ndarray | None = None) -> np.ndarr
 class FactoredRows:
     """K grid rows factors[index[k]](x) * e^{i(s_k x + t_k)}, kept as those parts.
 
-    `array` materializes the (K, n) rows: the wave on x = xmin + dx (j B + i)
-    is the outer product of a coarse exponential over the blocks j and a fine
-    one over i < B, so no row pays a full-grid exponential.
+    `array` materializes the (K, n) rows.
     """
 
     spec: GridSpec
@@ -143,27 +140,22 @@ class FactoredRows:
 
     @functools.cached_property
     def array(self) -> np.ndarray:
-        spec = self.spec
-        b = min(WAVE_BLOCK, spec.points)
-        fine = spec.dx * np.arange(b)
-        starts = spec.xmin + spec.dx * b * np.arange(spec.points // b)
         out = np.empty(self.shape, dtype=complex)
         for row, (s, t), k in zip(out, self.waves, self.index):
-            coarse = np.exp(1j * (s * starts + t))
-            np.multiply(coarse[:, None], np.exp(1j * s * fine), out=row.reshape(-1, b))
-            row *= self.factors[k]
+            np.multiply(self.factors[k], np.exp(1j * (s * self.spec.x + t)), out=row)
         return out
 
     @functools.cached_property
     def lattice(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(m, phase) when row k is phase_k * factor(x_j) * e^{2 pi i m_k j / n}, else None.
 
-        That holds when all K rows share one factor and every s_k is 2 pi m_k / L
-        to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the position Grams
-        come from the factor's folded density and the momentum rows are shifts of
-        the factor's FFT.
+        That holds when all K rows share one real factor and every s_k is
+        2 pi m_k / L to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the
+        identity Gram comes from the factor's folded density, the position
+        moments from one period on exact grids, and the momentum rows are shifts
+        of the factor's FFT.
         """
-        if len(self.factors) != 1:
+        if len(self.factors) != 1 or np.iscomplexobj(self.factors[0]):
             return None
         s, t = np.array(self.waves).T
         r = s * (self.spec.length / TWO_PI)
@@ -181,25 +173,17 @@ def _lattice(rows):
     return rows.lattice if isinstance(rows, FactoredRows) else None
 
 
-def lattice_gram(
-    rows: FactoredRows, weight: np.ndarray | None = None, memo=None, key=None
-) -> np.ndarray:
-    """gram(A, dx, weight) of lattice rows from the factor's folded density.
+def lattice_gram(rows: FactoredRows, memo=None) -> np.ndarray:
+    """gram(A, dx) of lattice rows from the factor's folded density.
 
-    <a_i|w|a_j> dx = conj(ph_i) ph_j dx R[(m_i - m_j) mod n] with R the FFT of
-    d = |factor|^2 w. Every lag is a multiple of G = gcd(n, m_k - m_0), and there
+    <a_i|a_j> dx = conj(ph_i) ph_j dx R[(m_i - m_j) mod n] with R the FFT of
+    d = |factor|^2. Every lag is a multiple of G = gcd(n, m_k - m_0), and there
     R[G k] = FFT_{n/G}(fold(d))[k] with fold(d)[r] = sum_q d[r + q n / G]. For one
     row G = n and the fold is the plain sum. The spectra are kept in `memo` (see
-    _cached) under `key`, which names the weight, None for none.
+    _cached).
     """
     factor = rows.factors[0]
-
-    def folded(width):
-        dens = np.abs(factor) ** 2
-        d = dens if weight is None else dens * weight
-        return _fold(d, width)
-
-    return _lag_gram(rows, folded, memo, key)
+    return _lag_gram(rows, lambda width: _fold(np.abs(factor) ** 2, width), memo, None)
 
 
 def _fold(d: np.ndarray, width: int) -> np.ndarray:
@@ -294,21 +278,14 @@ def _period_moments(rows: FactoredRows, name: str, scale: ModularScale, period: 
 TAIL_ULP = 2.0**-53  # bound on the momentum sweep's dropped weighted power, as a share of the factor's
 
 
-def _transform(factor: np.ndarray) -> np.ndarray:
-    """The factor's n-point FFT F; of a real factor only its half u <= n / 2, by rfft.
-
-    A real factor's F[u] for u > n / 2 is conj(F[n - u]), so the half holds all of F.
-    """
-    return np.fft.rfft(factor) if np.isrealobj(factor) else np.fft.fft(factor)
-
-
 def support_rows(
     rows: FactoredRows, wmax: float, memo=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(S, fft rows on S, tail bound) of lattice rows for weights bounded by wmax.
 
     Row k's FFT is phase_k * F[(u - m_k) mod n] with F = fft(factor), read from
-    the half spectrum of a real factor (see _transform). The columns
+    the factor's half spectrum u <= n / 2 (rfft): the factor is real, so
+    F[u] = conj(F[n - u]). The columns
     W = {u : |F[u]|^2 n wmax > TAIL_ULP sum |F|^2} carry the factor's weight, and
     S is the union of W shifted by every m_k. By Cauchy-Schwarz, the columns off S
     change a Gram entry <a_i|w|a_j> by at most the returned tail bound,
@@ -318,33 +295,27 @@ def support_rows(
     m, phase = rows.lattice
     n = rows.spec.points
     factor = rows.factors[0]
-    ft = _cached(memo, factor, "fft", lambda: _transform(factor))
-    half = ft.size < n
+    ft = _cached(memo, factor, "fft", lambda: np.fft.rfft(factor))
 
     def support():
         power = ft.real**2 + ft.imag**2
         share = power.copy()  # each stored column's part of sum |F|^2
-        if half:  # the inner columns u of a half stand for u and n - u too
-            share[1:-1] *= 2
+        share[1:-1] *= 2  # the inner columns u stand for u and n - u too
         keep = power * (n * wmax) > TAIL_ULP * np.sum(share)
         tail = wmax * np.sum(share, where=~keep)
-        return (np.concatenate([keep, keep[-2:0:-1]]) if half else keep), tail
+        return np.flatnonzero(np.concatenate([keep, keep[-2:0:-1]])), tail
 
-    keep, tail = _cached(memo, factor, ("support", wmax), support)
-    mask = np.zeros(n, dtype=bool)
-    for shift in np.unique(m):
-        mask |= np.roll(keep, shift)
+    cols, tail = _cached(memo, factor, ("support", wmax), support)
+    mask = np.zeros(n, dtype=bool)  # S: W shifted by every m_k, in one scatter
+    mask[(cols + m[:, None]) & (n - 1)] = True
     s = np.flatnonzero(mask)
     out = np.empty((m.size, s.size), dtype=complex)
     # a row at a time keeps the index arrays short; n is a power of two, and in
     # mode "clip" take writes into out without a buffer (every index is in range)
     for row, shift, ph in zip(out, m, phase):
         u = (s - shift) & (n - 1)
-        if half:
-            np.take(ft, np.minimum(u, n - u), out=row, mode="clip")
-            np.conjugate(row, out=row, where=u > n // 2)
-        else:
-            np.take(ft, u, out=row, mode="clip")
+        np.take(ft, np.minimum(u, n - u), out=row, mode="clip")
+        np.conjugate(row, out=row, where=u > n // 2)
         row *= ph
     return s, out, tail
 
@@ -528,9 +499,10 @@ def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None):
 
     Lattice rows keep their factor's transforms in memo (see lattice_gram) and
     take the momentum values on their support columns only, and xbar and N_x
-    from one period where the grid has one (see _period_moments); other rows
-    are swept in full. Full position values are kept in memo, so particles and
-    components on one grid compute them once.
+    from one period where the grid has one (see _period_moments); other rows,
+    and lattice rows on a grid without a period, are swept in full. Full
+    position values are kept in memo, so particles and components on one grid
+    compute them once.
     """
     lattice = _lattice(rows) is not None
     dx = spec.dx
@@ -549,8 +521,6 @@ def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None):
         if period is not None:
             return _period_moments(rows, name, scale, period, memo)
         vals = _position_values(spec, name, scale, spec.points, memo)
-        if lattice:
-            return lattice_gram(rows, np.stack([vals, vals**2]), memo, (name, scale, spec))
         arrs = _array(rows)
     return gram(arrs, dx, np.stack([vals, vals**2]))
 

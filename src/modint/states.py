@@ -49,25 +49,6 @@ class Envelope:
         raise NotImplementedError
 
 
-EXP_ZERO = -746.0  # below ln(2**-1075) ~ -745.13 the exp of every double rounds to +0.0
-
-
-def _exp_skipping_zeros(u: np.ndarray) -> np.ndarray:
-    """np.exp(u), bitwise, without evaluating exp where u <= EXP_ZERO.
-
-    numpy's exp leaves its vector loop for arguments whose result underflows,
-    and those results are exactly +0.0, so they are written as zeros instead.
-    NaN stays among the evaluated arguments and gives NaN; -inf gives 0.
-    """
-    if not (u.size and np.fmin.reduce(u, axis=None) <= EXP_ZERO):
-        return np.exp(u)
-    flat = u.ravel()
-    live = np.flatnonzero(~(flat <= EXP_ZERO))
-    out = np.zeros(u.shape)
-    out.reshape(-1)[live] = np.exp(flat[live])
-    return out
-
-
 def _check_width(name: str, value: float):
     # the amplitudes divide by the square, which must neither underflow nor overflow
     if not (value > 0 and 0 < value * value < math.inf):
@@ -85,12 +66,12 @@ class GaussianEnvelope(Envelope):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         u = -(x**2) / (4 * self.sigma_x**2)
-        return (2 * math.pi * self.sigma_x**2) ** -0.25 * _exp_skipping_zeros(u)
+        return (2 * math.pi * self.sigma_x**2) ** -0.25 * np.exp(u)
 
     def fourier(self, p):
         p = np.asarray(p, dtype=float)
         u = -(self.sigma_x**2) * p**2
-        return (2 * self.sigma_x**2 / math.pi) ** 0.25 * _exp_skipping_zeros(u)
+        return (2 * self.sigma_x**2 / math.pi) ** 0.25 * np.exp(u)
 
     @property
     def width(self):
@@ -984,13 +965,19 @@ def gridstate_to_csv(state, path):
 def gridstate_from_csv(path) -> GridState:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header, rows = rows[0], rows[1:]
-    if header[:3] != ["x", "re", "im"]:
+    if not rows or rows[0][:3] != ["x", "re", "im"]:
         raise ValueError("unsupported CSV layout; expected columns x, re, im")
+    rows = rows[1:]
+    if len(rows) < 2:
+        raise ValueError(f"a grid state needs at least two rows of data, got {len(rows)}")
+    if min(map(len, rows)) < 3:
+        raise ValueError("every row of data needs the three fields x, re, im")
     x = np.array([float(r[0]) for r in rows])
     psi = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    dx = x[1] - x[0]
+    dx = (x[-1] - x[0]) / (len(x) - 1)
     spec = GridSpec(points=len(x), xmin=float(x[0]), xmax=float(x[0]) + dx * len(x))
+    if not np.max(np.abs(x - spec.x)) <= 1e-9 * spec.dx:
+        raise ValueError("the x column is not a uniform grid")
     return GridState(spec, psi)
 
 

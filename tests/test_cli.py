@@ -1,6 +1,7 @@
 """Tests for the modint command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -520,6 +521,30 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"error: {name}:") and "sigma_x" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "fringes --periods 1e308",
+            "fringes --state multislit --periods 1e308",
+            "fringes --state smp --x0 1e17",
+        ],
+    )
+    def test_unresolvable_fringe_window_exits_2(self, line):
+        # these printed NaN densities, or one x value in every row, with exit 0;
+        # a fresh interpreter shows any RuntimeWarning on stderr
+        code, out, err = run_cli_process(line.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float spacing" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_resolvable_fringe_window_is_unchanged(self):
+        # the README line's bytes, as printed before windows were checked
+        code, out, err = run_cli(["fringes", "--state", "mpe", "--N", "2"])
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "5c241302309ff9f8ebcf77988c0e6967cd78448d83f13342f55531ed7d33e513"
 
     def test_state_wider_than_the_grid_budget_exits_2(self):
         # the first grid would take 2^33 points; it is refused before any array

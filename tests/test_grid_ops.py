@@ -17,7 +17,6 @@ from modint.grids import (
     _moments,
     _momentum_bound,
     _period_points,
-    _transform,
     apply_modular_operator,
     apply_observable_raw,
     commutator_expectation,
@@ -366,7 +365,7 @@ class TestProductTermCore:
 
 
 # ---------------------------------------------------------------------------
-# grid rows as shared envelope factors times outer-product plane waves
+# grid rows as shared envelope factors times plane waves
 
 
 def _complex_tabulated():
@@ -375,7 +374,7 @@ def _complex_tabulated():
 
 
 _ROW_CASES = {
-    # fewer grid points than one fine block, negative xmin, incommensurate p0, phase_ref
+    # a 16-point grid, negative xmin, incommensurate p0, phase_ref
     "16 points": (GridSpec(16, -3.0, 5.0), [WavePacket(GaussianEnvelope(1.0), 0.5, 2.7, 0.3)]),
     "64 points": (
         GridSpec(64, -20.0, -4.0),
@@ -521,6 +520,34 @@ def _count_transforms(monkeypatch) -> list:
     return calls
 
 
+def _fold_gram(rows, weight):
+    """gram(rows.array, dx, weight) of lattice rows from |factor|^2 weight folded on to n / G points.
+
+    The lag form of lattice_gram with a weight stack: the full-value fold that
+    the period route's moments are checked against.
+    """
+    m, phase = rows.lattice
+    n = rows.spec.points
+    g = int(np.gcd.reduce(np.append(m - m[0], n)))
+    d = np.abs(rows.factors[0]) ** 2 * weight
+    fold = d.reshape(len(weight), -1, n // g).sum(axis=1)
+    spectra = fold if g == n else np.fft.fft(fold, axis=-1)
+    lags = (m[:, None] - m[None, :]) // g % (n // g)
+    return spectra[..., lags] * (np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx)
+
+
+def _assert_support_is_the_rolled_union(rows, wmax):
+    """support_rows's S is the union of W rolled by every distinct shift, one roll at a time."""
+    memo = {}
+    s = support_rows(rows, wmax, memo)[0]
+    keep = np.zeros(rows.spec.points, dtype=bool)
+    keep[memo[id(rows.factors[0]), ("support", wmax)][1][0]] = True
+    mask = np.zeros_like(keep)
+    for shift in np.unique(rows.lattice[0]):
+        mask |= np.roll(keep, shift)
+    assert np.array_equal(s, np.flatnonzero(mask))
+
+
 class TestLatticeRoute:
     @pytest.mark.parametrize("N", [2, 3, 5, 10])
     @pytest.mark.parametrize("x0", [0.0, 0.37])
@@ -584,9 +611,21 @@ class TestLatticeRoute:
 
     @pytest.mark.parametrize(
         "case",
-        ["distinct x0", "lambda 0.7 on ell 1", "1e-9 off the lattice"],
+        [
+            "distinct x0",
+            "lambda 0.7 on ell 1",
+            "1e-9 off the lattice",
+            "complex tabulated",
+            "lambda 0.7 x0 0",
+            "lambda 0.7 x0 0.37",
+            "lambda 0.3 x0 0",
+            "lambda 0.3 x0 0.37",
+        ],
     )
     def test_other_rows_take_the_row_route_bitwise(self, case):
+        # rows that are not lattice rows take the row route for every statistic;
+        # lattice rows on a grid without a period take it for xbar and N_x
+        scale, lattice = SCALE, False
         if case == "distinct x0":
             coefs, x0s = [1.0, 0.5j, -0.7, 0.3], [0.0, 0.3, -0.6, 1.1]
             terms = [
@@ -596,20 +635,34 @@ class TestLatticeRoute:
             st = TwoParticleState(terms, fringe_period=1.0)
         elif case == "lambda 0.7 on ell 1":
             st = build_mpe(3, 0.0, 1, 0.7, GaussianEnvelope(5.6))
-        else:
+        elif case == "1e-9 off the lattice":
             terms = [
                 (1.0, WavePacket(WIDE, 0.0, 2 * np.pi * n + 1e-9), WavePacket(WIDE, 0.0, -2 * np.pi * n - 1e-9))
                 for n in (1, 2, 3)
             ]
             st = TwoParticleState(terms, fringe_period=1.0)
-        grid = default_grid(st, 1.0)
+        elif case == "complex tabulated":  # one shared factor, but a complex one
+            st = build_mpe(2, 0.0, 1, 1.0, _wide_complex_tabulated())
+        else:
+            _, lam, _, x0 = case.split()
+            lam, x0, lattice = float(lam), float(x0), True
+            scale = ModularScale(lam)
+            st = build_mpe(3, x0, 1, lam, GaussianEnvelope(8.0 * lam))
+        grid = default_grid(st, scale.ell)
         gs = discretize(st, grid)
-        assert gs.rows1.lattice is None and gs.rows2.lattice is None
         ref = _materialized_discretize(st, grid)
+        if lattice:
+            assert _period_points(grid, scale) is None
+            for rows, arr in ((gs.rows1, ref.a1), (gs.rows2, ref.a2)):
+                assert rows.lattice is not None
+                for name in ("xbar", "N_x"):
+                    assert np.array_equal(_moments(grid, rows, name, scale), _moments(grid, arr, name, scale))
+            return
+        assert gs.rows1.lattice is None and gs.rows2.lattice is None
         assert np.array_equal(gs.g1, ref.g1) and np.array_equal(gs.g2, ref.g2)
         assert np.array_equal(gs.coefs, ref.coefs)
         for name in sorted(_REL_TOT):
-            assert observable_stats(gs, name, SCALE) == observable_stats(ref, name, SCALE)
+            assert observable_stats(gs, name, scale) == observable_stats(ref, name, scale)
 
     def test_routes_agree_where_the_momentum_rows_overlap(self):
         # sigma = 0.6 lambda: neighbouring packets share momenta, so the rows' phases
@@ -622,7 +675,7 @@ class TestLatticeRoute:
 
     def test_lattice_identities_on_a_small_grid(self):
         spec = GridSpec(64, -4.0, 4.0)
-        factor = np.exp(-2.0 * spec.x**2) * (1 + 0.2j * spec.x)
+        factor = np.exp(-2.0 * spec.x**2) * (1 + 0.2 * spec.x)
         power = np.sum(np.abs(np.fft.fft(factor)) ** 2)
         w = np.stack([np.ones(64), spec.x, spec.x**2])
         for shifts in (
@@ -634,7 +687,7 @@ class TestLatticeRoute:
             rows = FactoredRows(spec, [factor], [0] * len(shifts), waves)
             assert rows.lattice is not None
             want = gram(rows.array, spec.dx, w)
-            assert np.allclose(lattice_gram(rows, w), want, rtol=0, atol=1e-14)
+            assert np.allclose(_fold_gram(rows, w), want, rtol=0, atol=1e-14)
             assert np.allclose(lattice_gram(rows), want[0], rtol=0, atol=1e-14)
             # weights bounded by 1 keep the columns where |F|^2 is above 2^-53 / 64 of the
             # total; the support rows are the full FFT rows there, and off it each row's
@@ -642,6 +695,7 @@ class TestLatticeRoute:
             cols, got, tail = support_rows(rows, 1.0)
             full = np.fft.fft(rows.array, axis=1)
             assert np.array_equal(cols, np.unique(cols)) and 0 < cols.size < 64
+            _assert_support_is_the_rolled_union(rows, 1.0)
             assert np.allclose(got, full[:, cols], rtol=0, atol=1e-13)
             off = np.delete(full, cols, axis=1)
             assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
@@ -659,6 +713,7 @@ class TestLatticeRoute:
             wmax = max(vals.max(), vals.max() ** 2)
             for rows in (gs.rows1, gs.rows2):
                 cols, _, tail = support_rows(rows, wmax)
+                _assert_support_is_the_rolled_union(rows, wmax)
                 power = np.abs(np.fft.fft(rows.factors[0])) ** 2
                 assert tail <= 2.0**-53 * np.sum(power)
                 if x0 == 0.0:  # a centred factor's transform is negligible off its support
@@ -687,7 +742,7 @@ class TestLatticeRoute:
         spec = GridSpec(4096, -64.0, 64.0)
         factor = envelope(spec.x - x0)
         n = spec.points
-        half = _transform(factor)
+        half = np.fft.rfft(factor)
         full = np.fft.fft(factor)
         assert half.shape == (n // 2 + 1,)
         got = np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
@@ -697,22 +752,13 @@ class TestLatticeRoute:
         cols, got, tail = support_rows(rows, 1.0)
         want = np.fft.fft(rows.array, axis=1)
         assert np.array_equal(cols, np.unique(cols)) and 0 < cols.size <= n
+        _assert_support_is_the_rolled_union(rows, 1.0)
         assert np.max(np.abs(got - want[:, cols])) <= 1e-13 * np.max(np.abs(want))
         off = np.delete(want, cols, axis=1)
         assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
         assert 0 <= tail <= 2.0**-53 * np.sum(np.abs(full) ** 2)
         if envelope is WIDE:  # the sinc's 1/x tails keep every column; the Gaussian's do not
             assert cols.size < n and tail > 0
-
-    def test_complex_factor_takes_the_full_fft(self, monkeypatch):
-        st = build_mpe(2, 0.0, 1, 1.0, _wide_complex_tabulated())
-        gs = discretize(st, default_grid(st, 1.0))
-        factor = gs.rows1.factors[0]
-        assert np.iscomplexobj(factor) and gs.rows1.lattice is not None
-        assert _transform(factor).shape == (gs.spec.points,)
-        calls = _count_transforms(monkeypatch)
-        observable_stats(gs, "N_p_tot", SCALE)
-        assert calls == [("fft", gs.spec.points)]
 
     @pytest.mark.parametrize(
         "spec", [GridSpec(16, -1.0, 1.0), GridSpec(32768, -64.0, 64.0), GridSpec(65536, -80.63, 47.37)]
@@ -739,6 +785,7 @@ class TestLatticeRoute:
             for name in ("pbar", "N_p"):
                 full = np.abs(observable_values(gs.spec, name, SCALE)[1])
                 cols, arrs, _ = support_rows(rows, max(full.max(), full.max() ** 2))
+                _assert_support_is_the_rolled_union(rows, max(full.max(), full.max() ** 2))
                 vals = observable_values(gs.spec, name, SCALE)[1][cols]
                 want = gram(arrs, gs.spec.dx / gs.spec.points, np.stack([vals, vals**2]))
                 if name == "N_p":  # the same bound, so the same columns and sums, bitwise
@@ -754,7 +801,7 @@ class TestLatticeRoute:
 def _full_fold_moments(spec, rows, name, scale=SCALE):
     """The position moments of lattice rows from the values on every grid point."""
     vals = observable_values(spec, name, scale)[1]
-    return lattice_gram(rows, np.stack([vals, vals**2]))
+    return _fold_gram(rows, np.stack([vals, vals**2]))
 
 
 def _assert_close(got, want, rel):
@@ -825,7 +872,7 @@ class TestPeriodRoute:
         spec = GridSpec(64, xmin, xmin + 8.0)
         scale = ModularScale(ell)
         assert _period_points(spec, scale) == int(ell * 8)
-        factor = np.exp(-0.5 * (spec.x - 0.3) ** 2) * (1 + 0.2j * spec.x)
+        factor = np.exp(-0.5 * (spec.x - 0.3) ** 2) * (1 + 0.2 * spec.x)
         for shifts in (((0, 0.3), (47, -1.1), (-21, 2.0)), ((3, 0.0), (11, 0.5), (-5, 1.0)), ((7, 0.3),)):
             waves = [(TWO_PI * m / spec.length, t) for m, t in shifts]
             rows = FactoredRows(spec, [factor], [0] * len(shifts), waves)
@@ -833,18 +880,6 @@ class TestPeriodRoute:
             for name in ("xbar", "N_x"):
                 want = _full_fold_moments(spec, rows, name, scale)
                 _assert_close(_moments(spec, rows, name, scale), want, 1e-13)
-
-    @pytest.mark.parametrize("lam", [0.7, 0.3])
-    @pytest.mark.parametrize("x0", [0.0, 0.37])
-    def test_inexact_grids_keep_the_full_fold_bitwise(self, lam, x0):
-        st = build_mpe(3, x0, 1, lam, GaussianEnvelope(8.0 * lam))
-        scale = ModularScale(lam)
-        gs = discretize(st, default_grid(st, lam))
-        assert _period_points(gs.spec, scale) is None
-        for rows in (gs.rows1, gs.rows2):
-            for name in ("xbar", "N_x"):
-                want = _full_fold_moments(gs.spec, rows, name, scale)
-                assert np.array_equal(_moments(gs.spec, rows, name, scale), want)
 
     def test_ensembles_split_one_period(self, monkeypatch):
         # no position split is longer than one period, L = P = 256 points at the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from modint import states
 from modint.criterion import evaluate_criterion
-from modint.grids import GridSpec, TwoParticleGridState
+from modint.grids import GridSpec, GridState, TwoParticleGridState
 from modint.modvar import H_PLANCK, ModularScale, fringe_function
 from modint.states import (
     GaussianEnvelope,
@@ -205,7 +205,7 @@ def _assert_gaussian_bitwise(sigma, x, p):
 
 
 class TestGaussianValuesBitwise:
-    """The envelope skips exps that round to +0.0; every value stays the plain formula's."""
+    """Every Gaussian value is the plain formula's, bit for bit, in the normal, subnormal and zero bands."""
 
     @pytest.mark.parametrize("sigma", GAUSSIAN_WIDTHS)
     def test_every_exponent_band(self, sigma):
@@ -696,6 +696,41 @@ class TestSerialization:
         back = gridstate_from_csv(path)
         assert np.allclose(back.psi, gs.psi, atol=1e-12)
         assert back.spec == gs.spec
+
+    def test_csv_round_trip_on_an_inexact_grid(self, tmp_path):
+        # dx = 0.7 / 256 is not a power of two: the grid is rebuilt from the whole
+        # x column, not from its first two rows
+        spec = GridSpec(32768, -44.8, 44.8)
+        gs = GridState(spec, np.exp(-(spec.x**2) / 50.0))
+        path = tmp_path / "state.csv"
+        gridstate_to_csv(gs, path)
+        back = gridstate_from_csv(path)
+        assert np.array_equal(back.spec.x, spec.x)
+        assert np.allclose(back.psi, gs.psi, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("", "at least two rows"),
+            ("0.0,1.0,0.0\n", "at least two rows"),
+            ("0.0,1.0,0.0\n1.0,1.0\n", "three fields"),
+        ],
+        ids=["no-rows", "one-row", "short-row"],
+    )
+    def test_csv_that_cannot_be_read_is_refused(self, tmp_path, body, match):
+        path = tmp_path / "state.csv"
+        path.write_text("x,re,im\n" + body)
+        with pytest.raises(ValueError, match=match):
+            gridstate_from_csv(path)
+
+    def test_csv_with_a_nonuniform_x_column_is_refused(self, tmp_path):
+        # the first two rows alone describe a uniform grid of 16 points
+        x = np.arange(16.0)
+        x[9] += 0.25
+        path = tmp_path / "state.csv"
+        path.write_text("x,re,im\n" + "".join(f"{v!r},1.0,0.0\n" for v in x.tolist()))
+        with pytest.raises(ValueError, match="not a uniform grid"):
+            gridstate_from_csv(path)
 
     def test_descriptor_builds_all_kinds(self):
         base = {"N": 2, "x0": 0.0, "N0": 1, "lambda": 1.0,
