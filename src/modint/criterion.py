@@ -67,7 +67,7 @@ def _component_stats(
     """Both observables' (mean, var) on the state's grid, and (grid points, contained mass).
 
     The components of one call pass one `memo`, so those on one grid share its
-    envelope factors and their transforms (see discretize).
+    envelope factors and their folded densities (see discretize).
     """
     n_obs, rel_obs = _AXES[axis]
     grid = default_grid(state, scale.ell, points_per_ell=points_per_ell)

@@ -4,7 +4,8 @@ Single-particle states are complex amplitudes on a uniform periodic grid;
 two-particle states are kept as sums of product terms so that variances
 reduce to single-particle matrix elements.  Momentum-side observables are
 exact lattice functions whenever the box length is an integer multiple of
-the modular scale ell.
+the modular scale ell; rows of one Gaussian factor take them from its
+closed-form transform on a few columns about each row's momentum.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ class FactoredRows:
     factors: list  # distinct envelope factors on spec.x
     index: list  # each row's factor
     waves: list  # each row's (s, t)
+    keys: list | None = None  # each factor's (envelope, c), where known: it is envelope(x - c)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -152,8 +154,8 @@ class FactoredRows:
         That holds when all K rows share one real factor and every s_k is
         2 pi m_k / L to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the
         identity Gram comes from the factor's folded density, the position
-        moments from one period on exact grids, and the momentum rows are shifts
-        of the factor's FFT.
+        moments from one period on exact grids, and the momentum rows of a
+        Gaussian factor from its closed-form transform (see window_rows).
         """
         if len(self.factors) != 1 or np.iscomplexobj(self.factors[0]):
             return None
@@ -275,49 +277,41 @@ def _period_moments(rows: FactoredRows, name: str, scale: ModularScale, period: 
     return _lag_gram(rows, folded, memo, (name, scale, spec))
 
 
-TAIL_ULP = 2.0**-53  # bound on the momentum sweep's dropped weighted power, as a share of the factor's
+def window_rows(rows: FactoredRows, vmax: float) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(S, FFT rows on S, tail) of Gaussian lattice rows for weights below wmax = max(vmax, vmax^2).
 
-
-def support_rows(
-    rows: FactoredRows, wmax: float, memo=None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(S, fft rows on S, tail bound) of lattice rows for weights bounded by wmax.
-
-    Row k's FFT is phase_k * F[(u - m_k) mod n] with F = fft(factor), read from
-    the factor's half spectrum u <= n / 2 (rfft): the factor is real, so
-    F[u] = conj(F[n - u]). The columns
-    W = {u : |F[u]|^2 n wmax > TAIL_ULP sum |F|^2} carry the factor's weight, and
-    S is the union of W shifted by every m_k. By Cauchy-Schwarz, the columns off S
-    change a Gram entry <a_i|w|a_j> by at most the returned tail bound,
-    wmax * sum_{u not in W} |F[u]|^2 <= TAIL_ULP sum |F|^2: one unit roundoff of
-    the rows' norm in the Gram's momentum scaling.
+    Row k's FFT at column u is ph_k (sqrt(2 pi) / dx) phi_hat(p) e^{ip(xmin - x0)}, p the
+    lattice momentum of (u - m_k) mod n: the transform of phi(x - x0) periodized over the
+    box, which differs from the FFT of its box-cut samples by the tail beyond the box. So the
+    box must hold 8 sigma a side, as default_grid pads, where phi is e^-16 of its peak.
+    |phi_hat|^2 is normal of deviation 1 / (2 sigma): the infinite lattice's columns beyond
+    m_k +- h hold tail <= erfc(sqrt(2) sigma h dp) n / dx <= e^{-2 (sigma h dp)^2} n / dx, and with
+    h the least making wmax e^{-2 (sigma h dp)^2} < 2^-53 the columns off S = U_k (m_k + [-h, h])
+    move a Gram entry <a_i|w|a_j> by one unit roundoff of the rows' norm at most (Cauchy-Schwarz).
+    Aliased images of window columns lie beyond the window, in the tail. Rows whose window would
+    reach half the lattice, where images fall inside it, or whose box cuts the tail, and rows
+    of any other envelope, take the row route (None) instead.
     """
+    if _lattice(rows) is None or rows.keys is None:
+        return None
+    envelope, centre = rows.keys[0]
+    spec = rows.spec
+    margin = min(centre - spec.xmin, spec.xmax - centre)  # the box's hold on the factor
+    if envelope.kind != "gaussian" or margin < 8 * envelope.width:
+        return None
+    n = spec.points
+    step = math.sqrt(2.0) * envelope.sigma_x * (TWO_PI / spec.length)  # sqrt(2) sigma dp
+    half = math.ceil(math.sqrt(math.log1p(max(vmax, vmax * vmax) * 2.0**53)) / step)
+    if 2 * half >= n:
+        return None
     m, phase = rows.lattice
-    n = rows.spec.points
-    factor = rows.factors[0]
-    ft = _cached(memo, factor, "fft", lambda: np.fft.rfft(factor))
-
-    def support():
-        power = ft.real**2 + ft.imag**2
-        share = power.copy()  # each stored column's part of sum |F|^2
-        share[1:-1] *= 2  # the inner columns u stand for u and n - u too
-        keep = power * (n * wmax) > TAIL_ULP * np.sum(share)
-        tail = wmax * np.sum(share, where=~keep)
-        return np.flatnonzero(np.concatenate([keep, keep[-2:0:-1]])), tail
-
-    cols, tail = _cached(memo, factor, ("support", wmax), support)
-    mask = np.zeros(n, dtype=bool)  # S: W shifted by every m_k, in one scatter
-    mask[(cols + m[:, None]) & (n - 1)] = True
+    mask = np.zeros(n, dtype=bool)  # S, in one scatter
+    mask[(np.arange(-half, half + 1) + m[:, None]) & (n - 1)] = True
     s = np.flatnonzero(mask)
-    out = np.empty((m.size, s.size), dtype=complex)
-    # a row at a time keeps the index arrays short; n is a power of two, and in
-    # mode "clip" take writes into out without a buffer (every index is in range)
-    for row, shift, ph in zip(out, m, phase):
-        u = (s - shift) & (n - 1)
-        np.take(ft, np.minimum(u, n - u), out=row, mode="clip")
-        np.conjugate(row, out=row, where=u > n // 2)
-        row *= ph
-    return s, out, tail
+    p = _lattice_momenta(spec, (s - m[:, None]) & (n - 1))
+    out = envelope.fourier(p) * np.exp(1j * (spec.xmin - centre) * p)
+    out *= phase[:, None] * (math.sqrt(TWO_PI) / spec.dx)
+    return s, out, n / spec.dx * math.erfc(step * half)
 
 
 def _cached(memo: dict | None, owner, key, compute):
@@ -325,8 +319,9 @@ def _cached(memo: dict | None, owner, key, compute):
 
     A memo lives as long as the grid states that hold it: one state's own, or
     one shared by the components of one criterion call (see discretize). Rows
-    that hold one factor object share the factor's transforms, states on one
-    spec object share its position values, and none outlive the states.
+    that hold one factor object share the factor's folded spectra and period
+    tables, states on one spec object share its position values, and none
+    outlive the states.
     """
     if memo is None:
         return compute()
@@ -349,12 +344,13 @@ class TwoParticleGridState:
     Each particle's terms are a (K, n) array or FactoredRows, which are
     materialized only when `a1` or `a2` is read. Each particle's identity Gram
     <a_i|a_j> dx is computed once, here, and reused by the norm, the marginals
-    and the observable statistics. Lattice rows' factor transforms are kept in
-    `transforms` for the state's life, once per factor object for both particles;
-    `_transforms` is internal, a memo that states of one ensemble share.
+    and the observable statistics. Lattice rows' folded spectra and period
+    tables are kept in `memo` for the state's life, once per factor object for
+    both particles; it keeps no transform of a factor. `_memo` is internal, a
+    memo that states of one ensemble share.
     """
 
-    def __init__(self, spec: GridSpec, coefs, a1, a2, *, _transforms=None):
+    def __init__(self, spec: GridSpec, coefs, a1, a2, *, _memo=None):
         self.spec = spec
         self.coefs = np.asarray(coefs, dtype=complex)
         self.rows1, self.rows2 = (
@@ -365,10 +361,10 @@ class TwoParticleGridState:
             raise ValueError("two-particle grid state needs at least one term")
         if self.coefs.shape != (k,) or not self.rows1.shape == self.rows2.shape == (k, spec.points):
             raise ValueError("term arrays do not match the grid spec")
-        # the lattice rows' factor transforms, see _cached
-        self.transforms = {} if _transforms is None else _transforms
-        self.g1 = _identity_gram(self.rows1, spec, self.transforms)
-        self.g2 = _identity_gram(self.rows2, spec, self.transforms)
+        # the lattice rows' folds and the grid's position values, see _cached
+        self.memo = {} if _memo is None else _memo
+        self.g1 = _identity_gram(self.rows1, spec, self.memo)
+        self.g2 = _identity_gram(self.rows2, spec, self.memo)
         self.input_norm = self.norm  # norm of the terms as given
         if not self.input_norm > 0:
             raise ValueError("product terms have zero norm on this grid")
@@ -497,21 +493,21 @@ _REL_TOT = {
 def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None):
     """(<a|O|b>, <a|O^2|b>) over the rows for the diagonal observable O named.
 
-    Lattice rows keep their factor's transforms in memo (see lattice_gram) and
-    take the momentum values on their support columns only, and xbar and N_x
-    from one period where the grid has one (see _period_moments); other rows,
-    and lattice rows on a grid without a period, are swept in full. Full
-    position values are kept in memo, so particles and components on one grid
-    compute them once.
+    Gaussian lattice rows take the momentum values on their windows' columns
+    only (see window_rows), and lattice rows take xbar and N_x from one period
+    where the grid has one (see _period_moments), keeping their folds in memo;
+    other rows, and lattice rows on a grid without a period, are swept in full.
+    Full position values are kept in memo, so particles and components on one
+    grid compute them once.
     """
     lattice = _lattice(rows) is not None
     dx = spec.dx
     if name in _MOMENTUM_OBS:
         # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
         dx /= spec.points
-        if lattice:
-            vmax = _momentum_bound(spec, name, scale)
-            cols, arrs, _ = support_rows(rows, max(vmax, vmax * vmax), memo)
+        window = window_rows(rows, _momentum_bound(spec, name, scale))
+        if window is not None:
+            cols, arrs, _ = window
             vals = observable_values(spec, name, scale, cols)[1]
         else:
             vals = observable_values(spec, name, scale)[1]
@@ -535,7 +531,7 @@ def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> 
     base, sign = _REL_TOT[name]
     c = state.coefs
     cc = np.conj(c)[:, None] * c[None, :]
-    memo = state.transforms
+    memo = state.memo
     o1, o1sq = _moments(state.spec, state.rows1, base, scale, memo)
     o2, o2sq = _moments(state.spec, state.rows2, base, scale, memo)
     i1, i2 = state.g1, state.g2

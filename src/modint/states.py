@@ -301,7 +301,8 @@ def _quadrature_grid(packets) -> GridSpec:
 def _grid_rows(packets, grid: GridSpec, memo=None) -> FactoredRows:
     """The packets' position amplitudes on the grid as shared envelope factors and plane waves."""
     factors, index = envelope_values(packets, "position", grid.x, memo)
-    return FactoredRows(grid, factors, index, [_plane_wave(wp, "position") for wp in packets])
+    keys = list(dict.fromkeys(factor_key(wp, "position") for wp in packets))  # in factors' order
+    return FactoredRows(grid, factors, index, [_plane_wave(wp, "position") for wp in packets], keys)
 
 
 def _amplitude_rows(packets, grid: GridSpec) -> np.ndarray:
@@ -895,7 +896,7 @@ def discretize(state, grid: GridSpec, *, _memo=None):
     Raises if the grid misses mass or is coarse for the fringes, the momenta or
     an envelope. `_memo` is internal: one dict for the components of one
     ensemble, under which those on one grid share that grid's points, envelope
-    factors and factor transforms; it lives only as long as the caller keeps it.
+    factors and their folds; it lives only as long as the caller keeps it.
     """
     if not isinstance(state, _PacketSum):
         raise TypeError(f"cannot discretize {type(state).__name__}")
@@ -911,7 +912,7 @@ def discretize(state, grid: GridSpec, *, _memo=None):
             f"at or above the lattice's end pi/dx = {math.pi / grid.dx:.6g}"
         )
     # particles share the factor object of a common (envelope, x0)
-    grid, factors, transforms = (
+    grid, factors, folds = (
         (grid, {}, {}) if _memo is None else _memo.setdefault(grid, (grid, {}, {}))
     )
     rows = [_grid_rows(packets, grid, factors) for packets in state.particles]
@@ -919,7 +920,7 @@ def discretize(state, grid: GridSpec, *, _memo=None):
     if len(rows) == 1:
         out = GridState(grid, coefs @ rows[0].array)
     else:
-        out = TwoParticleGridState(grid, coefs, *rows, _transforms=transforms)
+        out = TwoParticleGridState(grid, coefs, *rows, _memo=folds)
     contained = out.input_norm  # the analytically normalized state's mass on the grid
     tol = max(TAIL_TOL, 10 * grid.dx**2)
     if contained < 1 - tol:

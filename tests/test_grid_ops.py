@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from modint.grids import (
     observable_stats,
     observable_values,
     observable_variance,
-    support_rows,
+    window_rows,
 )
 from modint import grids
 from modint.modvar import (
@@ -497,13 +498,13 @@ def _materialized_discretize(st, grid):
     return TwoParticleGridState(grid, coefs, *rows)
 
 
-def _assert_routes_agree(gs):
+def _assert_routes_agree(gs, scale=SCALE):
     ref = _row_route(gs)
     for got, want in ((gs.g1, ref.g1), (gs.g2, ref.g2)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     for name in sorted(_REL_TOT):
-        got = observable_stats(gs, name, SCALE)
-        assert got == pytest.approx(observable_stats(ref, name, SCALE), rel=1e-12, abs=1e-12)
+        got = observable_stats(gs, name, scale)
+        assert got == pytest.approx(observable_stats(ref, name, scale), rel=1e-12, abs=1e-12)
 
 
 def _count_transforms(monkeypatch) -> list:
@@ -536,16 +537,39 @@ def _fold_gram(rows, weight):
     return spectra[..., lags] * (np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx)
 
 
-def _assert_support_is_the_rolled_union(rows, wmax):
-    """support_rows's S is the union of W rolled by every distinct shift, one roll at a time."""
-    memo = {}
-    s = support_rows(rows, wmax, memo)[0]
-    keep = np.zeros(rows.spec.points, dtype=bool)
-    keep[memo[id(rows.factors[0]), ("support", wmax)][1][0]] = True
-    mask = np.zeros_like(keep)
-    for shift in np.unique(rows.lattice[0]):
-        mask |= np.roll(keep, shift)
-    assert np.array_equal(s, np.flatnonzero(mask))
+def _assert_window_is_the_shifted_union(rows, cols, vmax) -> int:
+    """window_rows's S is the union of m_k + [-h, h] mod n; returns h, the least with
+    (1 + wmax 2^53) e^{-2 (sigma h dp)^2} <= 1."""
+    spec, m = rows.spec, rows.lattice[0]
+    wmax = max(vmax, vmax * vmax)
+    sigma = rows.keys[0][0].sigma_x
+    dp = TWO_PI / spec.length
+    h = int(np.ceil(np.sqrt(np.log1p(wmax * 2.0**53)) / (np.sqrt(2.0) * sigma * dp)))
+    mask = np.zeros(spec.points, dtype=bool)
+    for shift in np.unique(m):
+        mask[(shift + np.arange(-h, h + 1)) % spec.points] = True
+    assert np.array_equal(cols, np.flatnonzero(mask))
+    assert 2 * h < spec.points
+    return h
+
+
+def _lattice_fft(rows):
+    """The FFT of lattice rows, row k being ph_k F[(u - m_k) mod n] with F the factor's FFT.
+
+    The same as the FFT of rows.array but for the rounding of the plane waves
+    s x + t there (to about 1e-13 of the peak at x ~ 100 and s ~ 20).
+    """
+    m, phase = rows.lattice
+    ft = np.fft.fft(rows.factors[0])
+    return phase[:, None] * np.stack([np.roll(ft, shift) for shift in m])
+
+
+def _box_images(rows):
+    """Norm, in dx, of the factor's first images x -/+ L on the box: the tail the box cuts off."""
+    spec = rows.spec
+    envelope, centre = rows.keys[0]
+    images = envelope(spec.x - centre - spec.length) + envelope(spec.x - centre + spec.length)
+    return np.sqrt(np.sum(images**2) * spec.dx)
 
 
 class TestLatticeRoute:
@@ -620,12 +644,16 @@ class TestLatticeRoute:
             "lambda 0.7 x0 0.37",
             "lambda 0.3 x0 0",
             "lambda 0.3 x0 0.37",
+            "sinc",
+            "box 4 sigma a side",
         ],
     )
     def test_other_rows_take_the_row_route_bitwise(self, case):
         # rows that are not lattice rows take the row route for every statistic;
-        # lattice rows on a grid without a period take it for xbar and N_x
-        scale, lattice = SCALE, False
+        # lattice rows on a grid without a period take it for xbar and N_x, and
+        # lattice rows of a sinc factor, or of a factor whose box cuts its tail,
+        # take it for N_p and pbar
+        scale, lattice, names, grid = SCALE, False, ("xbar", "N_x"), None
         if case == "distinct x0":
             coefs, x0s = [1.0, 0.5j, -0.7, 0.3], [0.0, 0.3, -0.6, 1.1]
             terms = [
@@ -643,19 +671,25 @@ class TestLatticeRoute:
             st = TwoParticleState(terms, fringe_period=1.0)
         elif case == "complex tabulated":  # one shared factor, but a complex one
             st = build_mpe(2, 0.0, 1, 1.0, _wide_complex_tabulated())
+        elif case == "sinc":  # 1/x^2 tails: only a coarse grid's 10 dx^2 excuses the lost mass
+            st = build_mpe(2, 0.0, 1, 1.0, SincEnvelope(8.0))
+            lattice, names, grid = True, ("N_p", "pbar"), default_grid(st, 1.0, points_per_ell=16)
+        elif case == "box 4 sigma a side":  # holds all but 1.3e-4 of the mass, within 10 dx^2
+            st = build_mpe(2, 0.0, 1, 1.0, WIDE)
+            lattice, names, grid = True, ("N_p", "pbar"), GridSpec(16384, -32.0, 32.0)
         else:
             _, lam, _, x0 = case.split()
             lam, x0, lattice = float(lam), float(x0), True
             scale = ModularScale(lam)
             st = build_mpe(3, x0, 1, lam, GaussianEnvelope(8.0 * lam))
-        grid = default_grid(st, scale.ell)
+        grid = grid or default_grid(st, scale.ell)
         gs = discretize(st, grid)
         ref = _materialized_discretize(st, grid)
         if lattice:
-            assert _period_points(grid, scale) is None
+            assert (_period_points(grid, scale) is None) == (names == ("xbar", "N_x"))
             for rows, arr in ((gs.rows1, ref.a1), (gs.rows2, ref.a2)):
                 assert rows.lattice is not None
-                for name in ("xbar", "N_x"):
+                for name in names:
                     assert np.array_equal(_moments(grid, rows, name, scale), _moments(grid, arr, name, scale))
             return
         assert gs.rows1.lattice is None and gs.rows2.lattice is None
@@ -676,7 +710,6 @@ class TestLatticeRoute:
     def test_lattice_identities_on_a_small_grid(self):
         spec = GridSpec(64, -4.0, 4.0)
         factor = np.exp(-2.0 * spec.x**2) * (1 + 0.2 * spec.x)
-        power = np.sum(np.abs(np.fft.fft(factor)) ** 2)
         w = np.stack([np.ones(64), spec.x, spec.x**2])
         for shifts in (
             ((0, 0.3), (47, -1.1), (-20, 2.0)),  # lags past n / 2, G = 1
@@ -689,38 +722,71 @@ class TestLatticeRoute:
             want = gram(rows.array, spec.dx, w)
             assert np.allclose(_fold_gram(rows, w), want, rtol=0, atol=1e-14)
             assert np.allclose(lattice_gram(rows), want[0], rtol=0, atol=1e-14)
-            # weights bounded by 1 keep the columns where |F|^2 is above 2^-53 / 64 of the
-            # total; the support rows are the full FFT rows there, and off it each row's
-            # power is below the tail bound
-            cols, got, tail = support_rows(rows, 1.0)
-            full = np.fft.fft(rows.array, axis=1)
-            assert np.array_equal(cols, np.unique(cols)) and 0 < cols.size < 64
-            _assert_support_is_the_rolled_union(rows, 1.0)
-            assert np.allclose(got, full[:, cols], rtol=0, atol=1e-13)
-            off = np.delete(full, cols, axis=1)
-            assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
-            assert 0 < tail <= 2.0**-53 * power
+            assert window_rows(rows, 1.0) is None  # rows of no known envelope
 
     @pytest.mark.parametrize("N", [2, 10])
     @pytest.mark.parametrize("x0", [0.0, 0.37])
     @pytest.mark.parametrize("sigma", [4.0, 16.0])
     @pytest.mark.filterwarnings("ignore:envelope width")
-    def test_support_sweep_tail_is_one_unit_roundoff(self, N, x0, sigma):
+    def test_window_tail_is_one_unit_roundoff(self, N, x0, sigma):
+        # the window is m_k + [-h, h] with the least h whose tail, weighted by the
+        # lattice-wide bound, is one unit roundoff of the rows' norm n / dx; the
+        # power off it, summed over the infinite lattice, is below that tail
         st = build_mpe(N, x0, 1, 1.0, GaussianEnvelope(sigma))
         gs = discretize(st, default_grid(st, 1.0))
-        for base in ("N_p", "pbar"):
-            vals = np.abs(observable_values(gs.spec, base, SCALE)[1])
-            wmax = max(vals.max(), vals.max() ** 2)
+        spec = gs.spec
+        dp = TWO_PI / spec.length
+        for name in ("N_p", "pbar"):
+            vmax = _momentum_bound(spec, name, SCALE)
+            wmax = max(vmax, vmax * vmax)
             for rows in (gs.rows1, gs.rows2):
-                cols, _, tail = support_rows(rows, wmax)
-                _assert_support_is_the_rolled_union(rows, wmax)
-                power = np.abs(np.fft.fft(rows.factors[0])) ** 2
-                assert tail <= 2.0**-53 * np.sum(power)
-                if x0 == 0.0:  # a centred factor's transform is negligible off its support
-                    assert cols.size < gs.spec.points // 4
+                cols, got, tail = window_rows(rows, vmax)
+                h = _assert_window_is_the_shifted_union(rows, cols, vmax)
+                assert got.shape == (N, cols.size) and cols.size <= 64 * N  # a few dozen per row
+                assert 0 < wmax * tail <= 2.0**-53 * spec.points / spec.dx
+                k = np.arange(h + 1, h + 1 + int(40 / (sigma * dp)))  # out to e^{-1600}
+                beyond = np.sqrt(TWO_PI) / spec.dx * GaussianEnvelope(sigma).fourier(k * dp)
+                assert 2 * np.sum(beyond**2) <= tail
+
+    @pytest.mark.parametrize("N", [3, 10])
+    @pytest.mark.parametrize("sigma", [8.0, 16.0])
+    def test_window_rows_are_the_fft_where_the_box_holds_the_tail(self, N, sigma):
+        # off centre the box is 16 sigma wide on each side of the factor: there the
+        # closed form is the FFT of the lattice rows, ph_k F[(u - m_k) mod n], to
+        # rounding on every column of S, and off S within the tail bound
+        st = build_mpe(N, 0.37, 1, 1.0, GaussianEnvelope(sigma))
+        gs = discretize(st, default_grid(st, 1.0))
+        for rows in (gs.rows1, gs.rows2):
+            full = _lattice_fft(rows)
+            cols, got, tail = window_rows(rows, _momentum_bound(gs.spec, "N_p", SCALE))
+            assert np.max(np.abs(got - full[:, cols])) <= 1e-15 * np.max(np.abs(full))
+            off = np.sum(np.abs(np.delete(full, cols, axis=1)) ** 2, axis=1)
+            assert np.all(off <= tail)
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_window_rows_differ_from_the_fft_by_the_box_tail(self, N):
+        # centred, the box ends exactly 8 sigma from the factor, where it is e^-16 of
+        # its peak. The FFT of the box-cut samples then differs from the closed form
+        # (the whole line's transform) by the samples the box leaves out, at most
+        # phi(d_hi) + (1/dx) sum_sides int_d^inf phi, about erfc(4) = 1.5e-8 of the peak
+        st = build_mpe(N, 0.0, 1, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, 1.0))
+        spec, sigma = gs.spec, WIDE.sigma_x
+        for rows in (gs.rows1, gs.rows2):
+            centre = rows.keys[0][1]
+            lo, hi = centre - spec.xmin, spec.xmax - centre
+            assert lo == hi == 8 * sigma
+            integral = (TWO_PI * sigma**2) ** -0.25 * sigma * np.sqrt(np.pi)
+            out = WIDE(hi) + integral / spec.dx * (math.erfc(lo / (2 * sigma)) + math.erfc(hi / (2 * sigma)))
+            full = _lattice_fft(rows)
+            cols, got, _ = window_rows(rows, _momentum_bound(spec, "N_p", SCALE))
+            peak = np.max(np.abs(full))
+            diff = np.max(np.abs(got - full[:, cols]))
+            assert 1e-9 * peak < diff <= out + 1e-15 * peak
+            assert out <= 1.6e-8 * peak
 
     @pytest.mark.parametrize("axis", ["momentum", "position"])
-    def test_one_transform_per_shared_factor(self, monkeypatch, axis):
+    def test_no_transform_of_a_shared_factor(self, monkeypatch, axis):
         st = build_mpe(5, 0.0, 1, 1.0, WIDE)
         grid = default_grid(st, 1.0)
         calls = _count_transforms(monkeypatch)
@@ -728,37 +794,82 @@ class TestLatticeRoute:
         assert gs.rows1.factors[0] is gs.rows2.factors[0]
         for name in {"momentum": ("N_p_tot", "xbar_rel"), "position": ("N_x_tot", "pbar_rel")}[axis]:
             observable_stats(gs, name, SCALE)
-        # one n-point transform for both particles, a real FFT of the real factor;
-        # the position side folds to n / G = 256 points
-        assert sum(size == grid.points for _, size in calls) == 1
-        assert set(calls) <= {("rfft", grid.points), ("fft", 256)}
+        # no n-point transform: the momentum rows are the envelope's closed form,
+        # and the position side folds to n / G = 256 points
+        assert not any(size == grid.points for _, size in calls)
+        assert set(calls) <= {("fft", 256)}
 
-    @pytest.mark.parametrize("envelope", [WIDE, SincEnvelope(0.5)], ids=["gaussian", "sinc"])
     @pytest.mark.parametrize("x0", [0.0, 0.37])
-    def test_real_factor_takes_the_half_spectrum(self, envelope, x0):
-        # the half spectrum read as F[u] = conj(F[n - u]) past n / 2 is the full FFT,
-        # and so are the support rows built from it; off them each row's power is
-        # below the tail bound
-        spec = GridSpec(4096, -64.0, 64.0)
-        factor = envelope(spec.x - x0)
-        n = spec.points
-        half = np.fft.rfft(factor)
-        full = np.fft.fft(factor)
-        assert half.shape == (n // 2 + 1,)
-        got = np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
-        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
-        waves = [(TWO_PI * m / spec.length, t) for m, t in ((0, 0.3), (64, -1.1), (-128, 2.0))]
-        rows = FactoredRows(spec, [factor], [0, 0, 0], waves)
-        cols, got, tail = support_rows(rows, 1.0)
-        want = np.fft.fft(rows.array, axis=1)
-        assert np.array_equal(cols, np.unique(cols)) and 0 < cols.size <= n
-        _assert_support_is_the_rolled_union(rows, 1.0)
-        assert np.max(np.abs(got - want[:, cols])) <= 1e-13 * np.max(np.abs(want))
-        off = np.delete(want, cols, axis=1)
-        assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
-        assert 0 <= tail <= 2.0**-53 * np.sum(np.abs(full) ** 2)
-        if envelope is WIDE:  # the sinc's 1/x tails keep every column; the Gaussian's do not
-            assert cols.size < n and tail > 0
+    def test_window_moments_read_the_full_values_on_the_window(self, x0):
+        # the moments are the blocked Gram of the window rows against the full
+        # lattice's values on the window's columns, bit for bit
+        st = build_mpe(3, x0, 1, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, 1.0))
+        spec = gs.spec
+        for rows in (gs.rows1, gs.rows2):
+            for name in ("pbar", "N_p"):
+                bound = _momentum_bound(spec, name, SCALE)
+                cols, arrs, _ = window_rows(rows, bound)
+                vals = observable_values(spec, name, SCALE)[1][cols]
+                want = gram(arrs, spec.dx / spec.points, np.stack([vals, vals**2]))
+                assert np.array_equal(_moments(spec, rows, name, SCALE), want)
+
+    @pytest.mark.parametrize("ell", [2.0, 4.0])
+    @pytest.mark.parametrize("x0", [0.0, 0.37])
+    def test_routes_agree_where_comb_momenta_sit_at_cell_centres(self, ell, x0):
+        st = build_mpe(3, x0, 1, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, ell))
+        _assert_routes_agree(gs, ModularScale(ell))
+
+    @pytest.mark.parametrize("N, x0", [(2, 0.0), (3, 0.0), (3, 0.37), (5, 0.0)])
+    def test_comb_momenta_on_cell_edges_agree_within_the_box_tail(self, N, x0):
+        # at ell = lambda / 2 every other comb momentum sits on a cell edge of N_p and
+        # pbar, and the edge column counts wholly to the upper cell, so the moments
+        # feel the difference between the window rows and the FFT rows at first
+        # order. That difference is at most the window's tail plus the box's cut
+        # tail (the factor's images), and by Cauchy-Schwarz each moment and each
+        # pair statistic agree with the row route within what that carries to them
+        scale = ModularScale(0.5)
+        st = build_mpe(N, x0, 1, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, scale.ell))
+        ref = _row_route(gs)
+        spec = gs.spec
+        dxn = spec.dx / spec.points
+        moments = {}
+        for particle, (rows, arr) in enumerate(((gs.rows1, ref.a1), (gs.rows2, ref.a2))):
+            full = np.fft.fft(arr, axis=1)
+            for name in ("N_p", "pbar"):
+                bound = _momentum_bound(spec, name, scale)
+                cols, win, tail = window_rows(rows, bound)
+                padded = np.zeros_like(full)
+                padded[:, cols] = win
+                # the window's tail, the box's, and the rounding of the rows' plane waves
+                limit = np.sqrt(tail * dxn) + _box_images(rows) + 1e-12
+                assert np.all(np.sqrt(np.sum(np.abs(padded - full) ** 2, axis=1) * dxn) <= limit)
+                vals = observable_values(spec, name, scale)[1]
+                got = _moments(spec, rows, name, scale)
+                want = _moments(spec, arr, name, scale)
+                err = []
+                for k, w in enumerate((vals, vals**2)):
+                    wc = np.sqrt(np.sum(np.abs(w * padded) ** 2, axis=1) * dxn)
+                    wf = np.sqrt(np.sum(np.abs(w * full) ** 2, axis=1) * dxn)
+                    err.append(limit * (wc[None, :] + wf[:, None]) + 1e-14 * np.max(np.abs(want[k])))
+                    assert np.all(np.abs(got[k] - want[k]) <= err[k])
+                moments[particle, name] = want, np.array(err)
+        cc = np.abs(np.conj(ref.coefs)[:, None] * ref.coefs[None, :])
+        g1, g2 = np.abs(ref.g1), np.abs(ref.g2)
+        for stat in ("N_p_tot", "pbar_rel"):
+            name = _REL_TOT[stat][0]
+            (o1, o1sq), (d1, d1sq) = moments[0, name]
+            (o2, o2sq), (d2, d2sq) = moments[1, name]
+            mean, var = observable_stats(ref, stat, scale)
+            dmean = np.sum(cc * (d1 * g2 + g1 * d2))
+            dsecond = np.sum(cc * (d1sq * g2 + g1 * d2sq + 2 * (d1 * (np.abs(o2) + d2) + np.abs(o1) * d2)))
+            dvar = dsecond + dmean * (2 * abs(mean) + dmean)
+            got_mean, got_var = observable_stats(gs, stat, scale)
+            assert abs(got_mean - mean) <= dmean + 1e-12 * max(1.0, abs(mean))
+            assert abs(got_var - var) <= dvar + 1e-12 * max(1.0, var)
+            assert dvar <= 1e-5 * max(1.0, var)  # a few 1e-6 here, from the e^-16 box edge
 
     @pytest.mark.parametrize(
         "spec", [GridSpec(16, -1.0, 1.0), GridSpec(32768, -64.0, 64.0), GridSpec(65536, -80.63, 47.37)]
@@ -776,22 +887,6 @@ class TestLatticeRoute:
                 assert bound >= np.max(np.abs(full))
             else:  # the lattice ends hold the full lattice's maximum, bitwise
                 assert bound == np.max(np.abs(full))
-
-    @pytest.mark.parametrize("x0", [0.0, 0.37])
-    def test_support_moments_read_the_full_values_on_the_support(self, x0):
-        st = build_mpe(3, x0, 1, 1.0, WIDE)
-        gs = discretize(st, default_grid(st, 1.0))
-        for rows in (gs.rows1, gs.rows2):
-            for name in ("pbar", "N_p"):
-                full = np.abs(observable_values(gs.spec, name, SCALE)[1])
-                cols, arrs, _ = support_rows(rows, max(full.max(), full.max() ** 2))
-                _assert_support_is_the_rolled_union(rows, max(full.max(), full.max() ** 2))
-                vals = observable_values(gs.spec, name, SCALE)[1][cols]
-                want = gram(arrs, gs.spec.dx / gs.spec.points, np.stack([vals, vals**2]))
-                if name == "N_p":  # the same bound, so the same columns and sums, bitwise
-                    assert np.array_equal(_moments(gs.spec, rows, name, SCALE), want)
-                else:  # pbar's bound P/2 may keep a few more columns below the tail bound
-                    assert np.allclose(_moments(gs.spec, rows, name, SCALE), want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
