@@ -52,8 +52,6 @@ from .sampling import (
     SampleSet,
     estimate_criterion,
     sample_measurements,
-    sampleset_from_csv,
-    sampleset_to_csv,
 )
 from .spectral import EigenSolveReport, brute_force_c, kummer_M, perturbative_c, solve_c
 from .states import (

@@ -117,10 +117,9 @@ def _state_descriptor(args) -> dict:
 def _check_window(top: float, period: float, what: str):
     """Refuse a profile whose largest |coordinate| top the float grid cannot resolve.
 
-    The rule estimate_criterion applies to records: the float spacing at top
-    must not exceed sampling.RECORD_RESOLUTION of the period.
+    The rule estimate_criterion applies to records: sampling.resolves_period.
     """
-    if not np.spacing(top) <= sampling.RECORD_RESOLUTION * period:
+    if not sampling.resolves_period(top, period):
         raise CliError(
             f"the profile window reaches |{what}| = {top:.3g}, where the float spacing "
             f"exceeds {sampling.RECORD_RESOLUTION:.3g} of the period {period:.3g}; "

@@ -140,28 +140,6 @@ class ProtocolSpec:
         if not isinstance(self.envelope, GaussianEnvelope):
             raise TypeError("the dispersion model requires a gaussian envelope")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "emission_times": list(self.emission_times),
-            "lambda": self.lam,
-            "envelope": self.envelope.descriptor(),
-            "mass": self.mass,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ProtocolSpec":
-        """The spec of a stored dict; a stored hbar divides the mass, a base_integer cancels."""
-        from .states import envelope_from_descriptor
-
-        return cls(
-            N=int(d["N"]),
-            emission_times=tuple(d["emission_times"]),
-            lam=float(d["lambda"]),
-            envelope=envelope_from_descriptor(d["envelope"]),
-            mass=float(d["mass"]) / float(d.get("hbar", 1.0)),
-        )
-
 
 def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
     """Relative-coordinate fringe visibility of the assembled pair state.

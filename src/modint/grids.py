@@ -74,6 +74,18 @@ class GridSpec:
         return int(round(ratio))
 
 
+def _check_norm(nrm2: float, zero: str):
+    """Refuse a squared norm that is not positive and finite; `zero` is the message for 0.
+
+    NaN and infinite amplitudes, and amplitudes whose squares overflow, give a
+    norm of NaN or inf. Dividing by its root would make NaNs or a zero state.
+    """
+    if nrm2 <= 0:
+        raise ValueError(zero)
+    if not nrm2 < math.inf:
+        raise ValueError(f"the squared norm is {nrm2}: an amplitude is NaN, infinite or too large")
+
+
 @dataclass
 class GridState:
     """Normalized single-particle amplitudes on a periodic grid."""
@@ -85,9 +97,9 @@ class GridState:
         self.psi = np.asarray(self.psi, dtype=complex)
         if self.psi.shape != (self.spec.points,):
             raise ValueError("amplitude array does not match the grid spec")
-        self.input_norm = self.norm  # norm of the amplitudes as given
-        if self.input_norm == 0:
-            raise ValueError("cannot normalize a zero state")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.input_norm = self.norm  # norm of the amplitudes as given
+        _check_norm(self.input_norm, "cannot normalize a zero state")
         self.psi = self.psi / math.sqrt(self.input_norm)
 
     @property
@@ -363,11 +375,11 @@ class TwoParticleGridState:
             raise ValueError("term arrays do not match the grid spec")
         # the lattice rows' folds and the grid's position values, see _cached
         self.memo = {} if _memo is None else _memo
-        self.g1 = _identity_gram(self.rows1, spec, self.memo)
-        self.g2 = _identity_gram(self.rows2, spec, self.memo)
-        self.input_norm = self.norm  # norm of the terms as given
-        if not self.input_norm > 0:
-            raise ValueError("product terms have zero norm on this grid")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.g1 = _identity_gram(self.rows1, spec, self.memo)
+            self.g2 = _identity_gram(self.rows2, spec, self.memo)
+            self.input_norm = self.norm  # norm of the terms as given
+        _check_norm(self.input_norm, "product terms have zero norm on this grid")
         self.coefs = self.coefs / math.sqrt(self.input_norm)
 
     @property

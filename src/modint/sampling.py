@@ -7,7 +7,6 @@ interval is computed from the records alone and draws no random numbers.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import namedtuple
@@ -39,7 +38,8 @@ MIN_BOOTSTRAP_N = 100
 # 5.6e6 in momentum, where a record takes about 1.1 proposals against N.
 MAX_PROPOSALS = 1e8
 # Coarsest float spacing of the records, as a fraction of the period they are split
-# by (ell in position, P = 2 pi / ell in momentum), that estimate_criterion accepts.
+# by (ell in position, P = 2 pi / ell in momentum), that estimate_criterion and the
+# CLI's fringe windows accept (`resolves_period`).
 RECORD_RESOLUTION = 2.0**-20
 # Proposals whose densities and acceptance draws are evaluated at a time, which
 # bounds the sampler's temporaries however large a batch is.
@@ -437,6 +437,14 @@ def _abc_interval(lhs: float, sets) -> tuple[float, float]:
     return low, high
 
 
+def resolves_period(top: float, period: float) -> bool:
+    """Whether the float spacing at top is at most RECORD_RESOLUTION of the period.
+
+    False when top is NaN or inf.
+    """
+    return bool(np.spacing(top) <= RECORD_RESOLUTION * period)
+
+
 def estimate_criterion(
     position_samples: SampleSet, momentum_samples: SampleSet, scale: ModularScale
 ) -> EstimateReport:
@@ -473,7 +481,7 @@ def estimate_criterion(
         (momentum_samples, scale.momentum_period, "P"),
     ):
         top = float(max(samples.records.max(), -samples.records.min()))
-        if np.spacing(top) > RECORD_RESOLUTION * period:
+        if not resolves_period(top, period):
             raise ValueError(
                 f"{samples.kind} records reach {top:.3g}, where the float spacing "
                 f"{np.spacing(top):.3g} exceeds {RECORD_RESOLUTION:.3g} of the period "
@@ -507,42 +515,3 @@ def estimate_criterion(
         evaluated_momentum=momentum_samples.evaluated,
     )
 
-
-# ---------------------------------------------------------------------------
-# import/export
-
-
-def sampleset_to_csv(samples: SampleSet, path, descriptor_hash: str = ""):
-    """CSV (index, v1, v2) plus a JSON sidecar with seed/kind metadata."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "v1", "v2"])
-        for i, (v1, v2) in enumerate(samples.records):
-            w.writerow([i, repr(float(v1)), repr(float(v2))])
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(
-            {
-                "seed": samples.seed,
-                "kind": samples.kind,
-                "state": descriptor_hash,
-                "proposals": samples.proposals,
-                "evaluated": samples.evaluated,
-            },
-            fh,
-            sort_keys=True,
-        )
-
-
-def sampleset_from_csv(path) -> SampleSet:
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    rec = np.array([[float(r[1]), float(r[2])] for r in rows])
-    return SampleSet(
-        records=rec,
-        seed=int(meta["seed"]),
-        kind=meta["kind"],
-        proposals=meta.get("proposals"),
-        evaluated=meta.get("evaluated"),
-    )

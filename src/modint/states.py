@@ -9,7 +9,6 @@ construction is corrected for packet overlaps automatically.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
 import math
 import numbers
@@ -20,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GRAM_BLOCK, FactoredRows, GridSpec, GridState, TwoParticleGridState, gram
+from .grids import (
+    GRAM_BLOCK,
+    FactoredRows,
+    GridSpec,
+    GridState,
+    TwoParticleGridState,
+    _check_norm,
+    gram,
+)
 from .modvar import TWO_PI, H_PLANCK, modular_part
 
 
@@ -472,9 +479,9 @@ class _PacketSum:
         grams = [_overlap_rows(p) for p in self.particles]  # every budget before any Gram
         amps = np.array(coefs)
         rows = _product_rows(grams, len(amps))
-        nrm2 = float(np.real(sum(np.conj(amps[lo:hi]) @ g @ amps for lo, hi, g in rows)))
-        if nrm2 <= 0:
-            raise ValueError("state has zero norm")
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm2 = float(np.real(sum(np.conj(amps[lo:hi]) @ g @ amps for lo, hi, g in rows)))
+        _check_norm(nrm2, "state has zero norm")
         self._scale = 1.0 / math.sqrt(nrm2)
         self.fringe_period = fringe_period
         self._wave_plans = {}
@@ -935,51 +942,6 @@ def discretize(state, grid: GridSpec, *, _memo=None):
             f"unit mass on a grid of spacing {grid.dx:.3g}"
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# import/export
-
-
-def gridstate_to_csv(state, path):
-    """CSV export: columns x, re, im (single particle) or x1, x2, re, im."""
-    if isinstance(state, GridState):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "re", "im"])
-            for xv, a in zip(state.spec.x, state.psi):
-                w.writerow([repr(float(xv)), repr(float(a.real)), repr(float(a.imag))])
-        return
-    if isinstance(state, TwoParticleGridState):
-        dense = state.dense()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x1", "x2", "re", "im"])
-            for i, x1 in enumerate(state.spec.x):
-                for j, x2 in enumerate(state.spec.x):
-                    w.writerow([repr(float(x1)), repr(float(x2)),
-                                repr(float(dense[i, j].real)), repr(float(dense[i, j].imag))])
-        return
-    raise TypeError("expected a grid state")
-
-
-def gridstate_from_csv(path) -> GridState:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:3] != ["x", "re", "im"]:
-        raise ValueError("unsupported CSV layout; expected columns x, re, im")
-    rows = rows[1:]
-    if len(rows) < 2:
-        raise ValueError(f"a grid state needs at least two rows of data, got {len(rows)}")
-    if min(map(len, rows)) < 3:
-        raise ValueError("every row of data needs the three fields x, re, im")
-    x = np.array([float(r[0]) for r in rows])
-    psi = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    dx = (x[-1] - x[0]) / (len(x) - 1)
-    spec = GridSpec(points=len(x), xmin=float(x[0]), xmax=float(x[0]) + dx * len(x))
-    if not np.max(np.abs(x - spec.x)) <= 1e-9 * spec.dx:
-        raise ValueError("the x column is not a uniform grid")
-    return GridState(spec, psi)
 
 
 def state_from_descriptor(d: dict):

@@ -49,6 +49,47 @@ def random_product_state(rng):
     return TwoParticleState([(1.0, packet(), packet())], fringe_period=1.0)
 
 
+def _adversary(M, axis):
+    """A separable product of two combs, and c_M: its exact lhs 2 c_M lies just above 2c.
+
+    Restricted to combs sum_n a_n |n> with n = -M..M, the operator whose lowest
+    eigenvalue is c becomes diag(n^2) + T, with T_nm = 1/12 at j = m - n = 0 and
+    (-1)^j / (2 pi^2 j^2) otherwise. Each particle's amplitudes are its lowest
+    eigenvector a: packets at p = 2 pi n on the momentum axis, at x = n on the
+    position axis, with ell = 1.
+    """
+    n = np.arange(-M, M + 1)
+    j = n[None, :] - n[:, None]
+    off = (-1.0) ** j / (2 * np.pi**2 * np.where(j == 0, 1, j) ** 2)
+    c_m, vecs = np.linalg.eigh(np.diag(n**2.0) + np.where(j == 0, 1 / 12, off))
+    a = vecs[:, 0]
+    if axis == "position":
+        packets = [WavePacket(GaussianEnvelope(1 / 16), x0=float(k)) for k in n]
+    else:
+        packets = [WavePacket(GaussianEnvelope(8.0), p0=2 * np.pi * k) for k in n]
+    terms = [
+        (a[i] * a[k], packets[i], packets[k]) for i in range(n.size) for k in range(n.size)
+    ]
+    return TwoParticleState(terms), c_m[0]
+
+
+class TestSeparableAdversaries:
+    """Separable states whose exact lhs, 2 c_M, lies just above the bound 2c."""
+
+    @pytest.mark.parametrize("M", [3, 5])
+    def test_exact_lhs_lies_above_the_bound(self, M):
+        _, c_m = _adversary(M, "momentum")
+        assert 2 * c_m > 2 * solve_c().c
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: false certificate")
+    @pytest.mark.parametrize("axis, M", [("position", 3), ("momentum", 5)])
+    def test_is_not_read_as_violated(self, axis, M):
+        # the grid reads lhs - 2c = -8.4e-4 (position, M = 3) and -4.8e-7 (momentum,
+        # M = 5) where the exact values are +2.6e-6 and +3.0e-7
+        state, _ = _adversary(M, axis)
+        assert not evaluate_criterion(state, SCALE, axis=axis).violated
+
+
 class TestBound:
     def test_bound_is_twice_c(self):
         assert criterion_bound() == pytest.approx(2 * solve_c().c, rel=1e-14)

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -226,17 +225,6 @@ class TestProtocol:
                 N=2, emission_times=(1.0, 0.0), lam=1.0, envelope=self.ENV, mass=1.0
             )
 
-    def test_json_round_trip(self):
-        spec = self.make(stagger=2.5)
-        back = ProtocolSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
-        assert back == spec
-
-    def test_stored_hbar_divides_the_mass(self):
-        d = {**self.make(stagger=2.5).to_json_dict(), "mass": 3.0, "hbar": 2.0, "base_integer": 7}
-        spec = ProtocolSpec.from_json_dict(d)
-        assert spec.mass == 1.5
-        assert spec.to_json_dict().keys() == d.keys() - {"hbar", "base_integer"}
-
     @pytest.mark.parametrize("sigma, lam", [(1e-100, 1.0), (8.0, 1e200)])
     def test_nonfinite_algebra_rejected(self, sigma, lam):
         # sigma^2 |s|^2 overflows in the coefficients; r^2 overflows in the terms
@@ -254,17 +242,17 @@ class TestProtocol:
             ProtocolSpec(N=N, emission_times=(0.0,) * N, lam=1.0, envelope=self.ENV, mass=1.0)
 
 
-def _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, base_integer):
+def _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, first_integer):
     """Reference: the relative-coordinate density by brute-force quadrature.
 
     Every packet is sampled on a 4096-point x grid and particle 2's packets on
     the shifted grid x - r for each of the 601 r values. The packets disperse
-    with the given mass and hbar, and the comb starts at base_integer.
+    with the given mass and hbar, and the comb starts at first_integer.
     """
     sigma = spec.envelope.sigma_x
     per = H_PLANCK / spec.lam
     dwells = [meeting_time - t for t in spec.emission_times]
-    momenta = [(base_integer + n) * per for n in range(spec.N)]
+    momenta = [(first_integer + n) * per for n in range(spec.N)]
 
     def amplitude(x, p0, dwell):
         s = 1.0 + 1j * hbar * dwell / (2 * mass * sigma**2)
@@ -292,7 +280,7 @@ def _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, base_integer
 
 
 @pytest.mark.parametrize(
-    "N, stagger, mass, hbar, base_integer, sigma",
+    "N, stagger, mass, hbar, first_integer, sigma",
     [
         (2, 0.0, 1.0, 1.0, 1, 8.0),
         (2, 10.0, 3.0, 1.0, 1, 8.0),
@@ -302,10 +290,10 @@ def _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, base_integer
         (3, 40.0, 1.0, 1.0, 2, 16.0),
     ],
 )
-def test_closed_form_matches_quadrature(N, stagger, mass, hbar, base_integer, sigma):
+def test_closed_form_matches_quadrature(N, stagger, mass, hbar, first_integer, sigma):
     # the closed form, in units with hbar = 1 and its comb from 1, against a
-    # quadrature at the given hbar and base integer: only mass / hbar enters,
-    # and the base integer cancels in the momentum differences
+    # quadrature at the given hbar and first integer: only mass / hbar enters,
+    # and the first integer cancels in the momentum differences
     spec = ProtocolSpec(
         N=N,
         emission_times=tuple(n * stagger for n in range(N)),
@@ -314,5 +302,5 @@ def test_closed_form_matches_quadrature(N, stagger, mass, hbar, base_integer, si
         mass=mass / hbar,
     )
     meeting_time = 60.0 + 2 * stagger
-    reference = _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, base_integer)
+    reference = _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, first_integer)
     assert abs(protocol_visibility(spec, meeting_time) - reference) <= 1e-9

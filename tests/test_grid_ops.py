@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -55,7 +54,6 @@ from modint.states import (
     build_smp,
     default_grid,
     discretize,
-    gridstate_to_csv,
 )
 
 SCALE = ModularScale(1.0)
@@ -105,6 +103,16 @@ class TestGridSpec:
         assert spec.check_commensurate(ModularScale(1.0)) == 8
         with pytest.raises(IncommensurateGridError):
             spec.check_commensurate(ModularScale(0.3))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_grid_state_refuses_a_norm_that_is_not_finite(self, value):
+        spec = GridSpec(points=16, xmin=-1.0, xmax=1.0)
+        psi = np.ones(16)
+        psi[3] = value
+        with pytest.raises(ValueError, match="squared norm is (nan|inf)"):
+            GridState(spec, psi)
+        with pytest.raises(ValueError, match="cannot normalize a zero state"):
+            GridState(spec, np.zeros(16))
 
     def test_momentum_ops_require_commensurate_box(self):
         spec = GridSpec(points=256, xmin=-4.1, xmax=4.0)
@@ -338,31 +346,21 @@ class TestProductTermCore:
         assert np.allclose(gs.dense(), ref, atol=1e-14)
         assert np.sum(gs.joint_density()) * small.dx**2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_two_particle_csv_has_one_row_per_point_pair(self, tmp_path):
-        rng = np.random.default_rng(2)
-        spec = GridSpec(points=16, xmin=-1.0, xmax=3.0)
-        gs = TwoParticleGridState(
-            spec, np.array([1.0, 0.5j]),
-            rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)),
-            rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)),
-        )
-        path = tmp_path / "pair.csv"
-        gridstate_to_csv(gs, path)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["x1", "x2", "re", "im"]
-        assert len(rows) - 1 == spec.points**2
-        table = np.array([[float(v) for v in r] for r in rows[1:]])
-        assert np.allclose(table[:, 0], np.repeat(spec.x, spec.points))
-        assert np.allclose(table[:, 1], np.tile(spec.x, spec.points))
-        dense = gs.dense().ravel()
-        assert np.allclose(table[:, 2] + 1j * table[:, 3], dense, rtol=1e-15, atol=0)
-
     def test_rejects_mismatched_term_arrays(self):
         spec = GridSpec(points=16, xmin=-1.0, xmax=1.0)
         with pytest.raises(ValueError, match="match"):
             TwoParticleGridState(spec, np.ones(2), np.ones((2, 16)), np.ones((3, 16)))
         with pytest.raises(ValueError, match="at least one term"):
             TwoParticleGridState(spec, np.ones(0), np.ones((0, 16)), np.ones((0, 16)))
+
+    # 1e200 squares to inf, and dividing by its root would leave a zero state
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_refuses_a_norm_that_is_not_finite(self, value):
+        spec = GridSpec(points=16, xmin=-1.0, xmax=1.0)
+        with pytest.raises(ValueError, match="squared norm is (nan|inf)"):
+            TwoParticleGridState(spec, np.array([value, 1.0]), np.ones((2, 16)), np.ones((2, 16)))
+        with pytest.raises(ValueError, match="product terms have zero norm on this grid"):
+            TwoParticleGridState(spec, np.zeros(2), np.ones((2, 16)), np.ones((2, 16)))
 
 
 # ---------------------------------------------------------------------------

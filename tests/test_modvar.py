@@ -42,6 +42,7 @@ class TestModularSplit:
         scale = ModularScale(2.0)
         mv = modular_decompose(5.3, scale)
         assert mv.integer_part * 2.0 + mv.modular_part == pytest.approx(5.3)
+        assert mv.reconstruct(scale.ell) == pytest.approx(5.3)
         assert -1.0 <= mv.modular_part < 1.0
 
     def test_momentum_axis_uses_conjugate_period(self):
@@ -49,6 +50,7 @@ class TestModularSplit:
         mv = modular_decompose(1.5 * scale.momentum_period, scale, axis="momentum")
         assert mv.integer_part == 2  # 1.5 rounds down into [-1/2, 1/2)
         assert mv.modular_part == pytest.approx(-0.5 * scale.momentum_period)
+        assert mv.reconstruct(scale.momentum_period) == pytest.approx(1.5 * scale.momentum_period)
 
     def test_momentum_period_value(self):
         assert ModularScale(4.0).momentum_period == pytest.approx(H_PLANCK / 4.0)

@@ -35,8 +35,6 @@ from modint import (
     mix,
     mpe_modular_relative_variance,
     sample_measurements,
-    sampleset_from_csv,
-    sampleset_to_csv,
     solve_c,
 )
 from modint.modvar import integer_part, modular_part
@@ -1053,30 +1051,6 @@ class TestInterval:
             assert 0.0 <= rep.ci_low <= rep.lhs_hat <= rep.ci_high
         assert outlier.ci_low == 0.0
         assert json.loads(outlier.to_json())["clamped"] is True
-
-
-class TestRoundTrip:
-    def test_csv_round_trip(self, mpe2, tmp_path):
-        s = sample_measurements(mpe2, "momentum", 300, seed=17)
-        path = tmp_path / "samples.csv"
-        sampleset_to_csv(s, path, descriptor_hash="abc123")
-        back = sampleset_from_csv(path)
-        assert back.kind == s.kind
-        assert back.seed == s.seed
-        assert back.proposals == s.proposals > 0
-        np.testing.assert_array_equal(back.records, s.records)
-        s = sample_measurements(mpe2, "position", 300, seed=17)
-        sampleset_to_csv(s, path)
-        assert sampleset_from_csv(path).evaluated == s.evaluated > 0
-
-    def test_sidecar_without_proposals(self, mpe2, tmp_path):
-        path = tmp_path / "samples.csv"
-        sampleset_to_csv(sample_measurements(mpe2, "position", 10, seed=1), path)
-        meta = json.loads(Path(str(path) + ".json").read_text())
-        del meta["proposals"], meta["evaluated"]
-        Path(str(path) + ".json").write_text(json.dumps(meta))
-        back = sampleset_from_csv(path)
-        assert back.proposals is None and back.evaluated is None
 
 
 def test_import_leaves_slow_scipy_submodules_unloaded():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from modint import states
 from modint.criterion import evaluate_criterion
-from modint.grids import GridSpec, GridState, TwoParticleGridState
+from modint.grids import GridSpec, TwoParticleGridState
 from modint.modvar import H_PLANCK, ModularScale, fringe_function
 from modint.states import (
     GaussianEnvelope,
@@ -30,8 +30,6 @@ from modint.states import (
     default_grid,
     discretize,
     envelope_from_descriptor,
-    gridstate_from_csv,
-    gridstate_to_csv,
     joint_momentum_density,
     joint_position_density,
     mix,
@@ -565,12 +563,14 @@ class TestJointDensities:
         assert one.lattice is None and one.steps == ((0.0, 0.0),)
         assert one.common is not None
 
-    def test_amplitude_keeps_the_common_wave(self):
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_amplitude_keeps_the_common_wave(self, kind):
         state = build_mpe(3, 0.37, 2, 1.0, WIDE)
-        v1, v2 = _near_packets(state, "position", 400, seed=5)
-        got = state.joint_position_amplitude(v1, v2)
+        v1, v2 = _near_packets(state, kind, 400, seed=5)
+        got = getattr(state, f"joint_{kind}_amplitude")(v1, v2)
         want = state._scale * sum(
-            a * wp1.position_amplitude(v1) * wp2.position_amplitude(v2) for a, wp1, wp2 in state.terms
+            a * getattr(wp1, f"{kind}_amplitude")(v1) * getattr(wp2, f"{kind}_amplitude")(v2)
+            for a, wp1, wp2 in state.terms
         )
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
@@ -688,50 +688,6 @@ class TestDiscretize:
 
 
 class TestSerialization:
-    def test_csv_round_trip_1d(self, tmp_path):
-        st = build_smp(2, x0=0.0, N0=1, lam=1.0, envelope=WIDE)
-        gs = discretize(st, default_grid(st, 1.0))
-        path = tmp_path / "state.csv"
-        gridstate_to_csv(gs, path)
-        back = gridstate_from_csv(path)
-        assert np.allclose(back.psi, gs.psi, atol=1e-12)
-        assert back.spec == gs.spec
-
-    def test_csv_round_trip_on_an_inexact_grid(self, tmp_path):
-        # dx = 0.7 / 256 is not a power of two: the grid is rebuilt from the whole
-        # x column, not from its first two rows
-        spec = GridSpec(32768, -44.8, 44.8)
-        gs = GridState(spec, np.exp(-(spec.x**2) / 50.0))
-        path = tmp_path / "state.csv"
-        gridstate_to_csv(gs, path)
-        back = gridstate_from_csv(path)
-        assert np.array_equal(back.spec.x, spec.x)
-        assert np.allclose(back.psi, gs.psi, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "body, match",
-        [
-            ("", "at least two rows"),
-            ("0.0,1.0,0.0\n", "at least two rows"),
-            ("0.0,1.0,0.0\n1.0,1.0\n", "three fields"),
-        ],
-        ids=["no-rows", "one-row", "short-row"],
-    )
-    def test_csv_that_cannot_be_read_is_refused(self, tmp_path, body, match):
-        path = tmp_path / "state.csv"
-        path.write_text("x,re,im\n" + body)
-        with pytest.raises(ValueError, match=match):
-            gridstate_from_csv(path)
-
-    def test_csv_with_a_nonuniform_x_column_is_refused(self, tmp_path):
-        # the first two rows alone describe a uniform grid of 16 points
-        x = np.arange(16.0)
-        x[9] += 0.25
-        path = tmp_path / "state.csv"
-        path.write_text("x,re,im\n" + "".join(f"{v!r},1.0,0.0\n" for v in x.tolist()))
-        with pytest.raises(ValueError, match="not a uniform grid"):
-            gridstate_from_csv(path)
-
     def test_descriptor_builds_all_kinds(self):
         base = {"N": 2, "x0": 0.0, "N0": 1, "lambda": 1.0,
                 "envelope": {"kind": "gaussian", "sigma_x": 8.0}}
@@ -799,6 +755,16 @@ class TestWavePacket:
             mix([(1.0, single)])
         with pytest.raises(TypeError, match="object"):
             default_grid(object(), 1.0)
+
+    # a NaN norm bound keeps the sampler from accepting any proposal, and a norm of
+    # inf (1e200 squared) scales the amplitudes to 0: both are refused here
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_refuses_a_norm_that_is_not_finite(self, value):
+        wp = WavePacket(WIDE)
+        with pytest.raises(ValueError, match="squared norm is (nan|inf)"):
+            TwoParticleState([(value, wp, wp)])
+        with pytest.raises(ValueError, match="state has zero norm"):
+            TwoParticleState([(0.0, wp, wp)])
 
     def test_superposition_norm_with_overlap(self):
         # two packets with nonzero overlap: Gram renormalization keeps norm 1
