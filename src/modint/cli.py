@@ -366,10 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         text = args.func(args)
         _write_output(text, args.output)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -135,7 +135,9 @@ def robustness_threshold(N: int, method: str = "closed_form") -> float:
 
     Closed form (ideal envelopes): eps* = (12 c - 1 + S2(N)) / S2(N).
     The bisection route evaluates the exact mixture on grids instead, at
-    lambda = 1 with sigma_x = 6 lambda and 128 grid points per lambda, to 1e-6.
+    lambda = 1 with sigma_x = 6 lambda and 128 grid points per lambda, and
+    returns the exact root of its lhs: every component's means vanish, so the
+    law of total variance leaves the lhs linear in eps.
     """
     N = int(N)
     if N < 2:
@@ -165,18 +167,16 @@ def robustness_threshold(N: int, method: str = "closed_form") -> float:
         _, var_r = mixture_stats(weights, [s[1] for s in stats])
         return var_n + var_r / scale.ell**2
 
-    if lhs(0.0) >= bound:
+    pure_lhs, classical_lhs = lhs(0.0), lhs(1.0)
+    if pure_lhs >= bound:
         raise RuntimeError("pure state does not violate the criterion; nothing to bisect")
-    if lhs(1.0) < bound:
+    if classical_lhs < bound:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < bound:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    eps = (bound - pure_lhs) / (classical_lhs - pure_lhs)
+    miss = lhs(eps) - bound
+    if abs(miss) > 1e-12:
+        raise RuntimeError(f"the mixture lhs is not linear in eps: it misses 2c by {miss:.3g} at eps*")
+    return eps
 
 
 def visibility_of_admixture(epsilon: float, N: int) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .grids import GridSpec, GridState, TwoParticleGridState
 from .modvar import H_PLANCK
-from .states import Envelope, GaussianEnvelope
+from .states import MAX_GRAM_ENTRIES, Envelope, GaussianEnvelope, _check_gram_entries
 from .modvar import fringe_function
 
 
@@ -139,6 +139,8 @@ class ProtocolSpec:
             raise ValueError("lam and mass must be positive")
         if not isinstance(self.envelope, GaussianEnvelope):
             raise TypeError("the dispersion model requires a gaussian envelope")
+        # protocol_visibility holds N x N pair integrals of the components' packets
+        _check_gram_entries(self.envelope, self.N)
 
 
 def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
@@ -173,17 +175,23 @@ def protocol_visibility(spec: ProtocolSpec, meeting_time: float) -> float:
         beta = (1 / s[:, None] + 1 / s.conj()[None, :]) / (4 * sigma**2)
         coef = np.sqrt(np.pi / (2 * beta)) / (2 * np.pi * sigma**2 * s[:, None] * s.conj()[None, :])
         dp = momenta[:, None] - momenta[None, :]
+        finite = np.isfinite(beta).all() and np.isfinite(coef).all()
 
         r = np.linspace(-1.5 * spec.lam, 1.5 * spec.lam, 601)
-        rr = r[:, None, None]
-        terms = coef * np.exp(1j * dp * rr - beta * rr**2 / 2)
-    if not all(np.isfinite(a).all() for a in (beta, coef, terms)):
+        rho, env = np.empty(r.size), np.empty(r.size)
+        # blocks of r hold at most MAX_GRAM_ENTRIES terms; through N = 83 one block takes all r
+        step = max(1, MAX_GRAM_ENTRIES // spec.N**2)
+        for lo in range(0, r.size, step):
+            rr = r[lo : lo + step, None, None]
+            terms = coef * np.exp(1j * dp * rr - beta * rr**2 / 2)
+            finite = finite and np.isfinite(terms).all()
+            rho[lo : lo + step] = terms.sum(axis=(1, 2)).real
+            env[lo : lo + step] = np.einsum("rnn->r", terms).real
+    if not finite:
         raise ValueError(
             f"the fringe algebra is not finite at sigma_x = {sigma:g}, lambda = {spec.lam:g}: "
             "beta, the coefficients or the terms over- or underflow"
         )
-    rho = terms.sum(axis=(1, 2)).real
-    env = np.einsum("rnn->r", terms).real
     # divide out the incoherent envelope so identical component shapes yield
     # the ideal fringe profile exactly
     pattern = spec.N * rho / env

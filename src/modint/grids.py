@@ -18,7 +18,6 @@ import numpy as np
 
 from .modvar import TWO_PI, ModularScale, integer_part, modular_part
 
-DENSE_CAP = 2**11  # per-axis cap when materializing full 2-D arrays
 GRAM_BLOCK = 4096  # grid columns per block in gram()
 LATTICE_ULPS = 4  # how far, in ulps, s L / 2 pi may sit from an integer for a lattice wave
 
@@ -391,29 +390,8 @@ class TwoParticleGridState:
         return _array(self.rows2)
 
     @property
-    def n_terms(self) -> int:
-        return self.coefs.size
-
-    @property
-    def terms(self):
-        """(coef, a1_k, a2_k) per product term."""
-        return list(zip(self.coefs, self.a1, self.a2))
-
-    @property
     def norm(self) -> float:
         return float(np.real(np.conj(self.coefs) @ (self.g1 * self.g2) @ self.coefs))
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full 2-D amplitude array (capped)."""
-        if self.spec.points > DENSE_CAP:
-            raise ValueError(
-                f"dense export capped at {DENSE_CAP} points per axis; "
-                "use the structured term representation instead"
-            )
-        return self.a1.T @ (self.coefs[:, None] * self.a2)
-
-    def joint_density(self) -> np.ndarray:
-        return np.abs(self.dense()) ** 2
 
     def marginal_density(self, particle: int) -> np.ndarray:
         """Reduced position density of particle 1 or 2 (partner traced out)."""
@@ -476,12 +454,6 @@ def _momentum_bound(spec: GridSpec, name: str, scale: ModularScale) -> float:
 def _require_commensurate(spec: GridSpec, name: str, scale: ModularScale):
     if name in ("p", "pbar", "N_p"):
         spec.check_commensurate(scale)
-
-
-def apply_modular_operator(state: GridState, name: str, scale: ModularScale) -> GridState:
-    """Apply a (position- or momentum-diagonal) observable; result re-normalized."""
-    psi = apply_observable_raw(state.spec, state.psi, name, scale)
-    return GridState(state.spec, psi)
 
 
 def apply_observable_raw(

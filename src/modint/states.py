@@ -52,9 +52,6 @@ class Envelope:
         """Characteristic position width, used for grid sizing and warnings."""
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
 
 def _check_width(name: str, value: float):
     # the amplitudes divide by the square, which must neither underflow nor overflow
@@ -84,9 +81,6 @@ class GaussianEnvelope(Envelope):
     def width(self):
         return self.sigma_x
 
-    def descriptor(self):
-        return {"kind": "gaussian", "sigma_x": self.sigma_x}
-
 
 @dataclass(frozen=True)
 class SincEnvelope(Envelope):
@@ -109,9 +103,6 @@ class SincEnvelope(Envelope):
     @property
     def width(self):
         return self.d
-
-    def descriptor(self):
-        return {"kind": "sinc", "d": self.d}
 
 
 SPLINE_PAD = 32  # zero samples on each side of a table; the prefilter ends are exact to z**32
@@ -191,14 +182,6 @@ class TabulatedEnvelope(Envelope):
         mean = np.trapezoid(self._x * w, self._x)
         var = np.trapezoid((self._x - mean) ** 2 * w, self._x)
         return math.sqrt(max(var, 0.0))
-
-    def descriptor(self):
-        return {
-            "kind": "tabulated",
-            "x": self._x.tolist(),
-            "re": self._v.real.tolist(),
-            "im": self._v.imag.tolist(),
-        }
 
 
 def envelope_from_descriptor(d: dict) -> Envelope:
@@ -422,13 +405,19 @@ def _overlap_rows(packets):
         grid = _quadrature_grid(packets)
         whole = functools.cache(lambda: _overlap_matrix(packets, grid))
         return lambda lo, hi: whole()[lo:hi]
-    entries = len(packets) ** 2
-    if not entries <= MAX_GRAM_ENTRIES:
+    _check_gram_entries(packets[0].envelope, len(packets))
+    return _closed_form_rows(closed, _packet_table(packets))
+
+
+def _check_gram_entries(envelope, size: int):
+    """Raise when `size` packets of this envelope have a closed-form overlap Gram over
+    MAX_GRAM_ENTRIES: the builders check it before they build any packet."""
+    entries = size**2
+    if type(envelope) in _CLOSED_FORM_OVERLAPS and not entries <= MAX_GRAM_ENTRIES:
         raise ValueError(
-            f"the overlap Gram of {len(packets)} packets has {entries:.3g} entries, "
+            f"the overlap Gram of {size} packets has {entries:.3g} entries, "
             f"over the budget of {MAX_GRAM_ENTRIES:.3g}"
         )
-    return _closed_form_rows(closed, _packet_table(packets))
 
 
 def _closed_form_rows(closed, table):
@@ -760,6 +749,7 @@ def _classical(pairs, lam) -> MixtureState:
 def build_smp(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> SuperposedState:
     """Rank-N momentum comb: position-space fringes of period lambda."""
     _check_comb(N, x0, lam, envelope)
+    _check_gram_entries(envelope, int(N))
     packets = _momentum_comb_packets(N, x0, N0, lam, envelope)
     amp = 1.0 / math.sqrt(int(N))
     return SuperposedState([(amp, wp) for wp in packets], fringe_period=lam)
@@ -768,6 +758,7 @@ def build_smp(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> Sup
 def build_mpe(N: int, x0: float, N0: int, lam: float, envelope: Envelope) -> TwoParticleState:
     """Rank-N entangled pair state: counterpropagating correlated packets."""
     _check_comb(N, x0, lam, envelope)
+    _check_gram_entries(envelope, int(N))
     return _mpe(_pair_packets(N, x0, N0, lam, envelope), lam)
 
 
@@ -796,6 +787,7 @@ def admixture_state(
         raise ValueError("epsilon must lie in [0, 1]")
     envelope = envelope or GaussianEnvelope(sigma_x=COMB_WIDTH * lam)
     _check_comb(N, x0, lam, envelope)
+    _check_gram_entries(envelope, int(N))
     pairs = _pair_packets(N, x0, N0, lam, envelope)
     pure = _mpe(pairs, lam)
     if epsilon == 0:

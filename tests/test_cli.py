@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -231,6 +232,24 @@ class TestProtocol:
         vis = [float(r[1]) for r in rows[1:]]
         assert vis[0] == pytest.approx(1.0, abs=1e-9)
         assert vis[0] > vis[1] > vis[2]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_large_rank_keeps_its_memory_budget(self):
+        # whole, the 601 x N x N terms at N = 300 would take about 1.7 GB
+        peak = (
+            "import resource, sys\n"
+            "from modint.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", peak, "protocol", "--N", "300", "--steps", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stdout.startswith("stagger [time],visibility")
+        assert int(proc.stderr.split()[-1]) < 300 * 1024
 
 
 def _row_by_row_csv(header, rows):
@@ -482,6 +501,17 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["protocol", "--N", "3000"], ["criterion", "--N", "1000000"]])
+    def test_rank_over_the_gram_budget_exits_2_at_once(self, argv):
+        # refused before any N x N array or any of the comb's packets is built
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"overlap Gram of {argv[-1]} packets" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

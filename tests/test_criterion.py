@@ -288,6 +288,14 @@ class TestRobustness:
             b = robustness_threshold(N, method="bisection")
             assert b == pytest.approx(a, abs=1e-3)
 
+    @pytest.mark.parametrize("N", [2, 3, 5, 10])
+    def test_threshold_is_the_exact_root(self, N):
+        # the admixture at eps*, evaluated afresh on the bisection's envelope and grids
+        eps = robustness_threshold(N, method="bisection")
+        state = admixture_state(eps, N, 1.0, GaussianEnvelope(6.0))
+        var_n, var_r = criterion_stats(state, ModularScale(1.0), "momentum", points_per_ell=128)
+        assert abs(var_n + var_r - criterion_bound()) <= 1e-12
+
     def test_threshold_increases_with_n(self):
         vals = [robustness_threshold(N) for N in range(2, 11)]
         assert all(b > a for a, b in zip(vals, vals[1:]))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from modint import dynamics
 from modint.dynamics import (
     PropagationParams,
     ProtocolSpec,
@@ -240,6 +241,18 @@ class TestProtocol:
     def test_rank_below_two_rejected(self, N):
         with pytest.raises(ValueError, match="N >= 2"):
             ProtocolSpec(N=N, emission_times=(0.0,) * N, lam=1.0, envelope=self.ENV, mass=1.0)
+
+    def test_rank_over_the_gram_budget_rejected(self):
+        # N^2 over MAX_GRAM_ENTRIES = 2^22: refused before any N x N array
+        self.make(N=2048)
+        with pytest.raises(ValueError, match="overlap Gram of 2049 packets"):
+            self.make(N=2049)
+
+    def test_blocks_of_r_agree_with_one_block(self, monkeypatch):
+        spec = self.make(N=5, stagger=5.0)
+        whole = protocol_visibility(spec, meeting_time=80.0)
+        monkeypatch.setattr(dynamics, "MAX_GRAM_ENTRIES", 7 * 25)  # blocks of 7 of the 601 r
+        assert protocol_visibility(spec, meeting_time=80.0) == pytest.approx(whole, abs=1e-12)
 
 
 def _quadrature_protocol_visibility(spec, meeting_time, mass, hbar, first_integer):

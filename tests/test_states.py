@@ -79,8 +79,11 @@ class TestEnvelopes:
         assert np.allclose(tab.fourier(p), g.fourier(p), atol=1e-6)
 
     def test_descriptor_round_trip(self):
-        for env in (GaussianEnvelope(2.5), SincEnvelope(1.25)):
-            clone = envelope_from_descriptor(env.descriptor())
+        for env, d in (
+            (GaussianEnvelope(2.5), {"kind": "gaussian", "sigma_x": 2.5}),
+            (SincEnvelope(1.25), {"kind": "sinc", "d": 1.25}),
+        ):
+            clone = envelope_from_descriptor(d)
             x = np.linspace(-3, 3, 31)
             assert np.allclose(clone(x), env(x))
 
@@ -151,7 +154,9 @@ class TestTabulatedFourierPair:
 
     def test_descriptor_round_trip(self, table):
         env = TABLES[table]()
-        clone = envelope_from_descriptor(json.loads(json.dumps(env.descriptor())))
+        d = {"kind": "tabulated", "x": env._x.tolist(), "re": env._v.real.tolist(),
+             "im": env._v.imag.tolist()}
+        clone = envelope_from_descriptor(json.loads(json.dumps(d)))
         x = np.linspace(-35.0, 35.0, 701)
         assert np.max(np.abs(clone(x) - env(x))) < 1e-14
         p = np.linspace(-3.0, 3.0, 61)
@@ -311,7 +316,7 @@ class TestBuilders:
             lambda env: build_smp(2, 0.0, 1, 1.0, env),
             lambda env: admixture_state(0.5, 2, 1.0, env),
             lambda env: state_from_descriptor(
-                {"kind": "mpe", "N": 2, "envelope": env.descriptor()}
+                {"kind": "mpe", "N": 2, "envelope": {"kind": "gaussian", "sigma_x": env.sigma_x}}
             ),
         ],
         ids=["build_mpe", "build_smp", "admixture_state", "state_from_descriptor"],
@@ -682,7 +687,7 @@ class TestDiscretize:
         # the grid is too large to materialize, so probe via the term structure
         idx = np.argmin(np.abs(grid.x - 0.25))
         jdx = np.argmin(np.abs(grid.x + 0.25))
-        amp = sum(c * a1[idx] * a2[jdx] for c, a1, a2 in gs.terms)
+        amp = sum(c * a1[idx] * a2[jdx] for c, a1, a2 in zip(gs.coefs, gs.a1, gs.a2))
         ana = joint_position_density(st, grid.x[idx], grid.x[jdx])
         assert abs(amp) ** 2 == pytest.approx(float(ana), rel=1e-6)
 
