@@ -174,6 +174,7 @@ def cmd_criterion(args) -> str:
 
 
 def cmd_robustness(args) -> str:
+    crit.check_visibility_rank(args.N)  # before the O(N) closed form
     closed = crit.robustness_threshold(args.N, method="closed_form")
     out = {"N": args.N, "epsilon_star_closed_form": closed}
     if args.bisection:

@@ -8,15 +8,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import fit_fringe_visibility
-from .grids import mixture_stats, observable_stats
+from .grids import _pair_stats, observable_stats
 from .modvar import ModularScale, squeezing_s2
 from .spectral import solve_c
 from .states import (
     GaussianEnvelope,
-    TwoParticleState,
+    _check_gram_entries,
     admixture_state,
-    build_classical_correlated,
-    build_mpe,
     default_grid,
     discretize,
     joint_position_density,
@@ -42,8 +40,8 @@ class CriterionReport:
     axis: str
     c_value: float
     c_method: str
-    grid_points: int  # largest grid over the ensemble's components
-    contained_mass: float  # smallest share of a component's mass on its grid
+    grid_points: int  # the one grid that covers every component of the ensemble
+    contained_mass: float  # smallest share of a component's mass on that grid
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -61,38 +59,16 @@ def _normalizer(scale: ModularScale, axis: str) -> float:
     return scale.ell**2 if axis == "momentum" else scale.momentum_period**2
 
 
-def _component_stats(
-    state: TwoParticleState, scale: ModularScale, axis: str, points_per_ell: int, memo: dict
-):
-    """Both observables' (mean, var) on the state's grid, and (grid points, contained mass).
-
-    The components of one call pass one `memo`, so those on one grid share its
-    envelope factors and their folded densities (see discretize).
-    """
-    n_obs, rel_obs = _AXES[axis]
-    grid = default_grid(state, scale.ell, points_per_ell=points_per_ell)
-    gs = discretize(state, grid, _memo=memo)
-    return (
-        observable_stats(gs, n_obs, scale),
-        observable_stats(gs, rel_obs, scale),
-        (grid.points, gs.input_norm),
-    )
-
-
 def _ensemble_stats(state, scale: ModularScale, axis: str, points_per_ell: int):
-    """(var_N_tot, var_mod_rel, largest grid, smallest contained mass) over the components."""
+    """(var_N_tot, var_mod_rel, grid points, smallest contained mass) on the ensemble's grid."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
     if not hasattr(state, "components"):
         raise TypeError(f"cannot evaluate the criterion on {type(state).__name__}")
-    memo = {}
-    per_comp = [
-        _component_stats(st, scale, axis, points_per_ell, memo) for _, st in state.components
-    ]
-    _, var_n = mixture_stats(state.weights, [s[0] for s in per_comp])
-    _, var_r = mixture_stats(state.weights, [s[1] for s in per_comp])
-    points, mass = zip(*(s[2] for s in per_comp))
-    return var_n, var_r, max(points), min(mass)
+    grid = default_grid(state, scale.ell, points_per_ell=points_per_ell)
+    gs = discretize(state, grid)
+    var_n, var_r = (observable_stats(gs, name, scale)[1] for name in _AXES[axis])
+    return var_n, var_r, grid.points, gs.input_norm
 
 
 def criterion_stats(state, scale: ModularScale, axis: str, points_per_ell: int = 256):
@@ -151,20 +127,14 @@ def robustness_threshold(N: int, method: str = "closed_form") -> float:
         raise ValueError(f"unknown method {method!r}")
 
     scale = ModularScale(1.0)
-    envelope = GaussianEnvelope(sigma_x=6.0)
-    pure = build_mpe(N, 0.0, 1, 1.0, envelope)
-    classical = build_classical_correlated(N, 0.0, 1, 1.0, envelope)
-    memo = {}
-    stats = [
-        _component_stats(st, scale, "momentum", 128, memo)
-        for st in [pure] + [st for _, st in classical.components]
-    ]
+    # the MPE component first, then the N classical ones, over the MPE's N packet pairs
+    state = admixture_state(0.5, N, 1.0, GaussianEnvelope(sigma_x=6.0))
+    gs = discretize(state, default_grid(state, scale.ell, points_per_ell=128))
     bound = criterion_bound()
 
     def lhs(eps: float) -> float:
-        weights = [1.0 - eps] + [eps * w for w, _ in classical.components]
-        _, var_n = mixture_stats(weights, [s[0] for s in stats])
-        _, var_r = mixture_stats(weights, [s[1] for s in stats])
+        weights = [1.0 - eps] + [eps / N] * N
+        var_n, var_r = (_pair_stats(gs, name, scale, weights)[1] for name in _AXES["momentum"])
         return var_n + var_r / scale.ell**2
 
     pure_lhs, classical_lhs = lhs(0.0), lhs(1.0)
@@ -179,6 +149,14 @@ def robustness_threshold(N: int, method: str = "closed_form") -> float:
     return eps
 
 
+_VISIBILITY_ENVELOPE = GaussianEnvelope(sigma_x=50.0)
+
+
+def check_visibility_rank(N: int):
+    """Raise, before any O(N) work, where visibility_of_admixture would refuse rank N's comb."""
+    _check_gram_entries(_VISIBILITY_ENVELOPE, int(N))
+
+
 def visibility_of_admixture(epsilon: float, N: int) -> float:
     """Relative-coordinate fringe visibility of the admixed joint density.
 
@@ -186,7 +164,7 @@ def visibility_of_admixture(epsilon: float, N: int) -> float:
     """
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must lie in [0, 1]")
-    state = admixture_state(epsilon, int(N), lam=1.0, envelope=GaussianEnvelope(sigma_x=50.0))
+    state = admixture_state(epsilon, int(N), lam=1.0, envelope=_VISIBILITY_ENVELOPE)
     delta = np.linspace(-0.5, 0.5, 801)
     dens = joint_position_density(state, delta / 2, -delta / 2)
     return fit_fringe_visibility(delta, dens, int(N), 1.0)

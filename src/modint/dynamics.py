@@ -66,7 +66,7 @@ def free_propagate(state, params: PropagationParams):
     if isinstance(state, TwoParticleGridState):
         a1 = _propagate_rows(state.spec, state.a1, params)
         a2 = _propagate_rows(state.spec, state.a2, params)
-        return TwoParticleGridState(state.spec, state.coefs, a1, a2)
+        return TwoParticleGridState(state.spec, state.coefs, a1, a2, state.weights)
     raise TypeError(f"cannot propagate {type(state).__name__}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -328,11 +329,9 @@ def window_rows(rows: FactoredRows, vmax: float) -> tuple[np.ndarray, np.ndarray
 def _cached(memo: dict | None, owner, key, compute):
     """compute() of an envelope factor or a grid spec, kept in memo under the object and key.
 
-    A memo lives as long as the grid states that hold it: one state's own, or
-    one shared by the components of one criterion call (see discretize). Rows
-    that hold one factor object share the factor's folded spectra and period
-    tables, states on one spec object share its position values, and none
-    outlive the states.
+    A memo is one grid state's own and lives as long as it. Rows that hold one
+    factor object share the factor's folded spectra and period tables, both
+    particles share the spec's position values, and none outlive the state.
     """
     if memo is None:
         return compute()
@@ -350,36 +349,57 @@ def _identity_gram(rows, spec: GridSpec, memo=None) -> np.ndarray:
 
 
 class TwoParticleGridState:
-    """Sum of product terms coefs[k] * a1[k](x1) a2[k](x2) on one grid, globally normalized.
+    """Ensemble of sums of product terms on one grid, each normalized on the grid by itself.
 
-    Each particle's terms are a (K, n) array or FactoredRows, which are
-    materialized only when `a1` or `a2` is read. Each particle's identity Gram
-    <a_i|a_j> dx is computed once, here, and reused by the norm, the marginals
+    `coefs` is a pure state's (K,) coefficients of the terms a1[k](x1) a2[k](x2),
+    or an ensemble's coefficient rows, one (terms, values) pair per component over
+    the K terms they share, mixed by `weights`. Each particle's terms are a (K, n)
+    array or FactoredRows, which are materialized only when `a1` or `a2` is read.
+    Coefficient products vanish between the blocks of terms that the rows join
+    (see _blocks), so Grams and moments are taken per block: a pure state is one
+    block, a classical ensemble one per packet pair. A block's identity Grams
+    <a_i|a_j> dx are computed once, here, and reused by the norms, the marginals
     and the observable statistics. Lattice rows' folded spectra and period
-    tables are kept in `memo` for the state's life, once per factor object for
-    both particles; it keeps no transform of a factor. `_memo` is internal, a
-    memo that states of one ensemble share.
+    tables are kept in the state's own `memo` for its life, once per factor
+    object for both particles; it keeps no transform of a factor.
     """
 
-    def __init__(self, spec: GridSpec, coefs, a1, a2, *, _memo=None):
+    def __init__(self, spec: GridSpec, coefs, a1, a2, weights=(1.0,)):
         self.spec = spec
-        self.coefs = np.asarray(coefs, dtype=complex)
+        pure = not (len(coefs) and all(isinstance(r, tuple) for r in coefs))
+        rows = [(np.arange(np.size(coefs)), coefs)] if pure else coefs
+        rows = [(np.asarray(t, dtype=np.intp), np.asarray(c, dtype=complex)) for t, c in rows]
         self.rows1, self.rows2 = (
             r if isinstance(r, FactoredRows) else np.asarray(r, dtype=complex) for r in (a1, a2)
         )
-        k = self.coefs.size
+        k = np.size(coefs) if pure else self.rows1.shape[0]
         if k == 0:
             raise ValueError("two-particle grid state needs at least one term")
-        if self.coefs.shape != (k,) or not self.rows1.shape == self.rows2.shape == (k, spec.points):
+        shape = (k, spec.points)
+        if any(c.shape != t.shape for t, c in rows) or not self.rows1.shape == self.rows2.shape == shape:
             raise ValueError("term arrays do not match the grid spec")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(rows),) or not np.all(w > 0):
+            raise ValueError("need one positive weight per coefficient row")
+        self.weights = w / w.sum()
         # the lattice rows' folds and the grid's position values, see _cached
-        self.memo = {} if _memo is None else _memo
+        self.memo = {}
+        self.blocks = []
+        norms = np.empty(len(rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            self.g1 = _identity_gram(self.rows1, spec, self.memo)
-            self.g2 = _identity_gram(self.rows2, spec, self.memo)
-            self.input_norm = self.norm  # norm of the terms as given
-        _check_norm(self.input_norm, "product terms have zero norm on this grid")
-        self.coefs = self.coefs / math.sqrt(self.input_norm)
+            for terms, members in _blocks([t for t, _ in rows], k):
+                members = [(r, np.searchsorted(terms, rows[r][0])) for r in members]
+                both = (_take(self.rows1, terms), _take(self.rows2, terms))
+                grams = tuple(_identity_gram(r, spec, self.memo) for r in both)
+                g = grams[0] * grams[1]
+                for r, s in members:
+                    norms[r] = np.real(rows[r][1].conj() @ g[np.ix_(s, s)] @ rows[r][1])
+                self.blocks.append(_Block(terms, members, both, grams))
+        for nrm2 in norms:
+            _check_norm(nrm2, "product terms have zero norm on this grid")
+        self.input_norm = float(np.min(norms))  # of the terms as given; an ensemble's smallest
+        self.coef_rows = [(t, c / math.sqrt(n)) for (t, c), n in zip(rows, norms)]
+        self.coefs = self.coef_rows[0][1] if pure else self.coef_rows
 
     @property
     def a1(self) -> np.ndarray:  # (K, spec.points)
@@ -390,16 +410,91 @@ class TwoParticleGridState:
         return _array(self.rows2)
 
     @property
+    def g1(self) -> np.ndarray:  # (K, K) identity Gram, 0 between blocks
+        return self._gram(0)
+
+    @property
+    def g2(self) -> np.ndarray:
+        return self._gram(1)
+
+    def _gram(self, particle: int) -> np.ndarray:
+        out = np.zeros((self.rows1.shape[0],) * 2, dtype=complex)
+        for block in self.blocks:
+            out[np.ix_(block.terms, block.terms)] = block.grams[particle]
+        return out
+
+    @property
     def norm(self) -> float:
-        return float(np.real(np.conj(self.coefs) @ (self.g1 * self.g2) @ self.coefs))
+        """The components' norms, weighted."""
+        return sum(
+            float(np.real(np.sum(_coef_product(self, b, self.weights) * b.grams[0] * b.grams[1])))
+            for b in self.blocks
+        )
 
     def marginal_density(self, particle: int) -> np.ndarray:
         """Reduced position density of particle 1 or 2 (partner traced out)."""
         if particle not in (1, 2):
             raise ValueError("particle must be 1 or 2")
-        keep, g = (self.a1, self.g2) if particle == 1 else (self.a2, self.g1)
-        w = np.conj(self.coefs)[:, None] * self.coefs[None, :] * g
-        return np.real(np.einsum("ax,ax->x", keep.conj(), w @ keep))
+        out = 0.0
+        for block in self.blocks:
+            keep, g = _array(block.rows[particle - 1]), block.grams[2 - particle]
+            w = _coef_product(self, block, self.weights) * g
+            out = out + np.real(np.einsum("ax,ax->x", keep.conj(), w @ keep))
+        return out
+
+
+class _Block(NamedTuple):
+    """Terms that coefficient rows join (see _blocks), with both particles' rows and Grams of them."""
+
+    terms: np.ndarray
+    members: list  # (row, the places of its terms in `terms`)
+    rows: tuple
+    grams: tuple
+
+
+def _blocks(supports, k: int) -> list:
+    """(terms, rows) of each block: rows that share a term fall in one, with their terms.
+
+    So each coefficient row lies in one block, and its products vanish off it.
+    """
+    label = np.arange(k)  # each term's block, named by a term that is its own label
+    for terms in supports:
+        if len(terms) > 1:
+            joined = np.arange(k)
+            joined[label[terms]] = label[terms].min()
+            label = joined[label]
+    rows = {}
+    for r, terms in enumerate(supports):
+        rows.setdefault(label[terms[0]], []).append(r)
+    return [(np.unique(np.concatenate([supports[r] for r in rs])), rs) for rs in rows.values()]
+
+
+def _take(rows, terms: np.ndarray):
+    """The rows of the given terms, as rows of the same kind: all of them as they are."""
+    if len(terms) == rows.shape[0]:
+        return rows
+    if not isinstance(rows, FactoredRows):
+        return rows[terms]
+    used = list(dict.fromkeys(rows.index[k] for k in terms))
+    return FactoredRows(
+        rows.spec,
+        [rows.factors[f] for f in used],
+        [used.index(rows.index[k]) for k in terms],
+        [rows.waves[k] for k in terms],
+        rows.keys and [rows.keys[f] for f in used],
+    )
+
+
+def _coef_product(state: TwoParticleGridState, block: _Block, weights) -> np.ndarray:
+    """sum_r w_r conj(c_r)[:, None] c_r[None, :] over the block's coefficient rows c_r.
+
+    With normalized rows its quadratic forms are the components' weighted means (total variance).
+    """
+    out = np.zeros((len(block.terms),) * 2, dtype=complex)
+    for r, s in block.members:
+        c = state.coef_rows[r][1]
+        out[np.ix_(s, s)] += weights[r] * np.conj(c)[:, None] * c[None, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +606,20 @@ def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[flo
     return float(mean), float(second - mean**2)
 
 
-def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale) -> tuple[float, float]:
+def _pair_stats(state: TwoParticleGridState, name: str, scale: ModularScale, weights):
+    """(mean, variance) of a pair observable in the components mixed by weights that sum to 1."""
     base, sign = _REL_TOT[name]
-    c = state.coefs
-    cc = np.conj(c)[:, None] * c[None, :]
-    memo = state.memo
-    o1, o1sq = _moments(state.spec, state.rows1, base, scale, memo)
-    o2, o2sq = _moments(state.spec, state.rows2, base, scale, memo)
-    i1, i2 = state.g1, state.g2
+    mean = second = 0.0
+    for block in state.blocks:
+        cc = _coef_product(state, block, weights)
+        (o1, o1sq), (o2, o2sq) = (_moments(state.spec, r, base, scale, state.memo) for r in block.rows)
+        i1, i2 = block.grams
 
-    def ev(e1, e2):
-        return float(np.real(np.sum(cc * e1 * e2)))
+        def ev(e1, e2):
+            return float(np.real(np.sum(cc * e1 * e2)))
 
-    mean = ev(o1, i2) + sign * ev(i1, o2)
-    second = ev(o1sq, i2) + ev(i1, o2sq) + 2.0 * sign * ev(o1, o2)
+        mean += ev(o1, i2) + sign * ev(i1, o2)
+        second += ev(o1sq, i2) + ev(i1, o2sq) + 2.0 * sign * ev(o1, o2)
     # a vanishing variance cancels to a rounding error of either sign; report it as 0
     return mean, max(second - mean**2, 0.0)
 
@@ -540,23 +635,12 @@ def observable_stats(state, name: str, scale: ModularScale) -> tuple[float, floa
             raise ValueError(f"observable {name!r} undefined for two-particle states")
         base, _ = _REL_TOT[name]
         _require_commensurate(state.spec, base, scale)
-        return _pair_stats(state, name, scale)
+        return _pair_stats(state, name, scale, state.weights)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def observable_variance(state, name: str, scale: ModularScale) -> float:
     return observable_stats(state, name, scale)[1]
-
-
-def mixture_stats(weights, component_stats) -> tuple[float, float]:
-    """Law of total variance: Var = sum w_i Var_i + Var_w(mean_i)."""
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    means = np.array([m for m, _ in component_stats])
-    variances = np.array([v for _, v in component_stats])
-    mean = float(np.sum(w * means))
-    var = float(np.sum(w * variances) + np.sum(w * (means - mean) ** 2))
-    return mean, var
 
 
 _COMMUTATOR_PAIRS = {("xbar", "N_p"), ("N_x", "pbar")}

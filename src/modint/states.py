@@ -889,20 +889,22 @@ def default_grid(state, ell: float, points_per_ell: int = 256) -> GridSpec:
 TAIL_TOL = 1e-8  # mass a grid may miss where its second-order error 10 dx^2 is smaller
 
 
-def discretize(state, grid: GridSpec, *, _memo=None):
+def discretize(state, grid: GridSpec):
     """Sample a state onto the grid, both particles of a pair on the same one.
 
-    Raises if the grid misses mass or is coarse for the fringes, the momenta or
-    an envelope. `_memo` is internal: one dict for the components of one
-    ensemble, under which those on one grid share that grid's points, envelope
-    factors and their folds; it lives only as long as the caller keeps it.
+    An ensemble is one grid state: one coefficient row per component over the
+    distinct packet pairs of all of them, whose rows are built once. Raises if
+    the grid misses mass of a component or is coarse for the fringes, the
+    momenta or an envelope.
     """
-    if not isinstance(state, _PacketSum):
+    parts = [st for _, st in state.components] if isinstance(state, MixtureState) else [state]
+    if not all(isinstance(st, _PacketSum) for st in parts):
         raise TypeError(f"cannot discretize {type(state).__name__}")
-    if state.fringe_period is not None and grid.dx > state.fringe_period / 8:
-        raise ValueError(
-            f"grid spacing {grid.dx} coarser than fringe period / 8 = {state.fringe_period / 8}"
-        )
+    for st in parts:
+        if st.fringe_period is not None and grid.dx > st.fringe_period / 8:
+            raise ValueError(
+                f"grid spacing {grid.dx} coarser than fringe period / 8 = {st.fringe_period / 8}"
+            )
     # the grid's momentum lattice ends at pi / dx; a packet reaching it aliases
     reach = _momentum_reach(state.packets)
     if not reach < math.pi / grid.dx:
@@ -910,24 +912,30 @@ def discretize(state, grid: GridSpec, *, _memo=None):
             f"grid too coarse for the momenta: a packet reaches |p0| + 1/width = {reach:.6g}, "
             f"at or above the lattice's end pi/dx = {math.pi / grid.dx:.6g}"
         )
-    # particles share the factor object of a common (envelope, x0)
-    grid, factors, folds = (
-        (grid, {}, {}) if _memo is None else _memo.setdefault(grid, (grid, {}, {}))
-    )
-    rows = [_grid_rows(packets, grid, factors) for packets in state.particles]
-    coefs = np.array([t[0] * state._scale for t in state.terms])
+    columns = {}  # each distinct packet tuple's term, in order of first appearance
+    coefs = []  # each component's (terms, coefficients)
+    for st in parts:
+        row = {}
+        for a, *packets in st.terms:
+            k = columns.setdefault(tuple(packets), len(columns))
+            row[k] = row.get(k, 0) + a * st._scale
+        coefs.append((np.array(list(row)), np.array(list(row.values()), dtype=complex)))
+    factors = {}  # particles share the factor object of a common (envelope, x0)
+    rows = [_grid_rows(packets, grid, factors) for packets in zip(*columns)]
     if len(rows) == 1:
-        out = GridState(grid, coefs @ rows[0].array)
+        out = GridState(grid, coefs[0][1] @ rows[0].array)
+    elif len(parts) == 1:
+        out = TwoParticleGridState(grid, coefs[0][1], *rows)
     else:
-        out = TwoParticleGridState(grid, coefs, *rows, _memo=folds)
+        out = TwoParticleGridState(grid, coefs, *rows, state.weights)
     contained = out.input_norm  # the analytically normalized state's mass on the grid
     tol = max(TAIL_TOL, 10 * grid.dx**2)
     if contained < 1 - tol:
         raise ValueError(f"grid too small: only {contained:.10f} of the state's mass is covered")
     # each packet has unit mass, so more on the grid means the grid points miss
     # its envelope's shape. A row's plane wave has modulus 1, so its mass is its
-    # envelope factor's.
-    worst = max(np.vdot(f, f).real for r in rows for f in r.factors) * grid.dx
+    # envelope factor's; a ufunc reduction, not a BLAS dot, takes its sum.
+    worst = max(np.einsum("i,i->", f.conj(), f).real for r in rows for f in r.factors) * grid.dx
     if not worst <= 1 + tol:
         raise ValueError(
             f"grid too coarse for the envelope: a packet holds {worst:.10g} of its "

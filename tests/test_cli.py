@@ -503,7 +503,10 @@ class TestErrors:
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [["protocol", "--N", "3000"], ["criterion", "--N", "1000000"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["protocol", "--N", "3000"], ["criterion", "--N", "1000000"], ["robustness", "--N", "10000000"]],
+    )
     def test_rank_over_the_gram_budget_exits_2_at_once(self, argv):
         # refused before any N x N array or any of the comb's packets is built
         start = time.perf_counter()

@@ -20,7 +20,6 @@ from modint.grids import (
     commutator_expectation,
     gram,
     lattice_gram,
-    mixture_stats,
     observable_stats,
     observable_values,
     observable_variance,
@@ -231,14 +230,6 @@ class TestPhaseAndMixture:
             assert observable_stats(rotated, name, SCALE) == pytest.approx(
                 observable_stats(gs, name, SCALE)
             )
-
-    def test_mixture_stats_total_variance_law(self):
-        # two point distributions: within-variance zero, between-variance full
-        mean, var = mixture_stats([0.5, 0.5], [(1.0, 0.0), (-1.0, 0.0)])
-        assert mean == pytest.approx(0.0)
-        assert var == pytest.approx(1.0)
-        mean, var = mixture_stats([0.25, 0.75], [(0.0, 2.0), (0.0, 4.0)])
-        assert var == pytest.approx(3.5)
 
     def test_two_particle_requires_pair_observable(self):
         st = build_mpe(2, x0=0.0, N0=1, lam=1.0, envelope=WIDE)

@@ -691,6 +691,63 @@ class TestDiscretize:
         ana = joint_position_density(st, grid.x[idx], grid.x[jdx])
         assert abs(amp) ** 2 == pytest.approx(float(ana), rel=1e-6)
 
+    def test_envelope_mass_check_takes_no_blas_dot(self, monkeypatch):
+        # a threaded BLAS dot per n-point factor cost milliseconds at the default threads
+        st = build_mpe(2, x0=0.0, N0=1, lam=1.0, envelope=WIDE)
+        grid = default_grid(st, 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.vdot called")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        assert discretize(st, grid).input_norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_ensemble_is_one_grid_state_over_its_shared_pairs(self):
+        # the admixture's N + 1 components hold the MPE's N packet pairs: one row each
+        st = admixture_state(0.4, 3, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, 1.0))
+        assert isinstance(gs, TwoParticleGridState)
+        assert gs.rows1.shape == (3, gs.spec.points) and len(gs.coefs) == 4
+        assert np.array_equal(gs.weights, st.weights)
+        pure = discretize(st.components[0][1], gs.spec)
+        assert np.array_equal(gs.coefs[0][0], [0, 1, 2]) and np.array_equal(gs.coefs[0][1], pure.coefs)
+        # each classical component is one pair, normalized on the grid by itself
+        for (terms, values), (_, part) in zip(gs.coefs[1:], st.components[1:]):
+            alone = discretize(part, gs.spec)
+            assert len(terms) == 1
+            assert abs(values[0]) == pytest.approx(abs(alone.coefs[0]), rel=1e-14)
+        # the MPE's row joins all three pairs into one block
+        assert [list(b.terms) for b in gs.blocks] == [[0, 1, 2]]
+
+    def test_classical_ensemble_takes_one_block_per_pair(self):
+        # no row joins two pairs, so the Grams are 1 x 1 and the cost grows as N, not N^2
+        st = build_classical_correlated(40, 0.0, 1, 1.0, WIDE)
+        gs = discretize(st, default_grid(st, 1.0))
+        assert [list(b.terms) for b in gs.blocks] == [[k] for k in range(40)]
+        assert all(g.shape == (1, 1) for b in gs.blocks for g in b.grams)
+        assert gs.input_norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_blocks_at_different_x0_keep_their_own_factors(self):
+        # two combs at different x0 share no pair: two blocks, each on its own lattice factor
+        st = mix([(0.5, build_mpe(2, 0.0, 1, 1.0, WIDE)), (0.5, build_mpe(3, 0.6, 1, 1.0, WIDE))])
+        gs = discretize(st, default_grid(st, 1.0))
+        assert [list(b.terms) for b in gs.blocks] == [[0, 1], [2, 3, 4]]
+        for block in gs.blocks:
+            for rows, full in zip(block.rows, (gs.rows1, gs.rows2)):
+                assert rows.lattice is not None
+                assert np.array_equal(rows.array, full.array[block.terms])
+                for factor, key in zip(rows.factors, rows.keys, strict=True):
+                    assert factor is full.factors[full.keys.index(key)]
+
+    def test_ensemble_refuses_a_grid_that_misses_a_component(self):
+        # the narrow grid of the centred pair misses most of the displaced one
+        centred = build_mpe(2, x0=0.0, N0=1, lam=1.0, envelope=WIDE)
+        shifted = build_mpe(2, x0=40.0, N0=1, lam=1.0, envelope=WIDE)
+        grid = default_grid(centred, 1.0)
+        assert discretize(centred, grid).input_norm == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="grid too small"):
+            discretize(mix([(0.5, centred), (0.5, shifted)]), grid)
+
 
 class TestSerialization:
     def test_descriptor_builds_all_kinds(self):
