@@ -166,8 +166,8 @@ class FactoredRows:
         That holds when all K rows share one real factor and every s_k is
         2 pi m_k / L to rounding, with phase_k = e^{i(s_k xmin + t_k)}. Then the
         identity Gram comes from the factor's folded density, the position
-        moments from one period on exact grids, and the momentum rows of a
-        Gaussian factor from its closed-form transform (see window_rows).
+        moments from one period on exact grids, and the momentum moments of a
+        Gaussian factor from its closed-form transform (see window_moments).
         """
         if len(self.factors) != 1 or np.iscomplexobj(self.factors[0]):
             return None
@@ -289,20 +289,26 @@ def _period_moments(rows: FactoredRows, name: str, scale: ModularScale, period: 
     return _lag_gram(rows, folded, memo, (name, scale, spec))
 
 
-def window_rows(rows: FactoredRows, vmax: float) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(S, FFT rows on S, tail) of Gaussian lattice rows for weights below wmax = max(vmax, vmax^2).
+def window_moments(rows: FactoredRows, name: str, scale: ModularScale) -> np.ndarray | None:
+    """(2, K, K) moments of p, pbar or N_p on Gaussian lattice rows whose windows are apart: a diagonal.
 
-    Row k's FFT at column u is ph_k (sqrt(2 pi) / dx) phi_hat(p) e^{ip(xmin - x0)}, p the
-    lattice momentum of (u - m_k) mod n: the transform of phi(x - x0) periodized over the
-    box, which differs from the FFT of its box-cut samples by the tail beyond the box. So the
-    box must hold 8 sigma a side, as default_grid pads, where phi is e^-16 of its peak.
-    |phi_hat|^2 is normal of deviation 1 / (2 sigma): the infinite lattice's columns beyond
-    m_k +- h hold tail <= erfc(sqrt(2) sigma h dp) n / dx <= e^{-2 (sigma h dp)^2} n / dx, and with
-    h the least making wmax e^{-2 (sigma h dp)^2} < 2^-53 the columns off S = U_k (m_k + [-h, h])
-    move a Gram entry <a_i|w|a_j> by one unit roundoff of the rows' norm at most (Cauchy-Schwarz).
-    Aliased images of window columns lie beyond the window, in the tail. Rows whose window would
-    reach half the lattice, where images fall inside it, or whose box cuts the tail, and rows
-    of any other envelope, take the row route (None) instead.
+    Row k's FFT at column m_k + c is ph_k (sqrt(2 pi) / dx) phi_hat(p_c) e^{i p_c (xmin - x0)}, p_c
+    the lattice momentum of offset c: the transform of phi(x - x0) periodized over the box, which
+    differs from the FFT of its box-cut samples by the tail beyond the box. So the box must hold
+    8 sigma a side, as default_grid pads, where phi is e^-16 of its peak. By Parseval, entry k is
+    |ph_k|^2 dp sum_c |phi_hat(p_c)|^2 w(m_k + c) for w in (v, v^2), with no complex factor; |ph_k|^2,
+    1 to rounding, is kept as the identity Gram keeps it, so each moment carries its row's norm.
+    |phi_hat|^2 is normal of deviation 1 / (2 sigma): the infinite lattice's offsets beyond +-h
+    hold tail <= erfc(sqrt(2) sigma h dp) <= e^{-2 (sigma h dp)^2} of a row's norm, and h is the
+    least making wmax e^{-2 (sigma h dp)^2} < 2^-53, wmax = max(vmax, vmax^2), so the window
+    m_k + [-h, h] leaves out one unit roundoff of the norm at most. Off the diagonal,
+    |phi_hat(p_i) phi_hat(p_j)| is |phi_hat|^2 at their midpoint times e^{-(sigma D dp)^2 / 2}, D the
+    rows' distance on the lattice; rows more than 2h apart cyclically make that below
+    e^{-2 (sigma h dp)^2}, so the entry is below one unit roundoff of the norm, and it is 0.
+    Aliased images of window columns lie beyond the window, in the tail. Rows whose windows meet
+    (two rows at one momentum; combs of sigma below about 1.5 lambda) or reach half the lattice,
+    where images fall inside them, rows whose box cuts the tail, and rows of any other envelope
+    take the row route (None) instead.
     """
     if _lattice(rows) is None or rows.keys is None:
         return None
@@ -311,19 +317,22 @@ def window_rows(rows: FactoredRows, vmax: float) -> tuple[np.ndarray, np.ndarray
     margin = min(centre - spec.xmin, spec.xmax - centre)  # the box's hold on the factor
     if envelope.kind != "gaussian" or margin < 8 * envelope.width:
         return None
-    n = spec.points
-    step = math.sqrt(2.0) * envelope.sigma_x * (TWO_PI / spec.length)  # sqrt(2) sigma dp
+    n, dp = spec.points, TWO_PI / spec.length
+    vmax = _momentum_bound(spec, name, scale)
+    step = math.sqrt(2.0) * envelope.sigma_x * dp
     half = math.ceil(math.sqrt(math.log1p(max(vmax, vmax * vmax) * 2.0**53)) / step)
-    if 2 * half >= n:
-        return None
     m, phase = rows.lattice
-    mask = np.zeros(n, dtype=bool)  # S, in one scatter
-    mask[(np.arange(-half, half + 1) + m[:, None]) & (n - 1)] = True
-    s = np.flatnonzero(mask)
-    p = _lattice_momenta(spec, (s - m[:, None]) & (n - 1))
-    out = envelope.fourier(p) * np.exp(1j * (spec.xmin - centre) * p)
-    out *= phase[:, None] * (math.sqrt(TWO_PI) / spec.dx)
-    return s, out, n / spec.dx * math.erfc(step * half)
+    # the cyclic gaps sum to n, so gaps above 2h also keep one window below half the lattice
+    if np.min(np.diff(np.sort(m), append=np.min(m) + n)) <= 2 * half:
+        return None
+    offsets = np.arange(-half, half + 1)
+    power = dp * envelope.fourier(_lattice_momenta(spec, offsets & (n - 1))) ** 2
+    power = (np.conj(phase) * phase).real[:, None] * power  # (K, 2h + 1)
+    v = observable_values(spec, name, scale, (m[:, None] + offsets) & (n - 1))[1]
+    out = np.zeros((2, m.size, m.size), dtype=complex)
+    diagonal = np.arange(m.size)
+    out[:, diagonal, diagonal] = np.sum(v * power, axis=1), np.sum(v * v * power, axis=1)
+    return out
 
 
 def _cached(memo: dict | None, owner, key, compute):
@@ -572,32 +581,26 @@ _REL_TOT = {
 def _moments(spec: GridSpec, rows, name: str, scale: ModularScale, memo=None):
     """(<a|O|b>, <a|O^2|b>) over the rows for the diagonal observable O named.
 
-    Gaussian lattice rows take the momentum values on their windows' columns
-    only (see window_rows), and lattice rows take xbar and N_x from one period
-    where the grid has one (see _period_moments), keeping their folds in memo;
-    other rows, and lattice rows on a grid without a period, are swept in full.
+    Gaussian lattice rows whose windows are apart take the momentum moments as
+    a diagonal (see window_moments), and lattice rows take xbar and N_x from
+    one period where the grid has one (see _period_moments), keeping their
+    folds in memo; other rows, and lattice rows on a grid without a period,
+    are swept in full.
     Full position values are kept in memo, so particles and components on one
     grid compute them once.
     """
-    lattice = _lattice(rows) is not None
-    dx = spec.dx
     if name in _MOMENTUM_OBS:
-        # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
-        dx /= spec.points
-        window = window_rows(rows, _momentum_bound(spec, name, scale))
+        window = window_moments(rows, name, scale)
         if window is not None:
-            cols, arrs, _ = window
-            vals = observable_values(spec, name, scale, cols)[1]
-        else:
-            vals = observable_values(spec, name, scale)[1]
-            arrs = np.fft.fft(_array(rows), axis=1)
-    else:
-        period = _period_points(spec, scale) if lattice and name in ("xbar", "N_x") else None
-        if period is not None:
-            return _period_moments(rows, name, scale, period, memo)
-        vals = _position_values(spec, name, scale, spec.points, memo)
-        arrs = _array(rows)
-    return gram(arrs, dx, np.stack([vals, vals**2]))
+            return window
+        # Parseval: <a|ifft(v fft b)> dx = <fft a|v|fft b> dx / n
+        vals = observable_values(spec, name, scale)[1]
+        return gram(np.fft.fft(_array(rows), axis=1), spec.dx / spec.points, np.stack([vals, vals**2]))
+    period = _period_points(spec, scale) if _lattice(rows) is not None and name in ("xbar", "N_x") else None
+    if period is not None:
+        return _period_moments(rows, name, scale, period, memo)
+    vals = _position_values(spec, name, scale, spec.points, memo)
+    return gram(_array(rows), spec.dx, np.stack([vals, vals**2]))
 
 
 def _single_stats(state: GridState, name: str, scale: ModularScale) -> tuple[float, float]:
@@ -637,10 +640,6 @@ def observable_stats(state, name: str, scale: ModularScale) -> tuple[float, floa
         _require_commensurate(state.spec, base, scale)
         return _pair_stats(state, name, scale, state.weights)
     raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def observable_variance(state, name: str, scale: ModularScale) -> float:
-    return observable_stats(state, name, scale)[1]
 
 
 _COMMUTATOR_PAIRS = {("xbar", "N_p"), ("N_x", "pbar")}

@@ -628,27 +628,24 @@ class TwoParticleState(_PacketSum):
     def weights(self):
         return [1.0]
 
-    def joint_position_amplitude(self, x1, x2):
-        return self._amplitude("position", x1, x2)
-
-    def joint_momentum_amplitude(self, p1, p2):
-        return self._amplitude("momentum", p1, p2)
-
 
 class MixtureState:
     """Ensemble of pure two-particle states with normalized weights."""
 
     def __init__(self, components):
-        flat = []
+        components = list(components)
+        if not components:
+            raise ValueError("mixture needs at least one component")
         for w, st in components:
             if not hasattr(st, "components"):
                 raise TypeError(f"cannot mix a {type(st).__name__}; expected a two-particle state")
-            flat += [(float(w) * sw, sub) for sw, sub in st.components]
-        components = flat
+            if not 0 < float(w) < math.inf:
+                raise ValueError("mixture weights must be positive and finite")
+        # a nested ensemble's weights are products, and one that underflows to 0 is left out
+        components = [(float(w) * sw, sub) for w, st in components for sw, sub in st.components]
+        components = [(w, st) for w, st in components if w > 0]
         if not components:
-            raise ValueError("mixture needs at least one component")
-        if any(w <= 0 for w, _ in components):
-            raise ValueError("mixture weights must be positive")
+            raise ValueError("every mixture weight underflows to 0")
         total = sum(w for w, _ in components)
         self.components = [(w / total, st) for w, st in components]
 
@@ -792,10 +789,8 @@ def admixture_state(
     pure = _mpe(pairs, lam)
     if epsilon == 0:
         return pure
-    classical = _classical(pairs, lam)
     comps = [] if epsilon == 1 else [(1.0 - epsilon, pure)]
-    comps += [(epsilon * w, st) for w, st in classical.components]
-    return MixtureState(comps)
+    return MixtureState(comps + [(epsilon, _classical(pairs, lam))])
 
 
 # ---------------------------------------------------------------------------

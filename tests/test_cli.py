@@ -251,6 +251,28 @@ class TestProtocol:
         assert proc.returncode == 0 and proc.stdout.startswith("stagger [time],visibility")
         assert int(proc.stderr.split()[-1]) < 300 * 1024
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    @pytest.mark.parametrize("state", [["mpe"], ["admixture", "--epsilon", "0.5"]])
+    def test_large_comb_criterion_keeps_its_memory_budget(self, state):
+        # a comb's momentum moments are diagonal: rows evaluated on the union of all
+        # windows, (1000, 54000) of them, took about 1.4 GB here
+        peak = (
+            "import resource, sys\n"
+            "from modint.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", peak, "criterion", "--state", *state, "--N", "1000"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["grid_points"] > 0
+        assert int(proc.stderr.split()[-1]) < 400 * 1024
+
 
 def _row_by_row_csv(header, rows):
     """The CSV the subcommands wrote one row at a time, each value as repr(float(v))."""

@@ -22,8 +22,7 @@ from modint.grids import (
     lattice_gram,
     observable_stats,
     observable_values,
-    observable_variance,
-    window_rows,
+    window_moments,
 )
 from modint import grids
 from modint.modvar import (
@@ -51,6 +50,7 @@ from modint.states import (
     build_smp,
     default_grid,
     discretize,
+    mix,
 )
 
 SCALE = ModularScale(1.0)
@@ -207,17 +207,15 @@ class TestUncertaintyFloor:
         for _ in range(25):
             psi = rng.normal(size=1024) + 1j * rng.normal(size=1024)
             state = GridState(spec, psi)
-            s = observable_variance(state, "N_p", SCALE) + observable_variance(
-                state, "xbar", SCALE
-            )
+            s = observable_stats(state, "N_p", SCALE)[1] + observable_stats(state, "xbar", SCALE)[1]
             assert s >= c - 1e-4
 
     def test_robertson_bound_on_smp(self):
         # Var(xbar) Var(N_p) >= |<[xbar, N_p]>|^2 / 4 on fringe states
         for N in range(1, 11):
             gs = smp_grid(N)
-            vx = observable_variance(gs, "xbar", SCALE)
-            vn = observable_variance(gs, "N_p", SCALE)
+            vx = observable_stats(gs, "xbar", SCALE)[1]
+            vn = observable_stats(gs, "N_p", SCALE)[1]
             comm = abs(commutator_expectation(gs, ("xbar", "N_p"), SCALE))
             assert vx * vn >= comm**2 / 4 - 1e-9
 
@@ -459,7 +457,7 @@ class TestWiderGrid:
 
 def _row_route(gs):
     """The same state with its rows given as arrays, so every statistic takes the row route."""
-    return TwoParticleGridState(gs.spec, gs.coefs, gs.a1, gs.a2)
+    return TwoParticleGridState(gs.spec, gs.coefs, gs.a1, gs.a2, gs.weights)
 
 
 def _materialized_discretize(st, grid):
@@ -508,20 +506,58 @@ def _fold_gram(rows, weight):
     return spectra[..., lags] * (np.conj(phase)[:, None] * phase[None, :] * rows.spec.dx)
 
 
-def _assert_window_is_the_shifted_union(rows, cols, vmax) -> int:
-    """window_rows's S is the union of m_k + [-h, h] mod n; returns h, the least with
-    (1 + wmax 2^53) e^{-2 (sigma h dp)^2} <= 1."""
+def _window(rows, vmax):
+    """(h, tail, cols) of Gaussian lattice rows' windows for weights below wmax = max(vmax, vmax^2).
+
+    h is the least with (1 + wmax 2^53) e^{-2 (sigma h dp)^2} <= 1, tail = n / dx erfc(sqrt(2) sigma h dp)
+    what the infinite lattice holds beyond it, and cols[k] row k's columns m_k + [-h, h] mod n.
+    """
     spec, m = rows.spec, rows.lattice[0]
     wmax = max(vmax, vmax * vmax)
-    sigma = rows.keys[0][0].sigma_x
-    dp = TWO_PI / spec.length
-    h = int(np.ceil(np.sqrt(np.log1p(wmax * 2.0**53)) / (np.sqrt(2.0) * sigma * dp)))
-    mask = np.zeros(spec.points, dtype=bool)
-    for shift in np.unique(m):
-        mask[(shift + np.arange(-h, h + 1)) % spec.points] = True
-    assert np.array_equal(cols, np.flatnonzero(mask))
+    step = np.sqrt(2.0) * rows.keys[0][0].sigma_x * TWO_PI / spec.length
+    h = int(np.ceil(np.sqrt(np.log1p(wmax * 2.0**53)) / step))
     assert 2 * h < spec.points
-    return h
+    tail = spec.points / spec.dx * math.erfc(step * h)
+    return h, tail, (m[:, None] + np.arange(-h, h + 1)) % spec.points
+
+
+def _window_rows(rows, cols):
+    """The closed form of the lattice rows' FFT on the given columns of each row.
+
+    Row k at column u is ph_k (sqrt(2 pi) / dx) phi_hat(p) e^{ip(xmin - x0)}, p the lattice
+    momentum of (u - m_k) mod n: the whole line's transform of phi(x - x0), sampled on the lattice.
+    """
+    spec = rows.spec
+    (m, phase), (envelope, centre) = rows.lattice, rows.keys[0]
+    p = spec.p[(cols - m[:, None]) % spec.points]
+    out = envelope.fourier(p) * np.exp(1j * (spec.xmin - centre) * p)
+    return out * phase[:, None] * (np.sqrt(TWO_PI) / spec.dx)
+
+
+def _padded(rows, cols):
+    """The window rows on the full lattice, 0 off each row's own window."""
+    out = np.zeros(rows.shape, dtype=complex)
+    np.put_along_axis(out, cols, _window_rows(rows, cols), axis=1)
+    return out
+
+
+def _window_reads(monkeypatch, rows, name, scale=SCALE):
+    """(window_moments of the rows, the 2-D column arrays whose momentum values it read)."""
+    reads, values = [], grids.observable_values
+
+    def spy(spec, name, scale, cols=None):
+        if cols is not None and cols.ndim == 2:
+            reads.append(cols)
+        return values(spec, name, scale, cols)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(grids, "observable_values", spy)
+        return window_moments(rows, name, scale), reads
+
+
+def _assert_diagonal(moments):
+    k = moments.shape[-1]
+    assert np.array_equal(moments, moments * np.eye(k))
 
 
 def _lattice_fft(rows):
@@ -678,6 +714,34 @@ class TestLatticeRoute:
         assert gs.rows1.lattice is not None
         _assert_routes_agree(gs)
 
+    @pytest.mark.parametrize("case", ["pairs sharing a packet", "sigma = lambda"])
+    def test_meeting_windows_take_the_row_route(self, case):
+        # rows whose windows meet are not diagonal: two pairs that share particle 1's
+        # packet put two of its rows at one momentum (gap 0), and at sigma = lambda a
+        # comb's neighbouring windows overlap. Their moments are the row route's
+        if case == "sigma = lambda":
+            with pytest.warns(UserWarning, match="envelope width"):
+                st = build_mpe(3, 0.37, 1, 1.0, GaussianEnvelope(1.0))
+            meeting = (0, 1)
+        else:
+            a, b, c = (WavePacket(WIDE, 0.0, TWO_PI * n) for n in (1, -1, -3))
+            st = mix([
+                (0.5, TwoParticleState([(1.0, a, b), (1.0, a, c)], fringe_period=1.0)),
+                (0.5, TwoParticleState([(1.0, a, b)], fringe_period=1.0)),
+            ])
+            meeting = (0,)
+        gs = discretize(st, default_grid(st, 1.0))
+        ref = _row_route(gs)
+        for particle, (rows, arr) in enumerate(((gs.rows1, ref.a1), (gs.rows2, ref.a2))):
+            assert rows.lattice is not None
+            for name in ("N_p", "pbar"):
+                got = window_moments(rows, name, SCALE)
+                assert (got is None) == (particle in meeting)
+                if got is None:
+                    want = _moments(gs.spec, arr, name, SCALE)
+                    assert np.array_equal(_moments(gs.spec, rows, name, SCALE), want)
+        _assert_routes_agree(gs)
+
     def test_lattice_identities_on_a_small_grid(self):
         spec = GridSpec(64, -4.0, 4.0)
         factor = np.exp(-2.0 * spec.x**2) * (1 + 0.2 * spec.x)
@@ -693,14 +757,14 @@ class TestLatticeRoute:
             want = gram(rows.array, spec.dx, w)
             assert np.allclose(_fold_gram(rows, w), want, rtol=0, atol=1e-14)
             assert np.allclose(lattice_gram(rows), want[0], rtol=0, atol=1e-14)
-            assert window_rows(rows, 1.0) is None  # rows of no known envelope
+            assert window_moments(rows, "N_p", SCALE) is None  # rows of no known envelope
 
     @pytest.mark.parametrize("N", [2, 10])
     @pytest.mark.parametrize("x0", [0.0, 0.37])
     @pytest.mark.parametrize("sigma", [4.0, 16.0])
     @pytest.mark.filterwarnings("ignore:envelope width")
-    def test_window_tail_is_one_unit_roundoff(self, N, x0, sigma):
-        # the window is m_k + [-h, h] with the least h whose tail, weighted by the
+    def test_window_tail_is_one_unit_roundoff(self, monkeypatch, N, x0, sigma):
+        # row k's window is m_k + [-h, h] with the least h whose tail, weighted by the
         # lattice-wide bound, is one unit roundoff of the rows' norm n / dx; the
         # power off it, summed over the infinite lattice, is below that tail
         st = build_mpe(N, x0, 1, 1.0, GaussianEnvelope(sigma))
@@ -711,9 +775,11 @@ class TestLatticeRoute:
             vmax = _momentum_bound(spec, name, SCALE)
             wmax = max(vmax, vmax * vmax)
             for rows in (gs.rows1, gs.rows2):
-                cols, got, tail = window_rows(rows, vmax)
-                h = _assert_window_is_the_shifted_union(rows, cols, vmax)
-                assert got.shape == (N, cols.size) and cols.size <= 64 * N  # a few dozen per row
+                h, tail, cols = _window(rows, vmax)
+                got, reads = _window_reads(monkeypatch, rows, name)
+                assert len(reads) == 1 and np.array_equal(reads[0], cols)
+                assert got.shape == (2, N, N) and cols.shape[1] <= 64  # a few dozen per row
+                _assert_diagonal(got)
                 assert 0 < wmax * tail <= 2.0**-53 * spec.points / spec.dx
                 k = np.arange(h + 1, h + 1 + int(40 / (sigma * dp)))  # out to e^{-1600}
                 beyond = np.sqrt(TWO_PI) / spec.dx * GaussianEnvelope(sigma).fourier(k * dp)
@@ -724,15 +790,17 @@ class TestLatticeRoute:
     def test_window_rows_are_the_fft_where_the_box_holds_the_tail(self, N, sigma):
         # off centre the box is 16 sigma wide on each side of the factor: there the
         # closed form is the FFT of the lattice rows, ph_k F[(u - m_k) mod n], to
-        # rounding on every column of S, and off S within the tail bound
+        # rounding on every column of a row's window, and off it within the tail bound
         st = build_mpe(N, 0.37, 1, 1.0, GaussianEnvelope(sigma))
         gs = discretize(st, default_grid(st, 1.0))
         for rows in (gs.rows1, gs.rows2):
             full = _lattice_fft(rows)
-            cols, got, tail = window_rows(rows, _momentum_bound(gs.spec, "N_p", SCALE))
-            assert np.max(np.abs(got - full[:, cols])) <= 1e-15 * np.max(np.abs(full))
-            off = np.sum(np.abs(np.delete(full, cols, axis=1)) ** 2, axis=1)
-            assert np.all(off <= tail)
+            _, tail, cols = _window(rows, _momentum_bound(gs.spec, "N_p", SCALE))
+            got = _window_rows(rows, cols)
+            assert np.max(np.abs(got - np.take_along_axis(full, cols, axis=1))) <= 1e-15 * np.max(np.abs(full))
+            off = full.copy()
+            np.put_along_axis(off, cols, 0.0, axis=1)
+            assert np.all(np.sum(np.abs(off) ** 2, axis=1) <= tail)
 
     @pytest.mark.parametrize("N", [2, 5])
     def test_window_rows_differ_from_the_fft_by_the_box_tail(self, N):
@@ -750,9 +818,9 @@ class TestLatticeRoute:
             integral = (TWO_PI * sigma**2) ** -0.25 * sigma * np.sqrt(np.pi)
             out = WIDE(hi) + integral / spec.dx * (math.erfc(lo / (2 * sigma)) + math.erfc(hi / (2 * sigma)))
             full = _lattice_fft(rows)
-            cols, got, _ = window_rows(rows, _momentum_bound(spec, "N_p", SCALE))
+            _, _, cols = _window(rows, _momentum_bound(spec, "N_p", SCALE))
             peak = np.max(np.abs(full))
-            diff = np.max(np.abs(got - full[:, cols]))
+            diff = np.max(np.abs(_window_rows(rows, cols) - np.take_along_axis(full, cols, axis=1)))
             assert 1e-9 * peak < diff <= out + 1e-15 * peak
             assert out <= 1.6e-8 * peak
 
@@ -771,19 +839,32 @@ class TestLatticeRoute:
         assert set(calls) <= {("fft", 256)}
 
     @pytest.mark.parametrize("x0", [0.0, 0.37])
-    def test_window_moments_read_the_full_values_on_the_window(self, x0):
-        # the moments are the blocked Gram of the window rows against the full
-        # lattice's values on the window's columns, bit for bit
+    def test_window_moments_read_the_full_values_on_the_window(self, monkeypatch, x0):
+        # the moments are a diagonal: each entry reads the full lattice's values on its
+        # row's window columns, bit for bit, and is the Gram of the window rows placed
+        # on the full lattice, whose supports do not meet, to rounding
         st = build_mpe(3, x0, 1, 1.0, WIDE)
         gs = discretize(st, default_grid(st, 1.0))
         spec = gs.spec
+        values = grids.observable_values
+
+        def full_lattice(spec, name, scale, cols=None):
+            domain, vals = values(spec, name, scale)
+            return domain, vals if cols is None else vals[cols]
+
         for rows in (gs.rows1, gs.rows2):
             for name in ("pbar", "N_p"):
-                bound = _momentum_bound(spec, name, SCALE)
-                cols, arrs, _ = window_rows(rows, bound)
-                vals = observable_values(spec, name, SCALE)[1][cols]
-                want = gram(arrs, spec.dx / spec.points, np.stack([vals, vals**2]))
-                assert np.array_equal(_moments(spec, rows, name, SCALE), want)
+                got = _moments(spec, rows, name, SCALE)
+                _assert_diagonal(got)
+                with monkeypatch.context() as mp:
+                    mp.setattr(grids, "observable_values", full_lattice)
+                    assert np.array_equal(window_moments(rows, name, SCALE), got)
+                _, _, cols = _window(rows, _momentum_bound(spec, name, SCALE))
+                padded, vals = _padded(rows, cols), values(spec, name, SCALE)[1]
+                want = gram(padded, spec.dx / spec.points, np.stack([vals, vals**2]))
+                # to rounding of the sums of |a|^2 |w|, as a mean that cancels to 0 needs
+                size = gram(padded, spec.dx / spec.points, np.abs(np.stack([vals, vals**2]))).real
+                assert np.all(np.abs(got - want) <= 1e-15 * size)
 
     @pytest.mark.parametrize("ell", [2.0, 4.0])
     @pytest.mark.parametrize("x0", [0.0, 0.37])
@@ -810,10 +891,8 @@ class TestLatticeRoute:
         for particle, (rows, arr) in enumerate(((gs.rows1, ref.a1), (gs.rows2, ref.a2))):
             full = np.fft.fft(arr, axis=1)
             for name in ("N_p", "pbar"):
-                bound = _momentum_bound(spec, name, scale)
-                cols, win, tail = window_rows(rows, bound)
-                padded = np.zeros_like(full)
-                padded[:, cols] = win
+                _, tail, cols = _window(rows, _momentum_bound(spec, name, scale))
+                padded = _padded(rows, cols)
                 # the window's tail, the box's, and the rounding of the rows' plane waves
                 limit = np.sqrt(tail * dxn) + _box_images(rows) + 1e-12
                 assert np.all(np.sqrt(np.sum(np.abs(padded - full) ** 2, axis=1) * dxn) <= limit)

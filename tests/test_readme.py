@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -40,3 +41,13 @@ def test_command_lines_are_the_benchmarks():
     readme_lines = [line.split("#")[0].strip() for line in _block("Command line", "sh").splitlines()]
     assert len(bench_lines) == 8
     assert readme_lines == [f"modint {line}" for line in bench_lines]
+
+
+def test_cited_names_exist():
+    # every `module.name` the README cites names something in modint.<module>
+    modules = {path.stem for path in (ROOT / "src" / "modint").glob("*.py")} - {"__init__"}
+    cited = sorted(set(re.findall(r"`(\w+)\.(\w+)`", README)))
+    cited = [(module, name) for module, name in cited if module in modules]
+    assert cited
+    missing = [f"{m}.{n}" for m, n in cited if not hasattr(importlib.import_module(f"modint.{m}"), n)]
+    assert not missing

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modint.cli import main
-from modint.grids import observable_variance
+from modint.grids import observable_stats
 from modint.modvar import ModularScale
 from modint import spectral
 from modint.spectral import (
@@ -156,9 +156,8 @@ class TestBruteForce:
     def test_ground_state_saturates_uncertainty_sum(self):
         rep = brute_force_c(periods=32, points_per_period=128)
         scale = ModularScale(1.0)
-        s = observable_variance(rep.ground_state, "N_p", scale) + observable_variance(
-            rep.ground_state, "xbar", scale
-        )
+        gs = rep.ground_state
+        s = observable_stats(gs, "N_p", scale)[1] + observable_stats(gs, "xbar", scale)[1]
         # variance sum equals the grid eigenvalue up to the O(dx) boundary-point
         # artifact in <xbar> (the sawtooth's identification point)
         assert s == pytest.approx(rep.c, abs=2e-5)

@@ -418,6 +418,19 @@ class TestMixtures:
             mix([(-0.5, a), (1.5, a)])
         with pytest.raises(ValueError):
             mix([])
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mix([(bad, a), (1.0, a)])
+
+    def test_nested_weights_that_underflow_are_left_out(self):
+        # 5e-324 is a weight the caller may give; its share of a nested ensemble is not
+        a = build_mpe(2, 0.0, 1, 1.0, WIDE)
+        b = build_classical_correlated(2, 0.0, 1, 1.0, WIDE)
+        mx = mix([(1.0, a), (5e-324, b)])
+        assert mx.weights == [1.0] and mx.components[0][1] is a
+        assert admixture_state(5e-324, 2, 1.0, WIDE).weights == [1.0]
+        with pytest.raises(ValueError, match="underflows"):
+            mix([(5e-324, b)])
 
 
 def _complex_tabulated():
@@ -572,7 +585,7 @@ class TestJointDensities:
     def test_amplitude_keeps_the_common_wave(self, kind):
         state = build_mpe(3, 0.37, 2, 1.0, WIDE)
         v1, v2 = _near_packets(state, kind, 400, seed=5)
-        got = getattr(state, f"joint_{kind}_amplitude")(v1, v2)
+        got = state._amplitude(kind, v1, v2)
         want = state._scale * sum(
             a * getattr(wp1, f"{kind}_amplitude")(v1) * getattr(wp2, f"{kind}_amplitude")(v2)
             for a, wp1, wp2 in state.terms
